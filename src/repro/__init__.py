@@ -23,29 +23,22 @@ The package is organized as
 * :mod:`repro.baselines` — prior-art static SCA verifiers,
 * :mod:`repro.industrial` — DesignWare/EPFL-like benchmark synthesis,
 * :mod:`repro.bench` — the Table I / Table II / Fig. 5 harness.
+
+The re-exports below resolve on first use (:mod:`repro._lazy`), so
+``import repro.cli`` loads only what a command runs.
 """
 
-from repro.aig import Aig, read_aag, write_aag
-from repro.analysis import DiagnosticReport, lint_design, preflight
-from repro.core import VerificationResult, verify_multiplier
-from repro.genmul import (
-    MultiplierSpec,
-    generate_multiplier,
-    inject_visible_fault,
-    multiply_reference,
-)
-from repro.opt import dc2, optimize, resyn3, techmap
-from repro.poly import Polynomial
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Aig", "read_aag", "write_aag",
-    "Polynomial",
-    "MultiplierSpec", "generate_multiplier", "multiply_reference",
-    "inject_visible_fault",
-    "optimize", "resyn3", "dc2", "techmap",
-    "verify_multiplier", "VerificationResult",
-    "lint_design", "preflight", "DiagnosticReport",
-    "__version__",
-]
+_names, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.aig": ("Aig", "read_aag", "write_aag"),
+    "repro.poly": ("Polynomial",),
+    "repro.genmul": ("MultiplierSpec", "generate_multiplier",
+                     "multiply_reference", "inject_visible_fault"),
+    "repro.opt": ("optimize", "resyn3", "dc2", "techmap"),
+    "repro.core": ("verify_multiplier", "VerificationResult"),
+    "repro.analysis": ("lint_design", "preflight", "DiagnosticReport"),
+})
+__all__ = [*_names, "__version__"]

@@ -44,12 +44,23 @@ def read_aag(source):
     diagnostic code and the offending 1-based line number in the context:
     RA001 for header/syntax problems, RA002 for truncated files, RA003
     for literals that are out of range or undefined, RA004 for invalid
-    definitions (complemented or duplicate left-hand sides).
+    definitions (complemented or duplicate left-hand sides), and RA005
+    for a path that cannot be read as ASCII text (missing, unreadable,
+    or a binary ``.aig``).
     """
     text = source
     if "\n" not in source:
-        with open(source, "r", encoding="ascii") as handle:
-            text = handle.read()
+        try:
+            with open(source, "r", encoding="ascii") as handle:
+                text = handle.read()
+        except UnicodeDecodeError:
+            raise AigFormatError(
+                f"{source}: not ASCII text (binary AIGER is not supported)",
+                code="RA005", path=str(source)) from None
+        except OSError as exc:
+            raise AigFormatError(
+                f"{source}: {exc.strerror or exc}", code="RA005",
+                path=str(source)) from None
     lines = [line.strip() for line in text.splitlines()]
     if not lines or not lines[0].startswith("aag "):
         raise AigFormatError("not an AIGER ASCII file (missing 'aag' magic)",

@@ -20,45 +20,22 @@ The correctness-tooling layer of the pipeline.  Three parts:
 entry points; ``repro verify`` and the benchmark harness run the
 structural subset as a pre-flight so broken designs are reported and
 skipped instead of crashing deep inside spec construction or backward
-rewriting.
+rewriting.  The re-exports resolve on first use (:mod:`repro._lazy`),
+so the pre-flight does not load the architecture recognizer.
 """
 
-from repro.analysis.diagnostics import (
-    CODES,
-    Diagnostic,
-    DiagnosticReport,
-    Severity,
-    report_from_error,
-)
-from repro.analysis.invariants import (
-    InvariantMonitor,
-    check_component_coverage,
-    check_vanishing_rules,
-)
-from repro.analysis.lint import (
-    lint_aig,
-    lint_design,
-    lint_netlist,
-    preflight,
-    probe_multiplier,
-)
-from repro.analysis.structure import (
-    ArchitectureReport,
-    StageGuess,
-    analyze_aig,
-    analyze_design,
-    recommend_overrides,
-    risk_calibration,
-    spearman,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CODES", "Diagnostic", "DiagnosticReport", "Severity",
-    "report_from_error",
-    "lint_aig", "lint_netlist", "lint_design", "preflight",
-    "probe_multiplier",
-    "InvariantMonitor", "check_component_coverage",
-    "check_vanishing_rules",
-    "ArchitectureReport", "StageGuess", "analyze_aig", "analyze_design",
-    "recommend_overrides", "risk_calibration", "spearman",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.analysis.diagnostics": ("CODES", "Diagnostic", "DiagnosticReport",
+                                   "Severity", "report_from_error"),
+    "repro.analysis.lint": ("lint_aig", "lint_netlist", "lint_design",
+                            "preflight", "probe_multiplier"),
+    "repro.analysis.invariants": ("InvariantMonitor",
+                                  "check_component_coverage",
+                                  "check_vanishing_rules"),
+    "repro.analysis.structure": ("ArchitectureReport", "StageGuess",
+                                 "analyze_aig", "analyze_design",
+                                 "recommend_overrides", "risk_calibration",
+                                 "spearman"),
+})

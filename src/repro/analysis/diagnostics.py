@@ -53,6 +53,7 @@ CODES = {
     "RA002": (Severity.ERROR, "truncated AIGER file"),
     "RA003": (Severity.ERROR, "AIGER literal out of range or undefined"),
     "RA004": (Severity.ERROR, "invalid AIGER definition"),
+    "RA005": (Severity.ERROR, "unreadable AIGER file"),
     # RA01x — AIG structure
     "RA010": (Severity.ERROR, "malformed AIG structure"),
     "RA011": (Severity.INFO, "unreachable AND node"),

@@ -29,7 +29,7 @@ observability layer::
     python -m repro stats mult.aag
 
 Exit codes of ``verify``: 0 correct, 1 buggy, 2 timeout, 3 the design
-failed pre-flight lint.  ``lint`` exits 0 when every input is clean and
+could not be read (``RA005``), parsed, or failed pre-flight lint.  ``lint`` exits 0 when every input is clean and
 1 when any has findings (errors or warnings).  ``analyze`` exits 0 when
 every design was classified without findings, 1 when any RS0xx warning
 fired, 3 when an input could not be parsed.  ``obs trends --check``
@@ -54,11 +54,37 @@ import os
 import sys
 
 from repro.aig.aiger import read_aag, write_aag
-from repro.genmul.faults import FAULT_KINDS, inject_visible_fault
-from repro.genmul.multiplier import generate_multiplier
-from repro.opt.scripts import OPTIMIZATIONS, optimize
+from repro.errors import ReproError
 
 log = logging.getLogger("repro.cli")
+
+
+class _LazyChoices:
+    """argparse ``choices`` read from their defining module on first
+    use, so building the parser imports no generator or optimizer.
+    Options using it set ``metavar``: argparse would otherwise list the
+    choices while the parser is built."""
+
+    def __init__(self, load):
+        self._load = load
+
+    def __iter__(self):
+        return iter(self._load())
+
+    def __contains__(self, value):
+        return value in self._load()
+
+
+def _optimization_names():
+    from repro.opt.scripts import OPTIMIZATIONS
+
+    return sorted(OPTIMIZATIONS)
+
+
+def _fault_kinds():
+    from repro.genmul.faults import FAULT_KINDS
+
+    return FAULT_KINDS
 
 
 def build_parser():
@@ -87,7 +113,8 @@ def build_parser():
                          parents=[verbosity])
     opt.add_argument("input", help="AIGER input path")
     opt.add_argument("--script", default="resyn3",
-                     choices=sorted(OPTIMIZATIONS))
+                     choices=_LazyChoices(_optimization_names),
+                     metavar="SCRIPT", help="one of %(choices)s")
     opt.add_argument("-o", "--output", default=None)
 
     ver = sub.add_parser("verify", help="formally verify multiplier AIGs",
@@ -387,7 +414,9 @@ def build_parser():
     inj = sub.add_parser("inject", help="inject a fault (for testing)",
                          parents=[verbosity])
     inj.add_argument("input")
-    inj.add_argument("--kind", default="gate-type", choices=FAULT_KINDS)
+    inj.add_argument("--kind", default="gate-type",
+                     choices=_LazyChoices(_fault_kinds),
+                     metavar="KIND", help="one of %(choices)s")
     inj.add_argument("--seed", type=int, default=0)
     inj.add_argument("-o", "--output", default=None)
 
@@ -423,6 +452,19 @@ def configure_logging(verbose=0, quiet=0):
                 handler.stream = sys.stderr
     root.setLevel(level)
     return level
+
+
+def _read_design(path):
+    """Parse an input design, or print its ``RA0xx`` report and return
+    None (a missing, unreadable or malformed file is not a traceback)."""
+    try:
+        return read_aag(path)
+    except ReproError as exc:
+        from repro.analysis import report_from_error
+
+        print(report_from_error(exc, subject=path).render(),
+              file=sys.stderr)
+        return None
 
 
 def _emit(aig, output):
@@ -695,7 +737,7 @@ def _cmd_verify(args):
     from repro.core.pipeline import Pipeline, VerifyConfig
     from repro.obs.recorder import JsonlSink, Recorder
 
-    from repro.errors import ConfigError, DesignLintError, ReproError
+    from repro.errors import ConfigError, DesignLintError
 
     if len(args.inputs) > 1:
         return _cmd_verify_batch(args)
@@ -704,13 +746,8 @@ def _cmd_verify(args):
     except ConfigError as exc:
         print(f"verify: {exc}", file=sys.stderr)
         return 2
-    try:
-        aig = read_aag(args.inputs[0])
-    except ReproError as exc:
-        from repro.analysis import report_from_error
-
-        print(report_from_error(exc, subject=args.inputs[0]).render(),
-              file=sys.stderr)
+    aig = _read_design(args.inputs[0])
+    if aig is None:
         return 3
     recorder = None
     monitor = None
@@ -1344,13 +1381,19 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     configure_logging(args.verbose, args.quiet)
     if args.command == "generate":
+        from repro.genmul.multiplier import generate_multiplier
+
         aig = generate_multiplier(args.architecture, args.width,
                                   args.width_b)
         _emit(aig, args.output)
         log.info("%s: %d AND nodes", aig.name, aig.num_ands)
         return 0
     if args.command == "optimize":
-        aig = read_aag(args.input)
+        from repro.opt.scripts import optimize
+
+        aig = _read_design(args.input)
+        if aig is None:
+            return 3
         before = aig.num_ands
         optimized = optimize(aig, args.script)
         _emit(optimized, args.output)
@@ -1381,12 +1424,18 @@ def main(argv=None):
                                hotspots=args.hotspots))
         return 0
     if args.command == "inject":
-        aig = read_aag(args.input)
+        from repro.genmul.faults import inject_visible_fault
+
+        aig = _read_design(args.input)
+        if aig is None:
+            return 3
         buggy = inject_visible_fault(aig, kind=args.kind, seed=args.seed)
         _emit(buggy, args.output)
         return 0
     if args.command == "stats":
-        aig = read_aag(args.input)
+        aig = _read_design(args.input)
+        if aig is None:
+            return 3
         for key, value in aig.stats().items():
             print(f"{key}: {value}")
         from repro.core.atomic import detect_atomic_blocks

@@ -1,48 +1,27 @@
 """The paper's contribution: SCA verification with dynamic backward
-rewriting (DyPoSub)."""
+rewriting (DyPoSub).
 
-from repro.core.atomic import AtomicBlock, detect_atomic_blocks, ha_pairs
-from repro.core.components import (
-    Component,
-    atomic_block_component,
-    cone_component,
-)
-from repro.core.cones import build_components
-from repro.core.counterexample import counterexample_for, find_nonzero_assignment
-from repro.core.dynamic import dynamic_backward_rewriting
-from repro.core.gatepoly import (
-    cone_polynomial,
-    literal_polynomial,
-    node_tail_polynomial,
-)
-from repro.core.result import Trace, TraceStep, VerificationResult
-from repro.core.rewriting import RewritingEngine
-from repro.core.spec import (
-    adder_specification,
-    multiplier_specification,
-    operand_word_polynomial,
-    output_word_polynomial,
-)
-from repro.core.pipeline import Pipeline, VerifyConfig
-from repro.core.vanishing import VanishingRuleSet, rules_from_blocks
-from repro.core.verifier import verify_multiplier
-from repro.core.wordlevel import (
-    is_boolean_valued,
-    reduce_specification,
-    verify_adder,
-)
+The re-exports resolve on first use (:mod:`repro._lazy`)."""
 
-__all__ = [
-    "AtomicBlock", "detect_atomic_blocks", "ha_pairs",
-    "Component", "atomic_block_component", "cone_component",
-    "build_components",
-    "counterexample_for", "find_nonzero_assignment",
-    "dynamic_backward_rewriting",
-    "cone_polynomial", "literal_polynomial", "node_tail_polynomial",
-    "VerificationResult", "Trace", "TraceStep", "RewritingEngine",
-    "multiplier_specification", "adder_specification",
-    "operand_word_polynomial", "output_word_polynomial",
-    "VanishingRuleSet", "rules_from_blocks",
-    "verify_multiplier", "Pipeline", "VerifyConfig",
-    "reduce_specification", "verify_adder", "is_boolean_valued",
-]
+from repro._lazy import lazy_exports
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.atomic": ("AtomicBlock", "detect_atomic_blocks", "ha_pairs"),
+    "repro.core.components": ("Component", "atomic_block_component",
+                              "cone_component"),
+    "repro.core.cones": ("build_components",),
+    "repro.core.counterexample": ("counterexample_for",
+                                  "find_nonzero_assignment"),
+    "repro.core.dynamic": ("dynamic_backward_rewriting",),
+    "repro.core.gatepoly": ("cone_polynomial", "literal_polynomial",
+                            "node_tail_polynomial"),
+    "repro.core.result": ("VerificationResult", "Trace", "TraceStep"),
+    "repro.core.rewriting": ("RewritingEngine",),
+    "repro.core.spec": ("multiplier_specification", "adder_specification",
+                        "operand_word_polynomial", "output_word_polynomial"),
+    "repro.core.vanishing": ("VanishingRuleSet", "rules_from_blocks"),
+    "repro.core.verifier": ("verify_multiplier",),
+    "repro.core.pipeline": ("Pipeline", "VerifyConfig"),
+    "repro.core.wordlevel": ("reduce_specification", "verify_adder",
+                             "is_boolean_valued"),
+})

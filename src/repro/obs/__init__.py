@@ -11,54 +11,28 @@ rebuilding Fig.-5-style reports from recorded runs,
 :mod:`repro.obs.attribution` for commit/rule/stage cost attribution and
 anomaly detection (``repro explain``), and
 :mod:`repro.obs.dashboard` for HTML / Prometheus exports.
+
+The re-exports resolve on first use (:mod:`repro._lazy`): the verify
+path needs only the recorder, not ``sqlite3`` or ``multiprocessing``.
 """
 
-from repro.obs.attribution import (
-    AnomalyConfig,
-    CommitAnomalyDetector,
-    attribute_events,
-    attribute_store_run,
-    attribution_event_fields,
-    calibration_from_store,
-    design_baseline,
-    render_attribution,
-    render_calibration,
-    replay_anomalies,
-    stage_cost_metrics,
-)
-from repro.obs.recorder import (
-    NULL,
-    Histogram,
-    JsonlSink,
-    NullRecorder,
-    Recorder,
-    read_events,
-    read_events_tolerant,
-    recording_to,
-)
-from repro.obs.report import (
-    render_phase_table,
-    render_report,
-    report_from_file,
-    summarize_events,
-    summarize_recorder,
-)
-from repro.obs.live import LiveMonitor
-from repro.obs.relay import ChildRecorder, EventRelay, split_worker_runs
-from repro.obs.resources import ResourceTracker, SamplingProfiler
-from repro.obs.store import RunStore, current_git_rev
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "NULL", "NullRecorder", "Recorder", "Histogram", "JsonlSink",
-    "recording_to", "read_events", "read_events_tolerant",
-    "summarize_events", "summarize_recorder",
-    "render_report", "render_phase_table", "report_from_file",
-    "LiveMonitor", "ChildRecorder", "EventRelay", "split_worker_runs",
-    "ResourceTracker", "SamplingProfiler",
-    "RunStore", "current_git_rev",
-    "AnomalyConfig", "CommitAnomalyDetector",
-    "attribute_events", "attribute_store_run",
-    "attribution_event_fields", "calibration_from_store",
-    "design_baseline", "render_attribution", "render_calibration",
-    "replay_anomalies", "stage_cost_metrics",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.obs.recorder": ("NULL", "NullRecorder", "Recorder", "Histogram",
+                           "JsonlSink", "recording_to", "read_events",
+                           "read_events_tolerant"),
+    "repro.obs.report": ("summarize_events", "summarize_recorder",
+                         "render_report", "render_phase_table",
+                         "report_from_file"),
+    "repro.obs.live": ("LiveMonitor",),
+    "repro.obs.relay": ("ChildRecorder", "EventRelay", "split_worker_runs"),
+    "repro.obs.resources": ("ResourceTracker", "SamplingProfiler"),
+    "repro.obs.store": ("RunStore", "current_git_rev"),
+    "repro.obs.attribution": ("AnomalyConfig", "CommitAnomalyDetector",
+                              "attribute_events", "attribute_store_run",
+                              "attribution_event_fields",
+                              "calibration_from_store", "design_baseline",
+                              "render_attribution", "render_calibration",
+                              "replay_anomalies", "stage_cost_metrics"),
+})

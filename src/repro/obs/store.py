@@ -199,7 +199,7 @@ class RunStore:
             # WAL lets service workers, batch ingest and readers share
             # one file: writers queue on the busy handler instead of
             # failing with "database is locked".  (No-op on :memory:.)
-            self._conn.execute("PRAGMA journal_mode = WAL")
+            self._enable_wal(busy_timeout)
             self._conn.execute(
                 f"PRAGMA busy_timeout = {int(busy_timeout * 1000)}")
         found = self._stored_schema_version()
@@ -224,6 +224,25 @@ class RunStore:
             "INSERT OR IGNORE INTO meta (key, value) VALUES (?, ?)",
             ("schema_version", str(SCHEMA_VERSION)))
         self._conn.commit()
+
+    def _enable_wal(self, busy_timeout):
+        """Switch the file to WAL, retrying while another connection is
+        creating it: SQLite answers that switch with "database is
+        locked" without consulting the busy handler."""
+        deadline = time.monotonic() + busy_timeout
+        delay = 0.005
+        while True:
+            try:
+                self._conn.execute("PRAGMA journal_mode = WAL")
+                return
+            except sqlite3.OperationalError as exc:
+                if ("locked" not in str(exc)
+                        or time.monotonic() + delay > deadline):
+                    self._conn.close()
+                    self._conn = None
+                    raise
+            time.sleep(delay)
+            delay = min(2 * delay, 0.1)
 
     def _stored_schema_version(self):
         try:
@@ -772,24 +791,25 @@ class RunStore:
 
         Returns a dict with the stored columns plus the parsed verdict
         ``record``.  ``count_hit`` bumps the hit accounting (default) —
-        pass False for read-only inspection (``repro status``).
+        pass False for read-only inspection (``repro status``).  The
+        bump is one atomic ``UPDATE`` and the row is read back inside
+        the same write transaction, so concurrent connections never
+        lose a hit.
         """
+        if count_hit:
+            self._conn.execute(
+                "UPDATE certificates SET hits = hits + 1, last_hit_at = ? "
+                "WHERE fingerprint = ?", (time.time(), fingerprint))
         row = self._conn.execute(
             "SELECT * FROM certificates WHERE fingerprint = ?",
             (fingerprint,)).fetchone()
+        if count_hit:
+            self._conn.commit()
         if row is None:
             return None
         entry = dict(row)
         entry["signed"] = bool(entry["signed"])
         entry["record"] = json.loads(entry["record"])
-        if count_hit:
-            entry["hits"] += 1
-            entry["last_hit_at"] = time.time()
-            self._conn.execute(
-                "UPDATE certificates SET hits = ?, last_hit_at = ? "
-                "WHERE fingerprint = ?",
-                (entry["hits"], entry["last_hit_at"], fingerprint))
-            self._conn.commit()
         return entry
 
     def certificates(self, status=None, limit=None):

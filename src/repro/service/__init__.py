@@ -19,20 +19,14 @@ certified:
   (``repro serve``);
 * :mod:`repro.service.client` — blocking :class:`ServiceClient` over
   ``http.client`` (``repro submit`` / ``repro status``).
+
+The re-exports resolve on first use (:mod:`repro._lazy`).
 """
 
-from repro.service.fingerprint import design_fingerprint
+from repro._lazy import lazy_exports
 
-__all__ = ["design_fingerprint", "ServiceClient", "VerificationService"]
-
-
-def __getattr__(name):  # lazy: the CLI imports repro.service cheaply
-    if name == "VerificationService":
-        from repro.service.core import VerificationService
-
-        return VerificationService
-    if name == "ServiceClient":
-        from repro.service.client import ServiceClient
-
-        return ServiceClient
-    raise AttributeError(name)
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.service.fingerprint": ("design_fingerprint",),
+    "repro.service.client": ("ServiceClient",),
+    "repro.service.core": ("VerificationService",),
+})

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import pytest
 
 from repro.cli import main
 
@@ -442,6 +443,38 @@ class TestVerifyPreflightCli:
         assert main(["verify", str(bad)]) == 3
         err = capsys.readouterr().err
         assert "RA002" in err
+
+    def test_missing_file_exits_three_with_report(self, tmp_path, capsys):
+        missing = tmp_path / "missing.aag"
+        assert main(["verify", str(missing)]) == 3
+        err = capsys.readouterr().err
+        assert "RA005" in err and "Traceback" not in err
+
+    def test_binary_file_exits_three_with_report(self, tmp_path, capsys):
+        binary = tmp_path / "m.aig"
+        binary.write_bytes(b"aig 3 2 0 1 1\n\xff\xfe\x00\x81")
+        assert main(["verify", str(binary)]) == 3
+        assert "RA005" in capsys.readouterr().err
+
+    def test_batch_marks_missing_file_invalid(self, tmp_path, capsys):
+        import json
+
+        src = tmp_path / "m.aag"
+        out = tmp_path / "batch.json"
+        main(["generate", "SP-AR-RC", "4", "-o", str(src)])
+        assert main(["verify", str(src), str(tmp_path / "missing.aag"),
+                     "--json", str(out)]) == 3
+        statuses = [r["status"] for r in
+                    json.loads(out.read_text())["records"]]
+        assert statuses == ["correct", "invalid"]
+
+    @pytest.mark.parametrize("command,code", [("lint", 1), ("analyze", 3),
+                                              ("stats", 3)])
+    def test_missing_file_is_a_report_for(self, command, code, tmp_path,
+                                          capsys):
+        assert main([command, str(tmp_path / "missing.aag")]) == code
+        captured = capsys.readouterr()
+        assert "RA005" in captured.out + captured.err
 
     def test_check_invariants_flag(self, tmp_path, capsys):
         src = tmp_path / "m.aag"

@@ -1,0 +1,90 @@
+"""Cold start: a plain ``repro verify`` imports only the code it runs.
+
+Each check verifies a small design in a fresh interpreter and inspects
+``sys.modules`` afterwards, so it tests which modules load, not timing.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import types
+
+import pytest
+
+import repro
+from repro.aig.aiger import write_aag
+from repro.genmul.multiplier import generate_multiplier
+
+SRC = os.path.dirname(os.path.dirname(repro.__file__))
+
+NOT_ON_VERIFY_PATH = (
+    "repro.analysis.structure", "repro.obs.store", "repro.obs.relay",
+    "repro.obs.attribution", "repro.genmul.multiplier", "repro.opt.refactor",
+    "repro.service.core", "sqlite3", "multiprocessing",
+)
+
+PROBE = """
+import json, sys
+from repro.cli import main
+code = main(sys.argv[1:])
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+"""
+
+
+def _verify_in_fresh_interpreter(*argv):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", PROBE, "verify", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    return result["code"], set(result["modules"])
+
+
+@pytest.fixture(scope="module")
+def design(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cold") / "m.aag"
+    write_aag(generate_multiplier("SP-DT-LF", 4), str(path))
+    return str(path)
+
+
+def test_plain_verify_loads_no_unused_layer(design):
+    code, modules = _verify_in_fresh_interpreter(design)
+    assert code == 0
+    assert "repro.core.pipeline" in modules
+    loaded = [name for name in NOT_ON_VERIFY_PATH if name in modules]
+    assert loaded == []
+
+
+def test_verify_db_loads_the_store(design, tmp_path):
+    code, modules = _verify_in_fresh_interpreter(
+        design, "--db", str(tmp_path / "runs.db"))
+    assert code == 0
+    assert "repro.obs.store" in modules
+
+
+def test_lazy_exports_resolve_to_objects():
+    from repro import verify_multiplier
+    from repro.analysis import preflight
+    from repro.obs import RunStore
+    from repro.opt import balance
+    from repro.service import design_fingerprint
+
+    for value in (verify_multiplier, preflight, RunStore, balance,
+                  design_fingerprint):
+        assert not isinstance(value, types.ModuleType)
+        assert callable(value)
+    for package in ("repro", "repro.core", "repro.obs", "repro.analysis",
+                    "repro.service"):
+        module = sys.modules[package]
+        for name in module.__all__:
+            assert getattr(module, name) is not None, (package, name)
+        assert set(module.__all__) <= set(dir(module))
+
+
+def test_unknown_export_is_an_attribute_error():
+    import repro.obs
+
+    with pytest.raises(AttributeError):
+        repro.obs.no_such_name  # noqa: B018
