@@ -34,9 +34,10 @@ def fig_1_and_2():
         comp = engine.components[index]
         engine.commit(index, engine.attempt(index))
         step += 1
-        print(f"SP_{step} (after {comp.describe()}): {engine.sp}")
-    print(f"remainder = {engine.sp}  -> "
-          f"{'CORRECT' if engine.sp.is_zero() else 'BUGGY'}\n")
+        print(f"SP_{step} (after {comp.describe()}): {engine.remainder()}")
+    remainder = engine.remainder()
+    print(f"remainder = {remainder}  -> "
+          f"{'CORRECT' if remainder.is_zero() else 'BUGGY'}\n")
 
 
 def example_6():

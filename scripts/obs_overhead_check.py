@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""CI gate for the observability layer's three guarantees.
+"""CI gate for the observability layer's four guarantees.
 
 1. **Parity** — running under a live :class:`repro.obs.Recorder` must
    not change the verification outcome: status, stats and the recorded
@@ -20,10 +20,6 @@
    events over the relay queue, and (c) keep the cost of streaming the
    trace plus the sampling profiler within ``--telemetry-tolerance``
    of an uninstrumented batch.
-5. **Representation parity** — the arena hot-loop representation
-   (``use_arena=True``, the default) must be observationally identical
-   to the dict oracle path: verdict, remainder, stats and the recorded
-   ``SP_i`` trace, in both the exact and modular coefficient rings.
 
 Run from the repository root::
 
@@ -104,30 +100,6 @@ def check_case(architecture, width, optimization, repeats, tolerance):
         failures.append(
             f"{label}: disabled-instrumentation overhead {ratio:.3f} "
             f"exceeds 1+{tolerance}")
-    return failures
-
-
-def check_arena_parity():
-    """Guarantee 5: the arena representation switch must not change
-    anything observable against the dict oracle path."""
-    failures = []
-    for architecture, width, optimization in CASES:
-        aig = benchmark_multiplier(architecture, width, optimization)
-        label = f"{architecture} {width}x{width}"
-        for ring in ("exact", "modular"):
-            runs = {}
-            for use_arena in (True, False):
-                result = verify_multiplier(aig, ring=ring,
-                                           record_trace=True,
-                                           use_arena=use_arena)
-                remainder = (result.remainder.to_string()
-                             if result.remainder is not None else None)
-                runs[use_arena] = fingerprint(result) + (remainder,)
-            status = "ok" if runs[True] == runs[False] else "MISMATCH"
-            print(f"{label} [{ring}]: arena vs dict parity ({status})")
-            if runs[True] != runs[False]:
-                failures.append(f"{label} [{ring}]: arena representation "
-                                f"changed the verification outcome")
     return failures
 
 
@@ -451,7 +423,6 @@ def main(argv=None):
     for architecture, width, optimization in CASES:
         failures += check_case(architecture, width, optimization,
                                args.repeats, args.tolerance)
-    failures += check_arena_parity()
     if not args.skip_batch:
         failures += check_batch_relay(args.batch_repeats,
                                       args.telemetry_tolerance)
@@ -461,8 +432,7 @@ def main(argv=None):
         for failure in failures:
             print(f"FAIL: {failure}", file=sys.stderr)
         return 1
-    print("observability parity + overhead + relay + arena + schema "
-          "check passed")
+    print("observability parity + overhead + relay + schema check passed")
     return 0
 
 

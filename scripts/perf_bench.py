@@ -8,12 +8,9 @@ modular coefficient ring — on fixed cached benchmark circuits, and
 writes the results to ``BENCH_rewriting.json`` so the repository
 carries a perf trajectory across PRs.
 
-The rewriting phases are measured twice, through the arena kernels
-(``static_rewrite``/``dynamic_rewrite``/``dynamic_rewrite_modular``)
-and through the historical dict kernel (``*_dict``), as interleaved
-rounds on the same circuit so machine-load drift cancels out of the
-comparison.  An allocation micro-bench (peak traced memory + net
-block delta, arena vs dict) rides along in the payload.
+The exact and modular dynamic phases (``dynamic_rewrite`` /
+``dynamic_rewrite_modular``) are measured as interleaved rounds on the
+same circuit so machine-load drift cancels out of the comparison.
 
 Raw wall-clock seconds are not comparable across machines, so every
 result also carries a *normalized* cost: the phase time divided by the
@@ -137,38 +134,33 @@ def run_scale(name, unit):
     # (variant A, variant B, A, B, ...) keeping the per-variant minimum:
     # on a shared machine, load drift between two sequentially-timed
     # phases easily exceeds the few-percent difference under test, and
-    # pairing cancels it.  This covers both the exact-vs-modular ring
-    # comparison and the arena-vs-dict representation comparison — the
-    # ``*_dict`` phases time the historical dict kernel on the same
-    # circuit so the arena speedup is read off two adjacent rows.
+    # pairing cancels it.
     arch, width, opt, repeats = config["static"]
     aig_s = benchmark_multiplier(arch, width, opt)
     phases.update(_interleaved(
         aig_s, f"{arch} {width}x{width} {opt}", unit, repeats, config,
-        (("static_rewrite", "static", "exact", True),
-         ("static_rewrite_dict", "static", "exact", False))))
+        (("static_rewrite", "static", "exact"),)))
 
     arch, width, opt, repeats = config["dynamic"]
     aig_d = benchmark_multiplier(arch, width, opt)
     phases.update(_interleaved(
         aig_d, f"{arch} {width}x{width} {opt}", unit, repeats, config,
-        (("dynamic_rewrite", "dyposub", "exact", True),
-         ("dynamic_rewrite_dict", "dyposub", "exact", False),
-         ("dynamic_rewrite_modular", "dyposub", "modular", True))))
+        (("dynamic_rewrite", "dyposub", "exact"),
+         ("dynamic_rewrite_modular", "dyposub", "modular"))))
 
     return {"phases": phases, "budget": config["budget"]}
 
 
 def _interleaved(aig, case, unit, repeats, config, variants):
-    """Measure ``variants`` — ``(phase, method, ring, use_arena)``
-    tuples over one circuit — as interleaved rounds, min per phase."""
-    timings = {phase: None for phase, _m, _r, _a in variants}
+    """Measure ``variants`` — ``(phase, method, ring)`` tuples over one
+    circuit — as interleaved rounds, min per phase."""
+    timings = {phase: None for phase, _m, _r in variants}
     results = {}
     for _ in range(repeats):
-        for phase_name, method, ring, use_arena in variants:
+        for phase_name, method, ring in variants:
             start = time.perf_counter()
             results[phase_name] = verify_multiplier(
-                aig, method=method, ring=ring, use_arena=use_arena,
+                aig, method=method, ring=ring,
                 monomial_budget=config["budget"],
                 time_budget=config["time"])
             elapsed = time.perf_counter() - start
@@ -176,49 +168,14 @@ def _interleaved(aig, case, unit, repeats, config, variants):
             timings[phase_name] = (elapsed if previous is None
                                    else min(previous, elapsed))
     phases = {}
-    for phase_name, _method, _ring, use_arena in variants:
+    for phase_name, _method, _ring in variants:
         result = results[phase_name]
         phases[phase_name] = _phase(
             timings[phase_name], unit, repeats, case=case,
             status=result.status, steps=result.stats.get("steps"),
             max_poly_size=result.stats.get("max_poly_size"),
-            ring=result.stats.get("ring", "exact"),
-            representation="arena" if use_arena else "dict")
+            ring=result.stats.get("ring", "exact"))
     return phases
-
-
-def allocation_microbench():
-    """Allocation footprint of a full 8x8 verification, arena vs dict.
-
-    Both ``Polynomial`` and ``PolyArena`` declare ``__slots__``, so per
-    instance the arena saves the ``__dict__``; the flat columns
-    additionally replace per-step dict rebuilds with two list slices.
-    This measures what that buys end-to-end: peak traced allocation
-    (``tracemalloc``), net allocated-block delta and wall clock of the
-    same verification under both representations.
-    """
-    import gc
-    import tracemalloc
-
-    aig = benchmark_multiplier("SP-WT-CL", 8, "none")
-    record = {"case": "SP-WT-CL 8x8 none"}
-    for name, use_arena in (("arena", True), ("dict", False)):
-        verify_multiplier(aig, use_arena=use_arena)  # warm caches
-        gc.collect()
-        blocks_before = sys.getallocatedblocks()
-        tracemalloc.start()
-        start = time.perf_counter()
-        verify_multiplier(aig, use_arena=use_arena)
-        elapsed = time.perf_counter() - start
-        _current, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        gc.collect()
-        record[name] = {
-            "peak_kib": round(peak / 1024, 1),
-            "net_blocks": sys.getallocatedblocks() - blocks_before,
-            "seconds": round(elapsed, 6),
-        }
-    return record
 
 
 def _phase(seconds, unit, repeats, **extra):
@@ -322,13 +279,6 @@ def main(argv=None):
             print(f"  {phase}: {record['seconds'] * 1e3:.1f}ms "
                   f"({record['normalized']:.2f}u) [{record['case']}]",
                   flush=True)
-    print("measuring allocation footprint (arena vs dict)...", flush=True)
-    payload["allocations"] = allocation_microbench()
-    for name in ("arena", "dict"):
-        entry = payload["allocations"][name]
-        print(f"  {name}: peak {entry['peak_kib']:.0f}KiB, "
-              f"net {entry['net_blocks']} blocks, "
-              f"{entry['seconds'] * 1e3:.1f}ms (traced)", flush=True)
     # keep scales measured earlier (e.g. medium) when re-measuring small
     if os.path.exists(args.json):
         try:

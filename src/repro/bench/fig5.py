@@ -22,10 +22,10 @@ from repro.bench.harness import (
     bench_config,
     benchmark_multiplier,
     parallel_map,
-    result_record,
     run_method,
 )
 from repro.bench.render import render_table, render_trace_plot
+from repro.core.result import result_record
 from repro.obs.recorder import Recorder
 
 ARCHITECTURE = "SP-DT-LF"

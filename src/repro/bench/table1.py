@@ -29,11 +29,11 @@ from repro.bench.harness import (
     bench_config,
     benchmark_multiplier,
     parallel_map,
-    result_record,
     run_method,
     runtime_cell,
 )
 from repro.bench.render import render_table
+from repro.core.result import result_record
 from repro.obs.recorder import Recorder
 
 # The paper's Table I architecture list (stage abbreviations as in the

@@ -18,12 +18,12 @@ from repro.bench.harness import (
     bench_config,
     cached_aig,
     parallel_map,
-    result_record,
     run_method,
     runtime_cell,
 )
 from repro.bench.render import render_table
 from repro.bench.table1 import BASELINE_COLUMNS
+from repro.core.result import result_record
 from repro.errors import ConfigError
 from repro.obs.recorder import Recorder
 from repro.industrial import designware_like_multiplier, epfl_like_multiplier

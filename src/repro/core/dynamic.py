@@ -69,7 +69,7 @@ def dynamic_backward_rewriting(engine, initial_threshold=0.1,
                                       threshold=threshold)
             else:
                 engine.note_backtrack(index, threshold=threshold)
-            # restore SP_i (immutable polynomials make this free) and try
+            # restore SP_i (immutable arenas make this free) and try
             # the next candidate; double the threshold after a full scan
             j += 1
             if j >= len(sorted_candidates):
@@ -91,4 +91,4 @@ def dynamic_backward_rewriting(engine, initial_threshold=0.1,
                     engine.commit(finite[0], attempts[finite[0]],
                                   threshold=threshold)
                     break
-    return engine.sp
+    return engine.remainder()

@@ -76,6 +76,17 @@ class VerifyConfig:
     ``__post_init__`` so a bad ``method``/``ring``/``primes`` raises
     :class:`~repro.errors.ConfigError` *before* any pipeline work.
 
+    ``method`` is ``"dyposub"`` (dynamic backward rewriting) or
+    ``"static"`` (the prior-art reverse-topological order on the same
+    component machinery); the ``use_*`` switches exist for ablation
+    studies, DyPoSub is all of them enabled.  ``monomial_budget``
+    defaults to a generous safety ceiling (a buggy circuit's residue
+    never cancels); ``None`` runs unbounded, a small value emulates the
+    paper's time-out column.  ``preflight`` lints the design before any
+    polynomial work; ``check_invariants`` additionally checks component
+    coverage, the vanishing table, substitution-order legality and
+    ``SP_i`` signatures at every commit.
+
     ``ring`` selects the coefficient ring of the rewrite stage:
     ``"exact"`` (default, today's semantics), ``"modular"`` (multimodular
     fast path over the built-in 61-bit prime schedule) or ``"modular:P"``
@@ -107,11 +118,6 @@ class VerifyConfig:
     # may retune fields the user left at their defaults (prime-schedule
     # depth, initial threshold, extended rules).
     auto_tune: bool = False
-    # Internal representation switch: the arena (sorted-column) rewrite
-    # kernels vs the historical dict kernels.  Results are identical;
-    # the dict path is kept as the oracle for parity gates and the
-    # interleaved-pair benchmark.  Not exposed on the CLI.
-    use_arena: bool = True
     ring: object = "exact"
     primes: int = 4
     prime_schedule: tuple = ()
@@ -127,11 +133,9 @@ class VerifyConfig:
             raise ConfigError(
                 f"primes must be a positive integer, got {self.primes!r}",
                 primes=repr(self.primes))
-        if self.prime_schedule:
-            object.__setattr__(self, "prime_schedule",
-                               tuple(self.prime_schedule))
-            for prime in self.prime_schedule:
-                ModularRing(prime)  # raises ConfigError on a bad prime
+        object.__setattr__(self, "prime_schedule", tuple(self.prime_schedule))
+        for prime in self.prime_schedule:
+            ModularRing(prime)  # raises ConfigError on a bad prime
 
     @classmethod
     def from_args(cls, args):
@@ -365,8 +369,7 @@ class Pipeline:
                                  time_budget=time_budget,
                                  record_trace=config.record_trace,
                                  record_certificate=config.record_certificate,
-                                 recorder=rec, monitor=monitor, ring=ring,
-                                 use_arena=config.use_arena)
+                                 recorder=rec, monitor=monitor, ring=ring)
         try:
             with rec.span("rewrite"):
                 if config.method == "dyposub":

@@ -131,3 +131,30 @@ class VerificationResult:
             if extras:
                 core += " (" + ", ".join(extras) + ")"
         return core
+
+
+def result_record(result, recorder=None):
+    """JSON-serializable record of one verification run.
+
+    When ``recorder`` is an enabled :class:`repro.obs.Recorder`, its
+    per-phase wall-clock totals and counters are folded in — this is
+    what the ``--json`` flags of the bench mains write out.
+    """
+    record = {
+        "method": result.method,
+        "status": result.status,
+        "seconds": round(result.seconds, 6),
+        "stats": dict(result.stats),
+        "sizes": result.sizes(),
+    }
+    # certificates are in-memory verification artifacts, not JSON data
+    record["stats"].pop("certificate", None)
+    if result.trace and hasattr(result.trace, "as_dicts"):
+        # per-commit trajectory (component/kind/size/threshold) so
+        # `repro obs diff` works without a full trace file
+        record["commits"] = result.trace.as_dicts()
+    if recorder is not None and recorder.enabled:
+        summary = recorder.summary()
+        record["phases"] = summary["phases"]
+        record["counters"] = summary["counters"]
+    return record

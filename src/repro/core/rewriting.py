@@ -16,6 +16,13 @@ Two orders are built on top of the shared machinery:
 Substituting an atomic block first attempts the compact word-level
 relation ``G(outs) = F(ins)`` (rule 1); when ``SP_i`` does not contain
 ``G`` in the required form, it falls back to per-output substitution.
+
+The engine holds ``SP_i`` as a :class:`~repro.poly.arena.PolyArena`
+(sorted columns; every substitution is a bisect-bounded partition plus
+a segment-copy merge).  It converts from
+:class:`~repro.poly.polynomial.Polynomial` once when it builds ``SP_0``
+and back once for the remainder (:meth:`RewritingEngine.remainder`);
+an attached invariant monitor is the only per-commit conversion.
 """
 
 from __future__ import annotations
@@ -26,7 +33,6 @@ from repro.core.result import Trace, TraceStep
 from repro.errors import BudgetExceeded, VerificationError
 from repro.obs.recorder import NULL
 from repro.poly.arena import PolyArena
-from repro.poly.polynomial import Polynomial
 from repro.poly.ring import EXACT
 
 
@@ -46,21 +52,16 @@ class RewritingEngine:
     def __init__(self, spec, components, vanishing, monomial_budget=None,
                  time_budget=None, record_trace=False,
                  record_certificate=False, recorder=None, monitor=None,
-                 ring=EXACT, use_arena=True):
+                 ring=EXACT):
         self.ring = ring
         self.vanishing = vanishing
         vanishing.set_ring(ring)
         self.spec = spec
-        self.sp = vanishing.apply(ring.convert_poly(spec))
-        # Arena mode runs substitution on sorted columns (bisect
-        # partitions + slice merges) instead of dict scans; the dict path
-        # is kept as the boundary/oracle implementation.  Seed the
-        # occurrence index before the first arena conversion so every
+        # SP_0 as sorted columns; seed the occurrence index so every
         # kernel carries it forward by delta updates.
-        self.use_arena = use_arena
-        if use_arena:
-            self.sp.occurrence_index()
-            self.sp.to_arena()
+        self.sp = PolyArena.from_polynomial(
+            vanishing.apply(ring.convert_poly(spec)))
+        self.sp.occurrence_index()
         self.record_certificate = record_certificate
         self.certificate_steps = [] if record_certificate else None
         self.components = {comp.index: comp for comp in components}
@@ -134,12 +135,17 @@ class RewritingEngine:
     def finished(self):
         return not self._candidates and self.remaining == 0
 
+    def remainder(self):
+        """The current ``SP_i`` as a :class:`Polynomial` (the remainder
+        once the run is finished)."""
+        return self.sp.to_polynomial()
+
     def occurrence_counts(self):
         """Occurrences of every candidate's outputs in ``SP_i``
         (Algorithm 2, lines 4-5).
 
-        Reads the polynomial's incremental occurrence index — built once
-        on the initial ``SP_0`` and carried across every commit — so the
+        Reads the arena's incremental occurrence index — built once on
+        the initial ``SP_0`` and carried across every commit — so the
         cost is O(candidates), not a scan of ``SP_i``.
         """
         counts = self.sp.occurrence_index()
@@ -154,8 +160,8 @@ class RewritingEngine:
     # ------------------------------------------------------------------
 
     def attempt(self, index):
-        """Compute the ``SP_i`` that substituting component ``index``
-        would produce, without committing."""
+        """Compute the ``SP_i`` arena that substituting component
+        ``index`` would produce, without committing."""
         comp = self.components[index]
         if index not in self._candidates:
             raise VerificationError(f"component {index} is not a candidate")
@@ -202,51 +208,25 @@ class RewritingEngine:
         ``SP_i`` is kept rule-normalized as an invariant (established on
         the initial specification polynomial), so untouched monomials are
         copied through without re-checking — this is what makes vanishing
-        removal cheap enough to run after *every* substitution.
+        removal cheap enough to run after *every* substitution.  A
+        bisect-bounded partition splits the touched monomials off the
+        sorted columns (the untouched prefix is never walked), the
+        products accumulate into a small fresh dict, and one
+        segment-copy merge puts them back.
         """
-        if self.use_arena:
-            return self._substitute_normalized_arena(sp, var, replacement)
-        rules = self.vanishing
-        rep_terms = replacement._terms
-        bit = 1 << var
-        out = {}
-        touched = []
-        for mono, coeff in sp._terms.items():
-            if mono & bit:
-                touched.append((mono, coeff))
-            else:
-                out[mono] = coeff
-        if not touched:
-            return sp
-        cap = self.hard_cap
-        rep_items = rep_terms.items()
-        for mono, coeff in touched:
-            rules.reduce_products_into(out, mono ^ bit, rep_items, coeff)
-            if cap is not None and len(out) > cap:
-                raise AttemptTooLarge(len(out))
-        return Polynomial({m: c for m, c in out.items() if c}, _trusted=True,
-                          ring=self.ring)
-
-    def _substitute_normalized_arena(self, sp, var, replacement):
-        """Arena path of :meth:`_substitute_normalized`: bisect-bounded
-        partition of the sorted columns, vanishing-normalized product
-        accumulation into a small fresh dict, one segment-copy merge
-        back.  The untouched prefix of ``SP_i`` is never walked.
-        """
-        arena = sp.to_arena()
-        keep_m, keep_c, touched = arena.partition_var(var)
+        keep_m, keep_c, touched = sp.partition_var(var)
         if not touched:
             return sp
         rules = self.vanishing
         bit = 1 << var
-        rep_items = list(replacement._terms.items())
+        rep_items = list(replacement.terms())
         cap = self.hard_cap
         reduce_products = rules.reduce_products_into
         if len(touched) * len(rep_items) >= len(keep_m):
             # High churn: the segment-copy merge has no edge left.
-            # Accumulate straight into the untouched terms like the dict
-            # path does (one pass instead of fresh-dict + merge) and pay
-            # a single flat sort for the columns.
+            # Accumulate straight into the untouched terms (one pass
+            # instead of fresh-dict + merge) and pay a single flat sort
+            # for the columns.
             out = dict(zip(keep_m, keep_c))
             for mono, coeff in touched:
                 reduce_products(out, mono ^ bit, rep_items, coeff)
@@ -254,17 +234,15 @@ class RewritingEngine:
                     raise AttemptTooLarge(len(out))
             out = {m: c for m, c in out.items() if c}
             monos = sorted(out)
-            return Polynomial._from_arena(PolyArena(
-                monos, [out[m] for m in monos], ring=self.ring))
+            return PolyArena(monos, [out[m] for m in monos], ring=self.ring)
         base_len = len(keep_m)
         fresh = {}
         for mono, coeff in touched:
             reduce_products(fresh, mono ^ bit, rep_items, coeff)
             if cap is not None and base_len + len(fresh) > cap:
                 raise AttemptTooLarge(base_len + len(fresh))
-        return Polynomial._from_arena(
-            arena.rebuild(keep_m, keep_c, fresh,
-                          removed=[m for m, _ in touched]))
+        return sp.rebuild(keep_m, keep_c, fresh,
+                          removed=[m for m, _ in touched])
 
     def commit(self, index, new_sp, threshold=None):
         """Install the result of :meth:`attempt` and retire the component.
@@ -273,7 +251,8 @@ class RewritingEngine:
         substitution was accepted (``None`` under the static order).
         """
         if self.monitor is not None:
-            self.monitor.on_commit(index, self.components[index], new_sp)
+            self.monitor.on_commit(index, self.components[index],
+                                   new_sp.to_polynomial())
         if self.record_certificate:
             comp = self.components[index]
             for var, replacement in comp.substitutions.items():
@@ -281,7 +260,7 @@ class RewritingEngine:
         # Carry the var->occurrence-count index across the step from the
         # substitution delta (only changed monomials are decoded), so the
         # dynamic order's candidate sort stays O(candidates) per step.
-        new_sp.adopt_occurrence_index(self.sp)
+        new_sp.inherit_occurrences(self.sp)
         self.sp = new_sp
         self.steps += 1
         size = len(new_sp)
@@ -333,30 +312,22 @@ class RewritingEngine:
 
     def _try_compact(self, comp):
         """Rule 1: substitute through ``G(outs) = F(ins)`` when ``SP_i``
-        contains ``G`` exactly; returns None when the pattern is absent."""
-        if self.use_arena:
-            return self._try_compact_arena(comp)
+        contains ``G`` exactly; returns None when the pattern is absent.
+
+        One bisect-bounded partition splits the G-part off the sorted
+        columns; the fresh ``Q*F`` products are normalized into a dict
+        and merged back with segment copies.
+        """
         g_coeffs, f_poly = comp.compact
         (var_a, coeff_a), (var_b, coeff_b) = sorted(g_coeffs.items())
-        bit_a = 1 << var_a
-        bit_b = 1 << var_b
-        part_a = {}
-        part_b = {}
-        rest = {}
-        for mono, coeff in self.sp.terms():
-            in_a = mono & bit_a
-            in_b = mono & bit_b
-            if in_a and in_b:
-                return None
-            if in_a:
-                part_a[mono ^ bit_a] = coeff
-            elif in_b:
-                part_b[mono ^ bit_b] = coeff
-            else:
-                rest[mono] = coeff
+        sp = self.sp
+        parts = sp.partition_pair(var_a, var_b)
+        if parts is None:
+            return None  # some monomial contains both outputs
+        keep_m, keep_c, part_a, part_b = parts
         if not part_a and not part_b:
-            return self.sp  # outputs do not occur; substitution is a no-op
-        if set(part_a) != set(part_b):
+            return sp  # outputs do not occur; substitution is a no-op
+        if part_a.keys() != part_b.keys():
             return None
         q_terms = {}
         mod = self.ring.modulus
@@ -380,56 +351,10 @@ class RewritingEngine:
                 if (part_b[mono] - coeff_b * quotient) % mod:
                     return None
                 q_terms[mono] = quotient
-        # rest is already rule-normalized (SP_i invariant); only the
-        # fresh Q*F products need normalization.
-        out = dict(rest)
-        for q_mono, q_coeff in q_terms.items():
-            for f_mono, f_coeff in f_poly._terms.items():
-                self.vanishing.reduce_into(out, q_mono | f_mono,
-                                           q_coeff * f_coeff)
-        return Polynomial({m: c for m, c in out.items() if c}, _trusted=True,
-                          ring=self.ring)
-
-    def _try_compact_arena(self, comp):
-        """Arena path of :meth:`_try_compact`: one bisect-bounded
-        partition splits the G-part off the sorted columns; the fresh
-        ``Q*F`` products are normalized into a dict and merged back with
-        segment copies."""
-        g_coeffs, f_poly = comp.compact
-        (var_a, coeff_a), (var_b, coeff_b) = sorted(g_coeffs.items())
-        arena = self.sp.to_arena()
-        parts = arena.partition_pair(var_a, var_b)
-        if parts is None:
-            return None  # some monomial contains both outputs
-        keep_m, keep_c, part_a, part_b = parts
-        if not part_a and not part_b:
-            return self.sp  # outputs do not occur; substitution is a no-op
-        if part_a.keys() != part_b.keys():
-            return None
-        q_terms = {}
-        mod = self.ring.modulus
-        if mod is None:
-            for mono, coeff in part_a.items():
-                quotient, remainder_c = divmod(coeff, coeff_a)
-                if remainder_c:
-                    return None
-                if part_b[mono] != coeff_b * quotient:
-                    return None
-                q_terms[mono] = quotient
-        else:
-            try:
-                inv_a = pow(coeff_a % mod, -1, mod)
-            except ValueError:
-                return None  # coeff_a ≡ 0 mod p: not a unit
-            for mono, coeff in part_a.items():
-                quotient = coeff * inv_a % mod
-                if (part_b[mono] - coeff_b * quotient) % mod:
-                    return None
-                q_terms[mono] = quotient
         # the keep columns are already rule-normalized (SP_i invariant);
         # only the fresh Q*F products need normalization.
         fresh = {}
-        f_items = list(f_poly._terms.items())
+        f_items = list(f_poly.terms())
         reduce_products = self.vanishing.reduce_products_into
         for q_mono, q_coeff in q_terms.items():
             reduce_products(fresh, q_mono, f_items, q_coeff)
@@ -437,8 +362,7 @@ class RewritingEngine:
         bit_b = 1 << var_b
         removed = [m | bit_a for m in part_a]
         removed += [m | bit_b for m in part_b]
-        return Polynomial._from_arena(
-            arena.rebuild(keep_m, keep_c, fresh, removed=removed))
+        return sp.rebuild(keep_m, keep_c, fresh, removed=removed)
 
     def _check_budget(self):
         if self.monomial_budget is not None and len(self.sp) > self.monomial_budget:
@@ -487,11 +411,11 @@ class RewritingEngine:
         """Backward rewriting in reverse topological order: among the
         eligible candidates, always the one whose deepest output variable
         is largest (i.e. closest to the primary outputs).  Returns the
-        remainder polynomial."""
+        remainder :class:`Polynomial`."""
         while not self.finished():
             if not self._candidates:
                 raise VerificationError("component DAG has a dependency cycle")
             index = max(self._candidates,
                         key=lambda idx: (max(self.components[idx].output_vars), idx))
             self.substitute(index)
-        return self.sp
+        return self.remainder()

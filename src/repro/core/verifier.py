@@ -1,7 +1,7 @@
 """Top-level SCA verification — Algorithm 1 of the paper.
 
 ``verify_multiplier`` is the historical entry point, kept as a thin
-compatibility shim: it packs its keyword arguments into a frozen
+compatibility shim: it packs its arguments into a frozen
 :class:`~repro.core.pipeline.VerifyConfig` and runs the staged
 :class:`~repro.core.pipeline.Pipeline` (``preflight → spec → atomic →
 vanishing → components → implications → rewrite → decide``).  All
@@ -22,63 +22,19 @@ from repro.core.pipeline import (DEFAULT_MONOMIAL_BUDGET, Pipeline,
 __all__ = ["DEFAULT_MONOMIAL_BUDGET", "verify_multiplier"]
 
 
-def verify_multiplier(aig, width_a=None, width_b=None, signed=False,
-                      method="dyposub",
-                      monomial_budget=DEFAULT_MONOMIAL_BUDGET,
-                      time_budget=None, record_trace=False,
-                      want_counterexample=True, initial_threshold=0.1,
-                      use_atomic_blocks=True, use_vanishing=True,
-                      use_compact=True, extended_rules=True,
-                      use_implications=True, record_certificate=False,
-                      recorder=None, preflight=True,
-                      check_invariants=False, ring="exact", primes=4,
-                      prime_schedule=(), use_arena=True):
-    """Formally verify a multiplier AIG.
+def verify_multiplier(aig, *args, recorder=None, **options):
+    """Formally verify a multiplier AIG; returns a
+    :class:`~repro.core.result.VerificationResult`.
 
-    ``method`` is ``"dyposub"`` (dynamic backward rewriting) or
-    ``"static"`` (the prior-art reverse-topological order on the same
-    component machinery).  The ``use_*`` switches exist for ablation
-    studies; DyPoSub is all three enabled.
+    The positional and keyword arguments after ``aig`` are exactly those
+    of :class:`~repro.core.pipeline.VerifyConfig` (``width_a``,
+    ``width_b``, ``method``, ``ring``, ``monomial_budget``, ...), which
+    documents and validates every option; an invalid option raises
+    :class:`~repro.errors.ConfigError` before any pipeline work.
+    ``recorder`` is an optional :class:`repro.obs.Recorder` that times
+    every stage as a span and receives the rewriting engine's events.
 
-    ``ring`` is ``"exact"`` (default), ``"modular"`` or ``"modular:P"``;
-    under a modular ring the rewrite stage runs in ``Z/pZ`` and a zero
-    remainder escalates (up to ``primes`` primes, then the exact ring)
-    before "correct" is reported, while a non-zero remainder is already
-    a sound "buggy" verdict.  An invalid ``method``/``ring``/``primes``
-    raises :class:`~repro.errors.ConfigError` before any pipeline work.
-
-    ``monomial_budget`` defaults to a generous safety ceiling (buggy
-    circuits can grow pathologically because their residue never
-    cancels); pass ``None`` for a truly unbounded run or a small value
-    to emulate the paper's time-out column.
-
-    ``recorder`` is an optional :class:`repro.obs.Recorder`; when given,
-    every pipeline phase is timed as a span and the rewriting engine
-    streams per-attempt/per-step events into it.  The default records
-    nothing and leaves the computation bit-identical.
-
-    ``preflight=True`` (the default) runs the O(nodes) structural +
-    interface lint (:mod:`repro.analysis`) before any polynomial work;
-    a malformed design raises :class:`~repro.errors.DesignLintError`
-    carrying the diagnostics instead of failing deep inside spec
-    construction or rewriting.  ``check_invariants=True`` additionally
-    validates the pipeline's own invariants — component coverage,
-    vanishing-table well-formedness, substitution-order legality, and
-    ``SP_i`` signature spot-checks at every commit — raising
-    :class:`~repro.errors.PipelineInvariantError` on violation.
-
-    Returns a :class:`VerificationResult`; never raises on timeout —
-    budget exhaustion is reported as ``status="timeout"``.
+    Never raises on timeout — budget exhaustion is reported as
+    ``status="timeout"``.
     """
-    config = VerifyConfig(
-        width_a=width_a, width_b=width_b, signed=signed, method=method,
-        monomial_budget=monomial_budget, time_budget=time_budget,
-        record_trace=record_trace, want_counterexample=want_counterexample,
-        initial_threshold=initial_threshold,
-        use_atomic_blocks=use_atomic_blocks, use_vanishing=use_vanishing,
-        use_compact=use_compact, extended_rules=extended_rules,
-        use_implications=use_implications,
-        record_certificate=record_certificate, preflight=preflight,
-        check_invariants=check_invariants, ring=ring, primes=primes,
-        prime_schedule=tuple(prime_schedule), use_arena=use_arena)
-    return Pipeline(config).run(aig, recorder=recorder)
+    return Pipeline(VerifyConfig(*args, **options)).run(aig, recorder=recorder)

@@ -12,7 +12,7 @@ from repro.poly.monomial import (
     monomial_mul,
     monomial_vars,
 )
-from repro.poly.arena import PolyArena, merge_sorted_columns
+from repro.poly.arena import PolyArena
 from repro.poly.polynomial import Polynomial
 from repro.poly.parse import VariablePool, parse_polynomial
 from repro.poly.ring import (
@@ -25,7 +25,7 @@ from repro.poly.ring import (
 )
 
 __all__ = [
-    "CONST_MONOMIAL", "Polynomial", "PolyArena", "merge_sorted_columns",
+    "CONST_MONOMIAL", "Polynomial", "PolyArena",
     "VariablePool", "parse_polynomial",
     "monomial", "monomial_from_iterable", "monomial_mul", "monomial_degree",
     "monomial_contains", "monomial_divide_by_var", "monomial_key",

@@ -1,12 +1,11 @@
-"""Flat columnar arena for the backward-rewriting hot loop.
+"""Flat columnar arena: the rewriting engine's representation of ``SP_i``.
 
-The dict-of-monomial->coefficient :class:`~repro.poly.polynomial.Polynomial`
-representation pays an O(n) full scan + dict rebuild on *every*
-substitution attempt: partitioning ``SP_i`` into touched/untouched
-monomials walks all n entries in Python bytecode, the merged result is a
-freshly grown hash table, and carrying the occurrence index across a
-commit costs two more key-set differences.  Backward rewriting makes
-most of that work unnecessary:
+A dict of monomial->coefficient (the
+:class:`~repro.poly.polynomial.Polynomial` value type) pays an O(n)
+full scan + dict rebuild on *every* substitution attempt: partitioning
+``SP_i`` into touched/untouched monomials walks all n entries in Python
+bytecode and the merged result is a freshly grown hash table.  Backward
+rewriting makes most of that work unnecessary:
 
 * monomials are packed bitmasks, and every monomial containing variable
   ``v`` is an integer ``>= 2**v`` — in columns *sorted by monomial* the
@@ -34,8 +33,7 @@ high-churn workloads per-step deltas pay for work that cancels
 end-to-end — and attempts that exceed the growth threshold pay for an
 index that is then thrown away.  Above the churn threshold the kernel
 therefore drops the index and the engine resolves it once per *commit*
-from the old/new key sets (:meth:`Polynomial.adopt_occurrence_index`),
-syncing it back onto the committed arena.
+from the old/new key sets (:meth:`PolyArena.inherit_occurrences`).
 
 An arena is a pair of parallel columns (``monos`` strictly ascending,
 ``coeffs`` canonical non-zero coefficients in ``ring``) plus a lazily
@@ -44,16 +42,17 @@ by convention: every kernel returns a new arena and shares the unchanged
 column segments via slices, which is what keeps the dynamic engine's
 snapshot/backtrack a reference copy.
 
-The arena is an *internal* representation: the dict form remains the
-boundary/oracle representation (``repro.obs``, analysis invariants and
-baselines are unchanged), with cheap :meth:`from_dict`/:meth:`to_dict`
-converters at the edges.
+The arena belongs to :class:`~repro.core.rewriting.RewritingEngine`
+alone; everything else speaks :class:`Polynomial`.  The engine converts
+twice per run: :meth:`from_polynomial` for ``SP_0`` and
+:meth:`to_polynomial` for the remainder.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 
+from repro.poly.polynomial import Polynomial
 from repro.poly.ring import EXACT
 
 
@@ -147,9 +146,9 @@ class PolyArena:
     ``monos`` is strictly ascending (packed-bitmask order), ``coeffs``
     holds the matching non-zero canonical coefficients, ``occ`` is the
     lazily built variable->occurrence-count column (``None`` until
-    requested, carried through a low-churn :meth:`rebuild`, or synced in
-    by the engine at commit time).  The raw constructor trusts its
-    arguments.
+    requested, carried through a low-churn :meth:`rebuild`, or resolved
+    by :meth:`inherit_occurrences` at commit time).  The raw constructor
+    trusts its arguments.
     """
 
     __slots__ = ("monos", "coeffs", "ring", "occ")
@@ -161,42 +160,22 @@ class PolyArena:
         self.occ = occ
 
     # ------------------------------------------------------------------
-    # Converters (the dict form is the boundary representation)
+    # Converters (Polynomial is the value type everywhere else)
     # ------------------------------------------------------------------
 
     @classmethod
-    def from_dict(cls, terms, ring=None, occ=None):
-        """Build from a ``{monomial: coefficient}`` dict (one sort)."""
+    def from_polynomial(cls, poly):
+        """The sorted columns of ``poly`` (one sort)."""
+        terms = poly._terms
         monos = sorted(terms)
-        coeffs = [terms[m] for m in monos]
-        return cls(monos, coeffs, ring=ring, occ=occ)
+        return cls(monos, [terms[m] for m in monos], ring=poly.ring)
 
-    def to_dict(self):
-        return dict(zip(self.monos, self.coeffs))
+    def to_polynomial(self):
+        return Polynomial(dict(zip(self.monos, self.coeffs)), _trusted=True,
+                          ring=self.ring)
 
     def __len__(self):
         return len(self.monos)
-
-    def __bool__(self):
-        return bool(self.monos)
-
-    def items(self):
-        return zip(self.monos, self.coeffs)
-
-    def constant_coefficient(self):
-        """Coefficient of the constant monomial — always column 0 when
-        present (the constant monomial is the smallest bitmask)."""
-        monos = self.monos
-        if monos and monos[0] == 0:
-            return self.coeffs[0]
-        return 0
-
-    def support_mask(self):
-        """Union of all monomial masks."""
-        union = 0
-        for mono in self.monos:
-            union |= mono
-        return union
 
     # ------------------------------------------------------------------
     # Occurrence column
@@ -217,6 +196,25 @@ class PolyArena:
                     mono ^= low
             self.occ = occ
         return occ
+
+    def inherit_occurrences(self, previous):
+        """Resolve this arena's occurrence column from ``previous``'s.
+
+        ``previous`` is the arena this one was produced from by a
+        substitution chain.  Only the monomials that appeared or
+        disappeared are decoded — two C-level set differences plus
+        O(|delta| * degree) — instead of re-scanning every monomial.
+        The end-to-end diff is what makes this cheap: churn from
+        intermediate steps of a multi-variable substitution cancels out
+        before anything is decoded.  No-op when this arena already
+        carries a column.
+        """
+        if self.occ is not None or previous is self:
+            return
+        old = set(previous.monos)
+        new = set(self.monos)
+        self.occ = _occ_delta(previous.occurrence_index(), old - new, (),
+                              new - old)
 
     # ------------------------------------------------------------------
     # Partition kernels
@@ -361,95 +359,4 @@ class PolyArena:
                 return PolyArena(monos, coeffs, ring=self.ring,
                                  occ=_occ_delta(occ, removed, cancelled,
                                                 added))
-        return PolyArena(monos, coeffs, ring=self.ring)
-
-    # ------------------------------------------------------------------
-    # Algebra (used by the Polynomial threading)
-    # ------------------------------------------------------------------
-
-    def substitute(self, var, rep_items):
-        """Replace ``var`` by the replacement terms (no vanishing rules).
-
-        ``rep_items`` iterates ``(monomial, coefficient)`` pairs with
-        coefficients canonical in this arena's ring.  Returns ``self``
-        when the variable does not occur.
-        """
-        keep_m, keep_c, touched = self.partition_var(var)
-        if not touched:
-            return self
-        bit = 1 << var
-        mod = self.ring.modulus
-        rep = list(rep_items)
-        fresh = {}
-        get = fresh.get
-        if mod is None:
-            for mono, coeff in touched:
-                rest = mono ^ bit
-                for rm, rc in rep:
-                    key = rest | rm
-                    fresh[key] = get(key, 0) + coeff * rc
-        else:
-            for mono, coeff in touched:
-                rest = mono ^ bit
-                for rm, rc in rep:
-                    key = rest | rm
-                    fresh[key] = (get(key, 0) + coeff * rc) % mod
-        return self.rebuild(keep_m, keep_c, fresh,
-                            removed=[m for m, _ in touched])
-
-    def combined(self, other_items, sign, ring=None):
-        """This arena plus (``sign=+1``) or minus (``sign=-1``) the
-        ``(monomial, coefficient)`` pairs of ``other_items``, which must
-        arrive in ascending monomial order.
-
-        The same segment-copy merge as :func:`merge_sorted_columns`, but
-        inline so the sign and the canonical fold stay branch-hoisted.
-        """
-        ring = self.ring if ring is None else ring
-        mod = ring.modulus
-        base_m = self.monos
-        base_c = self.coeffs
-        blen = len(base_m)
-        res_m = []
-        res_c = []
-        prev = 0
-        for mono, coeff in other_items:
-            if sign < 0:
-                coeff = -coeff if mod is None else (mod - coeff) % mod
-            if not coeff:
-                continue
-            j = bisect_left(base_m, mono, prev)
-            if j > prev:
-                res_m += base_m[prev:j]
-                res_c += base_c[prev:j]
-            if j < blen and base_m[j] == mono:
-                total = base_c[j] + coeff
-                if mod is not None and total >= mod:
-                    total -= mod
-                if total:
-                    res_m.append(mono)
-                    res_c.append(total)
-                prev = j + 1
-            else:
-                res_m.append(mono)
-                res_c.append(coeff)
-                prev = j
-        if prev < blen:
-            res_m += base_m[prev:]
-            res_c += base_c[prev:]
-        return PolyArena(res_m, res_c, ring=ring)
-
-    def scaled(self, value):
-        """Every coefficient multiplied by the (canonical) scalar."""
-        mod = self.ring.modulus
-        if mod is None:
-            return PolyArena(self.monos, [c * value for c in self.coeffs],
-                             ring=self.ring)
-        monos = []
-        coeffs = []
-        for mono, coeff in zip(self.monos, self.coeffs):
-            coeff = coeff * value % mod
-            if coeff:
-                monos.append(mono)
-                coeffs.append(coeff)
         return PolyArena(monos, coeffs, ring=self.ring)

@@ -10,42 +10,27 @@ specification polynomials — ``2**255`` for a 128x128 multiplier —
 exact); :class:`~repro.poly.ring.ModularRing` swaps in ``Z/pZ``
 arithmetic for the multimodular fast path.
 
-A polynomial carries one of **two interchangeable representations** and
-converts lazily between them:
-
-* the *dict form* — packed bitmask monomial -> non-zero canonical
-  coefficient (see :mod:`repro.poly.monomial`): monomial product is
-  ``|``, membership a shift-and-test, and dict probes hash a machine
-  int.  This is the boundary/oracle representation: construction,
-  equality, hashing, evaluation and everything outside the rewriting
-  kernel speak it;
-* the *arena form* (:class:`~repro.poly.arena.PolyArena`) — flat
-  parallel columns sorted by monomial, used by the rewriting hot loop:
-  substitution partitions by a single bisect instead of a full scan and
-  merges fresh products with slice copies instead of dict rebuilds.
-
-:meth:`to_arena` builds and caches the columns (one sort); a polynomial
-born from an arena materializes its dict only when someone asks for it.
-Either form answers ``len``/``bool``/``support`` without converting.
+Terms are stored in one dict: packed bitmask monomial -> non-zero
+canonical coefficient (see :mod:`repro.poly.monomial`).  Monomial
+product is ``|``, membership a shift-and-test, and dict probes hash a
+machine int.  This is the value type of everything outside the
+rewriting hot loop: construction, algebra, evaluation, printing, the
+certificate checker and counterexample extraction.  The rewriting
+engine keeps its ``SP_i`` in the sorted columns of
+:class:`~repro.poly.arena.PolyArena` instead and converts exactly twice
+(``SP_0`` in, the remainder out).
 
 Ring threading is branch-hoisted: every operation reads
 ``ring.modulus`` once into a local and reduces coefficients only when it
 is not ``None``, so the exact path pays a single pointer test per
 accumulation — never a per-coefficient method call.
 
-Instances are immutable: every operation returns a new polynomial.  This
-is what makes the snapshot/backtrack step of dynamic backward rewriting
-(Algorithm 2, lines 7 and 15) a constant-time reference copy.  Each
-instance can also carry a lazily-built **occurrence index** (variable ->
-number of monomials containing it); the rewriting engine threads the
-index through substitution steps so Algorithm 2's candidate sort never
-re-scans the whole polynomial.
+Instances are immutable: every operation returns a new polynomial.
 """
 
 from __future__ import annotations
 
 from repro.errors import PolynomialError
-from repro.poly.arena import PolyArena
 from repro.poly.monomial import (
     CONST_MONOMIAL,
     format_monomial,
@@ -81,17 +66,14 @@ class Polynomial:
     historical integer-only kernel.
     """
 
-    __slots__ = ("_dict", "_arena", "_occ", "_ring", "_sorted")
+    __slots__ = ("_terms", "_ring")
 
     def __init__(self, terms=None, _trusted=False, ring=None):
-        self._occ = None
-        self._arena = None
-        self._sorted = None
         self._ring = EXACT if ring is None else ring
         if terms is None:
-            self._dict = {}
+            self._terms = {}
         elif _trusted:
-            self._dict = terms
+            self._terms = terms
         else:
             mod = self._ring.modulus
             clean = {}
@@ -109,41 +91,7 @@ class Polynomial:
                         clean[mono] = total
                     else:
                         clean.pop(mono, None)
-            self._dict = clean
-
-    # ------------------------------------------------------------------
-    # Representation plumbing
-    # ------------------------------------------------------------------
-
-    @property
-    def _terms(self):
-        """The dict form, materialized from the arena on first access."""
-        terms = self._dict
-        if terms is None:
-            terms = self._arena.to_dict()
-            self._dict = terms
-        return terms
-
-    @classmethod
-    def _from_arena(cls, arena):
-        """Wrap an arena without materializing the dict form.  The
-        arena's columns are trusted (sorted, canonical, non-zero)."""
-        self = cls.__new__(cls)
-        self._dict = None
-        self._arena = arena
-        self._occ = arena.occ
-        self._sorted = None
-        self._ring = arena.ring
-        return self
-
-    def to_arena(self):
-        """The arena form of this polynomial (built once and cached)."""
-        arena = self._arena
-        if arena is None:
-            arena = PolyArena.from_dict(self._dict, ring=self._ring,
-                                        occ=self._occ)
-            self._arena = arena
-        return arena
+            self._terms = clean
 
     # ------------------------------------------------------------------
     # Constructors
@@ -254,16 +202,10 @@ class Polynomial:
 
     def __len__(self):
         """Number of monomials — the paper's ``size(SP_i)`` measure."""
-        terms = self._dict
-        if terms is None:
-            return len(self._arena.monos)
-        return len(terms)
+        return len(self._terms)
 
     def __bool__(self):
-        terms = self._dict
-        if terms is None:
-            return bool(self._arena.monos)
-        return bool(terms)
+        return bool(self._terms)
 
     def terms(self):
         """Iterate ``(monomial, coefficient)`` pairs (arbitrary order).
@@ -280,19 +222,12 @@ class Polynomial:
         return self._terms.get(_as_mask(monomial), 0)
 
     def constant_term(self):
-        terms = self._dict
-        if terms is None:
-            return self._arena.constant_coefficient()
-        return terms.get(CONST_MONOMIAL, 0)
+        return self._terms.get(CONST_MONOMIAL, 0)
 
     def support(self):
         """Set of variables occurring in the polynomial."""
-        if self._occ is not None:
-            return set(self._occ)
-        if self._dict is None:
-            return set(monomial_vars(self._arena.support_mask()))
         union = 0
-        for mono in self._dict:
+        for mono in self._terms:
             union |= mono
         return set(monomial_vars(union))
 
@@ -301,91 +236,9 @@ class Polynomial:
             return 0
         return max(m.bit_count() for m in self._terms)
 
-    # ------------------------------------------------------------------
-    # Occurrence index
-    # ------------------------------------------------------------------
-
-    def occurrence_index(self):
-        """Variable -> number of monomials containing it.
-
-        Built lazily in one scan and cached.  On the hot path this is a
-        dict lookup, not a scan: low-churn arena rebuilds carry the
-        index forward themselves, and the rewriting engine covers the
-        rest via :meth:`adopt_occurrence_index` (an end-to-end key-set
-        diff per commit, for both representations).  The returned dict
-        is the live cache — callers must not mutate it.
-        """
-        occ = self._occ
-        if occ is None:
-            if self._arena is not None:
-                occ = self._arena.occurrence_index()
-            else:
-                occ = {}
-                get = occ.get
-                for mono in self._dict:
-                    while mono:
-                        low = mono & -mono
-                        var = low.bit_length() - 1
-                        occ[var] = get(var, 0) + 1
-                        mono ^= low
-            self._occ = occ
-        return occ
-
-    def adopt_occurrence_index(self, previous):
-        """Derive this polynomial's occurrence index from ``previous``'s.
-
-        ``previous`` is the polynomial this one was produced from by a
-        substitution chain (or any term-set delta).  Only the monomials
-        that appeared or disappeared are decoded — O(|delta| * degree)
-        plus two C-level key-set differences — instead of re-scanning
-        every monomial.  The end-to-end key-set diff is what makes this
-        cheap: churn from intermediate steps of a multi-variable
-        substitution cancels out before anything is decoded.  For an
-        arena-backed polynomial the resolved index is synced onto the
-        arena, where the partition kernels use it as an early-exit
-        bound.  No-op when this polynomial already has an index.
-        """
-        if self._occ is not None or previous is self:
-            return
-        counts = dict(previous.occurrence_index())
-        old_terms = previous._terms
-        new_terms = self._terms
-        for mono in old_terms.keys() - new_terms.keys():
-            while mono:
-                low = mono & -mono
-                var = low.bit_length() - 1
-                left = counts[var] - 1
-                if left:
-                    counts[var] = left
-                else:
-                    del counts[var]
-                mono ^= low
-        for mono in new_terms.keys() - old_terms.keys():
-            while mono:
-                low = mono & -mono
-                var = low.bit_length() - 1
-                counts[var] = counts.get(var, 0) + 1
-                mono ^= low
-        self._occ = counts
-        if self._arena is not None:
-            self._arena.occ = counts
-
-    def occurrences(self, var):
-        """Number of monomials containing ``var`` (Algorithm 2, line 5)."""
-        return self.occurrence_index().get(var, 0)
-
-    def occurrence_counts(self):
-        """Occurrence count for every variable (a defensive copy of the
-        index; prefer :meth:`occurrence_index` on hot paths)."""
-        return dict(self.occurrence_index())
-
     def contains_var(self, var):
-        if self._occ is not None:
-            return var in self._occ
         bit = 1 << var
-        if self._dict is None:
-            return any(m & bit for m in self._arena.monos)
-        return any(m & bit for m in self._dict)
+        return any(m & bit for m in self._terms)
 
     # ------------------------------------------------------------------
     # Ring operations
@@ -394,9 +247,6 @@ class Polynomial:
     def __add__(self, other):
         other = self._coerce(other)
         ring, left, right = self._resolve_ring(other)
-        if left._arena is not None and right._arena is not None:
-            return Polynomial._from_arena(
-                left._arena.combined(right._arena.items(), 1, ring=ring))
         mod = ring.modulus
         if len(left._terms) < len(right._terms):
             small, big = left._terms, right._terms
@@ -427,9 +277,6 @@ class Polynomial:
         # single merge pass — no intermediate negated polynomial
         other = self._coerce(other)
         ring, left, right = self._resolve_ring(other)
-        if left._arena is not None and right._arena is not None:
-            return Polynomial._from_arena(
-                left._arena.combined(right._arena.items(), -1, ring=ring))
         mod = ring.modulus
         result = dict(left._terms)
         for mono, coeff in right._terms.items():
@@ -522,10 +369,6 @@ class Polynomial:
         node polynomial ``x - tail`` is equivalent to substituting ``x``
         with ``tail`` (Section II-B).  Idempotence (``x**2 = x``) is
         applied automatically through the bitwise-or monomial product.
-
-        When the arena form is cached the substitution runs on the
-        sorted columns (bisect partition + slice merges); the dict path
-        below is the reference implementation.
         """
         if not isinstance(replacement, Polynomial):
             replacement = self._coerce(replacement)
@@ -534,12 +377,6 @@ class Polynomial:
             # rare mixed-ring call: canonicalize self first so the
             # accumulation below only ever sees canonical coefficients
             return this.substitute(var, replacement)
-        if self._arena is not None:
-            arena = self._arena.substitute(
-                var, replacement.to_arena().items())
-            if arena is self._arena:
-                return self
-            return Polynomial._from_arena(arena)
         bit = 1 << var
         touched = []
         result = {}
@@ -589,86 +426,6 @@ class Polynomial:
                 else:
                     result.pop(new_mono, None)
         return Polynomial(result, _trusted=True, ring=ring)
-
-    def substitute_many(self, mapping):
-        """Substitute several variables simultaneously.
-
-        ``mapping`` maps variable -> Polynomial.  Simultaneous semantics:
-        replacement polynomials are not re-examined for mapped variables.
-        """
-        ring = self._ring
-        mod = ring.modulus
-        mapped = 0
-        for var in mapping:
-            mapped |= 1 << var
-        if self._arena is not None:
-            return self._substitute_many_arena(mapping, mapped)
-        result = {}
-        for mono, coeff in self._terms.items():
-            hit = mono & mapped
-            if not hit:
-                total = result.get(mono, 0) + coeff
-                if mod is not None:
-                    total %= mod
-                if total:
-                    result[mono] = total
-                else:
-                    result.pop(mono, None)
-                continue
-            product = Polynomial({mono ^ hit: coeff}, _trusted=True,
-                                 ring=ring)
-            for v in monomial_vars(hit):
-                product = product * mapping[v]
-            for pm, pc in product._terms.items():
-                total = result.get(pm, 0) + pc
-                if mod is not None:
-                    total %= mod
-                if total:
-                    result[pm] = total
-                else:
-                    result.pop(pm, None)
-        return Polynomial(result, _trusted=True, ring=ring)
-
-    def _substitute_many_arena(self, mapping, mapped):
-        """Arena path of :meth:`substitute_many`: bisect-bounded
-        partition on the lowest mapped variable, product accumulation
-        into a fresh dict, one sorted merge back."""
-        from bisect import bisect_left
-
-        ring = self._ring
-        mod = ring.modulus
-        arena = self._arena
-        monos = arena.monos
-        coeffs = arena.coeffs
-        n = len(monos)
-        low_bit = mapped & -mapped
-        start = bisect_left(monos, low_bit)
-        keep_m = monos[:start]
-        keep_c = coeffs[:start]
-        removed = []
-        fresh = {}
-        get = fresh.get
-        for i in range(start, n):
-            mono = monos[i]
-            hit = mono & mapped
-            if not hit:
-                keep_m.append(mono)
-                keep_c.append(coeffs[i])
-                continue
-            removed.append(mono)
-            product = Polynomial({mono ^ hit: coeffs[i]}, _trusted=True,
-                                 ring=ring)
-            for v in monomial_vars(hit):
-                product = product * mapping[v]
-            for pm, pc in product._terms.items():
-                total = get(pm, 0) + pc
-                if mod is not None:
-                    total %= mod
-                fresh[pm] = total
-        if not removed:
-            return self
-        return Polynomial._from_arena(
-            arena.rebuild(keep_m, keep_c, fresh, removed=removed))
 
     def transform_monomials(self, fn):
         """Apply ``fn(monomial) -> monomial | None`` to every monomial.
@@ -734,29 +491,9 @@ class Polynomial:
     def sorted_terms(self):
         """Terms in the deterministic print order (degree, then variable
         tuple — the historical frozenset order, so printed polynomials
-        are unchanged).
-
-        The order is computed once per instance and cached: trace/report
-        render paths call this for every emitted event, and immutability
-        makes re-sorting pure waste.  Arena-born polynomials feed the
-        sort from the already-monomial-sorted columns, so equal-degree
-        runs arrive presorted.
-        """
-        cached = self._sorted
-        if cached is None:
-            if self._dict is None:
-                # arena columns are ascending in the packed-mask order;
-                # within one degree that coincides with the print order's
-                # variable-tuple comparison reversed segments are rare,
-                # and timsort exploits the presorted runs.
-                arena = self._arena
-                cached = sorted(zip(arena.monos, arena.coeffs),
-                                key=lambda item: monomial_key(item[0]))
-            else:
-                cached = sorted(self._dict.items(),
-                                key=lambda item: monomial_key(item[0]))
-            self._sorted = cached
-        return cached
+        are unchanged)."""
+        return sorted(self._terms.items(),
+                      key=lambda item: monomial_key(item[0]))
 
     def to_string(self, names=None):
         if not self:

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import logging
 
+from repro.core.result import result_record
+
 log = logging.getLogger("repro.service.persistence")
 
 #: Statuses that may be replayed from the cache.  A cached verdict must
@@ -38,7 +40,7 @@ def verdict_record(result, recorder=None, *, fingerprint=None,
                    cache_hit=None, input_path=None):
     """The canonical JSON verdict record of one verification result.
 
-    Builds on :func:`repro.bench.harness.result_record` (method, status,
+    Builds on :func:`repro.core.result.result_record` (method, status,
     seconds, stats, sizes, phases/counters from ``recorder``) and adds
     the service-facing fields: ``cache_hit``, the design
     ``fingerprint``, the one-line ``summary``, ``timed_out``, the
@@ -52,8 +54,6 @@ def verdict_record(result, recorder=None, *, fingerprint=None,
     identical to the originally cached run's, which is what makes the
     "identical verdict" guarantee testable field by field.
     """
-    from repro.bench.harness import result_record
-
     stats = result.stats
     if fingerprint is None:
         fingerprint = stats.get("fingerprint")

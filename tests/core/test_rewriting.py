@@ -94,7 +94,8 @@ class TestDynamicOrder:
         counts = engine.occurrence_counts()
         for index, total in counts.items():
             comp = engine.components[index]
-            direct = sum(engine.sp.occurrences(v) for v in comp.output_vars)
+            direct = sum(1 for mono in engine.sp.monos
+                         for v in comp.output_vars if mono >> v & 1)
             assert total == direct
 
 
@@ -173,4 +174,4 @@ class TestInvariants:
             comp = engine2.components[index]
             engine2.commit(index, engine2.attempt(index))
             retired.update(comp.output_vars)
-            assert not (engine2.sp.support() & retired)
+            assert not (engine2.remainder().support() & retired)

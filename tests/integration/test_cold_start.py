@@ -24,6 +24,13 @@ NOT_ON_VERIFY_PATH = (
     "repro.service.core", "sqlite3", "multiprocessing",
 )
 
+# verify --json / --db serialize and persist the verdict; neither needs
+# the bench harness, the generators, the optimizer or the baselines
+NOT_ON_VERIFY_OUTPUT_PATH = (
+    "repro.bench", "repro.genmul.multiplier", "repro.opt.scripts",
+    "repro.baselines",
+)
+
 PROBE = """
 import json, sys
 from repro.cli import main
@@ -62,6 +69,19 @@ def test_verify_db_loads_the_store(design, tmp_path):
         design, "--db", str(tmp_path / "runs.db"))
     assert code == 0
     assert "repro.obs.store" in modules
+
+
+@pytest.mark.parametrize("flag,target", [("--json", "out.json"),
+                                         ("--db", "runs.db")])
+def test_verify_output_flags_load_no_bench_layer(design, tmp_path, flag,
+                                                  target):
+    code, modules = _verify_in_fresh_interpreter(
+        design, flag, str(tmp_path / target))
+    assert code == 0
+    loaded = sorted(name for name in modules
+                    for layer in NOT_ON_VERIFY_OUTPUT_PATH
+                    if name == layer or name.startswith(layer + "."))
+    assert loaded == []
 
 
 def test_lazy_exports_resolve_to_objects():

@@ -89,7 +89,7 @@ class TestViewSources:
     def test_views_agree_across_sources(self, tmp_path):
         """Events, store rows and result_record dicts must normalize to
         the same trajectory."""
-        from repro.bench.harness import result_record
+        from repro.core.result import result_record
 
         aig = generate_multiplier("SP-AR-RC", 4)
         recorder = Recorder()

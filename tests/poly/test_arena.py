@@ -1,24 +1,20 @@
-"""Three-way randomized differential suite: arena vs dict vs frozenset.
+"""Randomized differential suite: ``PolyArena`` kernels vs frozenset.
 
-The arena refactor gives :class:`~repro.poly.Polynomial` a second inner
-representation (sorted parallel columns, :mod:`repro.poly.arena`) next
-to the historical dict form.  Every algebraic operation is therefore
-replayed three ways over hundreds of random polynomials:
-
-* *dict* — the operation on dict-backed polynomials (the boundary and
-  oracle representation inside the kernel);
-* *arena* — the same operation on arena-backed polynomials (built via
-  ``PolyArena.from_dict`` so the sorted-merge kernels do the work);
-* *frozenset* — the independent naive reimplementation from
-  :mod:`tests.poly.frozenset_oracle`.
-
-All three must agree term for term, in the exact ring and in a small
+The rewriting engine keeps ``SP_i`` as a :class:`~repro.poly.arena.PolyArena`
+(sorted parallel columns).  Its kernels — ``partition_var``,
+``partition_pair``, ``rebuild``, ``merge_sorted_columns`` and the
+commit-time occurrence resolution ``inherit_occurrences`` — are replayed
+over hundreds of random polynomials and checked term for term against
+the independent naive reimplementation in
+:mod:`tests.poly.frozenset_oracle`, in the exact ring and in a small
 modular ring (where coefficients must additionally come out canonical
-in ``[0, p)``).  Arena results are also checked for the columnar
-invariants (strictly ascending monomials, no stored zeros) and for
-occurrence-index consistency — the index is carried by delta updates
-through the kernels, so a drift here means a stale candidate sort in
-Algorithm 2.
+in ``[0, p)``).
+
+Every resulting arena is also checked for the columnar invariants
+(strictly ascending monomials, no stored zeros) and, when it carries an
+occurrence column, for index consistency — the column is carried by
+delta updates through the kernels, so a drift here means a stale
+candidate sort in Algorithm 2.
 """
 
 import random
@@ -26,9 +22,9 @@ import random
 import pytest
 
 from repro.poly import Polynomial
-from repro.poly.arena import PolyArena
+from repro.poly.arena import PolyArena, merge_sorted_columns
 from repro.poly.ring import EXACT, ModularRing
-from tests.poly.frozenset_oracle import OraclePoly
+from tests.poly.frozenset_oracle import OraclePoly, mask_to_fs
 
 N_VARS = 10
 N_POLYS = 320
@@ -45,15 +41,13 @@ def random_terms(rng, max_terms=8, max_degree=4, n_vars=N_VARS):
             for _ in range(rng.randrange(max_terms + 1))]
 
 
-def build_three(terms, ring):
-    """(dict-backed, arena-backed, oracle) polynomials from one term list."""
-    dict_poly = Polynomial.from_terms(terms, ring=ring)
-    arena_poly = Polynomial._from_arena(
-        PolyArena.from_dict(dict(dict_poly.terms()), ring=ring))
+def build_pair(terms, ring):
+    """(arena, oracle) for one term list."""
+    arena = PolyArena.from_polynomial(Polynomial.from_terms(terms, ring=ring))
     oracle = OraclePoly()
     for coeff, mono in terms:
         oracle = oracle.add(OraclePoly({mono: coeff}))
-    return dict_poly, arena_poly, oracle
+    return arena, oracle
 
 
 def oracle_terms(oracle, ring):
@@ -65,145 +59,213 @@ def oracle_terms(oracle, ring):
             if c % mod}
 
 
-def check_arena_invariants(poly, ring):
-    """Columnar invariants of an arena-backed result."""
-    if poly._arena is None:
-        return
-    arena = poly._arena
+def decoded_occurrences(monos):
+    """Variable -> number of monomials containing it, from scratch."""
+    counts = {}
+    for mono in monos:
+        for var in mask_to_fs(mono):
+            counts[var] = counts.get(var, 0) + 1
+    return counts
+
+
+def check_invariants(arena, ring):
     monos = arena.monos
     assert all(monos[i] < monos[i + 1] for i in range(len(monos) - 1)), \
         "arena monomial column not strictly ascending"
+    assert len(arena.coeffs) == len(monos)
     mod = ring.modulus
     for coeff in arena.coeffs:
         assert coeff != 0, "arena stores a zero coefficient"
         if mod is not None:
             assert 0 < coeff < mod, "non-canonical modular coefficient"
-    if poly._occ is not None:
-        counts = {}
-        for mono in monos:
-            while mono:
-                low = mono & -mono
-                var = low.bit_length() - 1
-                counts[var] = counts.get(var, 0) + 1
-                mono ^= low
-        assert poly._occ == counts, "carried occurrence index drifted"
+    if arena.occ is not None:
+        assert arena.occ == decoded_occurrences(monos), \
+            "carried occurrence index drifted"
 
 
-def assert_three_way(dict_result, arena_result, oracle, ring, context=""):
-    want = oracle_terms(oracle, ring)
-    assert dict(dict_result.terms()) == want, f"dict path: {context}"
-    assert dict(arena_result.terms()) == want, f"arena path: {context}"
-    check_arena_invariants(arena_result, ring)
+def assert_matches(arena, oracle, ring, context=""):
+    assert dict(zip(arena.monos, arena.coeffs)) == oracle_terms(oracle, ring), \
+        context
+    check_invariants(arena, ring)
+
+
+def canonical_terms(arena, sign, ring):
+    """``{monomial: sign * coefficient}``, canonical in ``ring``."""
+    mod = ring.modulus
+    if mod is None:
+        return {m: sign * c for m, c in zip(arena.monos, arena.coeffs)}
+    return {m: sign * c % mod for m, c in zip(arena.monos, arena.coeffs)}
 
 
 @pytest.fixture(scope="module")
-def triples():
-    rng = random.Random(20260808)
+def pairs():
     out = {}
     for ring in (EXACT, MOD_RING):
-        term_rng = random.Random(20260808)
-        out[ring.modulus] = [build_three(random_terms(term_rng), ring)
+        rng = random.Random(20260808)
+        out[ring.modulus] = [build_pair(random_terms(rng), ring)
                              for _ in range(N_POLYS)]
     return out
 
 
-def _ring_triples(triples, ring):
-    return triples[ring.modulus]
+def _ring_pairs(pairs, ring):
+    return pairs[ring.modulus]
 
 
 @pytest.mark.parametrize("ring", RINGS)
-def test_roundtrip(triples, ring):
-    for dict_poly, arena_poly, oracle in _ring_triples(triples, ring):
-        assert_three_way(dict_poly, arena_poly, oracle, ring, "roundtrip")
-        assert arena_poly == dict_poly
-        assert len(arena_poly) == len(dict_poly)
-        assert arena_poly.support() == dict_poly.support()
-        assert (arena_poly.occurrence_counts()
-                == dict_poly.occurrence_counts())
+def test_roundtrip(pairs, ring):
+    for arena, oracle in _ring_pairs(pairs, ring):
+        assert_matches(arena, oracle, ring, "roundtrip")
+        assert arena.ring is ring
+        assert len(arena) == len(oracle.terms)
+        assert arena.occurrence_index() == decoded_occurrences(arena.monos)
+
+
+def _merge(base, other, sign, ring):
+    monos, coeffs, added, cancelled = merge_sorted_columns(
+        base.monos, base.coeffs, canonical_terms(other, sign, ring),
+        ring.modulus)
+    merged = PolyArena(monos, coeffs, ring=ring)
+    # the merge reports exactly the monomials that entered / cancelled
+    assert set(added) == set(other.monos) - set(base.monos)
+    assert set(cancelled) == set(base.monos) - set(monos)
+    return merged
 
 
 @pytest.mark.parametrize("ring", RINGS)
-def test_add(triples, ring):
-    items = _ring_triples(triples, ring)
-    for (da, aa, oa), (db, ab, ob) in zip(items, reversed(items)):
-        assert_three_way(da + db, aa + ab, oa.add(ob), ring, "add")
+def test_add(pairs, ring):
+    items = _ring_pairs(pairs, ring)
+    for (aa, oa), (ab, ob) in zip(items, reversed(items)):
+        assert_matches(_merge(aa, ab, 1, ring), oa.add(ob), ring, "add")
 
 
 @pytest.mark.parametrize("ring", RINGS)
-def test_sub(triples, ring):
-    items = _ring_triples(triples, ring)
-    for (da, aa, oa), (db, ab, ob) in zip(items, reversed(items)):
-        assert_three_way(da - db, aa - ab, oa.sub(ob), ring, "sub")
-        assert_three_way(db - da, ab - aa, ob.sub(oa), ring, "rsub")
+def test_sub(pairs, ring):
+    items = _ring_pairs(pairs, ring)
+    for (aa, oa), (ab, ob) in zip(items, reversed(items)):
+        assert_matches(_merge(aa, ab, -1, ring), oa.sub(ob), ring, "sub")
+        assert_matches(_merge(ab, aa, -1, ring), ob.sub(oa), ring, "rsub")
+
+
+def _substitute(arena, var, rep, ring):
+    """The engine's substitution kernel without vanishing rules:
+    partition, accumulate the products, rebuild."""
+    keep_m, keep_c, touched = arena.partition_var(var)
+    if not touched:
+        return arena
+    bit = 1 << var
+    mod = ring.modulus
+    fresh = {}
+    for mono, coeff in touched:
+        rest = mono ^ bit
+        for rm, rc in zip(rep.monos, rep.coeffs):
+            key = rest | rm
+            total = fresh.get(key, 0) + coeff * rc
+            fresh[key] = total if mod is None else total % mod
+    return arena.rebuild(keep_m, keep_c, fresh,
+                         removed=[m for m, _ in touched])
 
 
 @pytest.mark.parametrize("ring", RINGS)
-def test_mul(triples, ring):
-    items = _ring_triples(triples, ring)
-    half = len(items) // 2
-    for (da, aa, oa), (db, ab, ob) in zip(items[:half], items[half:]):
-        assert_three_way(da * db, aa * ab, oa.mul(ob), ring, "mul")
-
-
-@pytest.mark.parametrize("ring", RINGS)
-def test_substitute(triples, ring):
+def test_substitute(pairs, ring):
+    """With and without an occurrence column: ``rebuild`` carries the
+    column by delta on low churn and drops it above the threshold."""
     rng = random.Random(31)
-    for dict_poly, arena_poly, oracle in _ring_triples(triples, ring):
+    for arena, oracle in _ring_pairs(pairs, ring):
         var = rng.randrange(N_VARS)
-        rep_terms = random_terms(rng, max_terms=3, max_degree=2)
-        drep, arep, orep = build_three(rep_terms, ring)
-        assert_three_way(dict_poly.substitute(var, drep),
-                         arena_poly.substitute(var, arep),
-                         oracle.substitute_many({var: orep}),
-                         ring, f"substitute v{var}")
+        rep, orep = build_pair(random_terms(rng, max_terms=3, max_degree=2),
+                               ring)
+        want = oracle.substitute_many({var: orep})
+        for with_index in (False, True):
+            base = PolyArena(arena.monos, arena.coeffs, ring=ring)
+            if with_index:
+                base.occurrence_index()
+            assert_matches(_substitute(base, var, rep, ring), want,
+                           ring, f"substitute v{var}")
 
 
 @pytest.mark.parametrize("ring", RINGS)
-def test_substitute_many(triples, ring):
-    rng = random.Random(37)
-    for dict_poly, arena_poly, oracle in _ring_triples(triples, ring):
-        dmap, amap, omap = {}, {}, {}
-        for var in rng.sample(range(N_VARS), rng.randrange(1, 4)):
-            rep_terms = random_terms(rng, max_terms=3, max_degree=2)
-            dmap[var], amap[var], omap[var] = build_three(rep_terms, ring)
-        assert_three_way(dict_poly.substitute_many(dmap),
-                         arena_poly.substitute_many(amap),
-                         oracle.substitute_many(omap),
-                         ring, f"substitute_many {sorted(dmap)}")
+def test_partition_pair(pairs, ring):
+    rng = random.Random(41)
+    for arena, _oracle in _ring_pairs(pairs, ring):
+        var_a, var_b = rng.sample(range(N_VARS), 2)
+        bit_a, bit_b = 1 << var_a, 1 << var_b
+        items = list(zip(arena.monos, arena.coeffs))
+        for occ in (None, decoded_occurrences(arena.monos)):
+            parts = PolyArena(arena.monos, arena.coeffs, ring=ring,
+                              occ=occ).partition_pair(var_a, var_b)
+            if any(m & bit_a and m & bit_b for m, _ in items):
+                assert parts is None
+                continue
+            keep_m, keep_c, part_a, part_b = parts
+            assert list(zip(keep_m, keep_c)) == [
+                (m, c) for m, c in items if not m & (bit_a | bit_b)]
+            assert part_a == {m ^ bit_a: c for m, c in items if m & bit_a}
+            assert part_b == {m ^ bit_b: c for m, c in items if m & bit_b}
 
 
 @pytest.mark.parametrize("ring", RINGS)
-def test_substitute_untouched_returns_self(triples, ring):
-    """A substitution that touches nothing must not rebuild either
-    representation (the engine relies on identity to skip commits)."""
-    spare = Polynomial.variable(N_VARS + 5, ring=ring)
-    for dict_poly, arena_poly, _oracle in _ring_triples(triples, ring):
-        assert dict_poly.substitute(N_VARS + 3, spare) is dict_poly
-        assert arena_poly.substitute(N_VARS + 3, spare) is arena_poly
+def test_inherit_occurrences(pairs, ring):
+    """Commit-time resolution: the column derived from the previous
+    arena's by the end-to-end key-set diff equals a fresh decode."""
+    items = _ring_pairs(pairs, ring)
+    for (previous, _oa), (current, _ob) in zip(items, items[1:]):
+        previous.occurrence_index()
+        fresh = PolyArena(current.monos, current.coeffs, ring=ring)
+        fresh.inherit_occurrences(previous)
+        assert fresh.occ == decoded_occurrences(fresh.monos)
+        # a carried column is kept; inheriting from itself is a no-op
+        carried = fresh.occ
+        fresh.inherit_occurrences(previous)
+        fresh.inherit_occurrences(fresh)
+        assert fresh.occ is carried
 
 
 @pytest.mark.parametrize("ring", RINGS)
-def test_arena_dict_conversion_roundtrip(triples, ring):
-    """to_arena/to_dict round-trips preserve terms exactly."""
-    for dict_poly, arena_poly, _oracle in _ring_triples(triples, ring):
-        assert dict_poly.to_arena().to_dict() == dict(dict_poly.terms())
-        rebuilt = Polynomial._from_arena(arena_poly.to_arena())
-        assert dict(rebuilt.terms()) == dict(dict_poly.terms())
+def test_substitute_untouched_returns_self(pairs, ring):
+    """Partitioning on an absent variable must hand back the columns
+    themselves: the engine returns ``SP_i`` unchanged on identity, so a
+    no-op substitution costs no rebuild."""
+    for arena, _oracle in _ring_pairs(pairs, ring):
+        keep_m, keep_c, touched = arena.partition_var(N_VARS + 3)
+        assert touched == []
+        assert keep_m is arena.monos and keep_c is arena.coeffs
+        assert _substitute(arena, N_VARS + 3, arena, ring) is arena
 
 
 @pytest.mark.parametrize("ring", RINGS)
-def test_sorted_terms_match_across_representations(triples, ring):
-    for dict_poly, arena_poly, _oracle in _ring_triples(triples, ring):
-        assert arena_poly.sorted_terms() == dict_poly.sorted_terms()
-        assert arena_poly.to_string() == dict_poly.to_string()
+def test_arena_dict_conversion_roundtrip(pairs, ring):
+    """from_polynomial/to_polynomial — the engine's only two conversion
+    points — preserve terms and ring exactly."""
+    for arena, oracle in _ring_pairs(pairs, ring):
+        poly = arena.to_polynomial()
+        assert dict(poly.terms()) == oracle_terms(oracle, ring)
+        assert poly.ring is ring
+        again = PolyArena.from_polynomial(poly)
+        assert again.monos == arena.monos and again.coeffs == arena.coeffs
+
+
+@pytest.mark.parametrize("ring", RINGS)
+def test_sorted_terms_match_across_representations(pairs, ring):
+    """A remainder converted out of the arena prints exactly like the
+    same polynomial built from the oracle's terms."""
+    rng = random.Random(43)
+    for arena, oracle in _ring_pairs(pairs, ring):
+        var = rng.randrange(N_VARS)
+        rep, orep = build_pair(random_terms(rng, max_terms=3, max_degree=2),
+                               ring)
+        out = _substitute(arena, var, rep, ring).to_polynomial()
+        want = Polynomial(oracle_terms(oracle.substitute_many({var: orep}),
+                                       ring), ring=ring)
+        assert out.sorted_terms() == want.sorted_terms()
+        assert out.to_string() == want.to_string()
 
 
 def test_slots_prevent_instance_dicts():
-    """Both representations are __slots__-only: the rewriting loop
-    allocates millions of short-lived instances, and a per-instance
-    __dict__ would roughly double the allocation volume."""
+    """Both types are __slots__-only: the rewriting loop allocates
+    millions of short-lived instances, and a per-instance __dict__
+    would roughly double the allocation volume."""
     poly = Polynomial.variable(3)
-    arena = poly.to_arena()
+    arena = PolyArena.from_polynomial(poly)
     for obj in (poly, arena):
         assert not hasattr(obj, "__dict__")
         with pytest.raises(AttributeError):

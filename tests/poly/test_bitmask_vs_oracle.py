@@ -13,7 +13,7 @@ import random
 import pytest
 
 from repro.core.vanishing import VanishingRuleSet
-from repro.poly import Polynomial
+from repro.poly import Polynomial, PolyArena
 from tests.poly.frozenset_oracle import (
     OraclePoly,
     OracleRuleSet,
@@ -86,18 +86,6 @@ def test_substitute_matches_oracle(pairs):
                     f"substitute v{var}")
 
 
-def test_substitute_many_matches_oracle(pairs):
-    rng = random.Random(11)
-    for kernel, oracle in pairs:
-        kmap, omap = {}, {}
-        for var in rng.sample(range(N_VARS), rng.randrange(1, 4)):
-            krep, orep = random_poly(rng, max_terms=3, max_degree=2)
-            kmap[var], omap[var] = krep, orep
-        assert_same(kernel.substitute_many(kmap),
-                    oracle.substitute_many(omap),
-                    f"substitute_many {sorted(kmap)}")
-
-
 def test_evaluate_matches_oracle(pairs):
     rng = random.Random(13)
     for kernel, oracle in pairs:
@@ -111,9 +99,8 @@ def test_occurrence_index_matches_decoded_terms(pairs):
         for mono in oracle.terms:
             for var in mono:
                 counts[var] = counts.get(var, 0) + 1
-        assert kernel.occurrence_counts() == counts
+        assert PolyArena.from_polynomial(kernel).occurrence_index() == counts
         for var in range(N_VARS):
-            assert kernel.occurrences(var) == counts.get(var, 0)
             assert kernel.contains_var(var) == (var in counts)
 
 

@@ -10,7 +10,7 @@ division step.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.poly import Polynomial, monomial_vars
+from repro.poly import Polynomial, PolyArena, monomial_vars
 
 VARS = st.integers(min_value=1, max_value=6)
 MONOMIALS = st.frozensets(VARS, max_size=4)
@@ -111,9 +111,9 @@ def test_substitution_no_op_when_absent(p, var, replacement):
 
 @given(polynomials())
 def test_support_matches_occurrences(p):
+    counts = PolyArena.from_polynomial(p).occurrence_index()
     for var in p.support():
-        assert p.occurrences(var) >= 1
-    counts = p.occurrence_counts()
+        assert counts[var] >= 1
     assert set(counts) == p.support()
 
 
