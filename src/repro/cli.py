@@ -36,7 +36,11 @@ fired, 3 when an input could not be parsed.  ``obs trends --check``
 exits 1 on any regression verdict.  ``explain`` exits 0 on success, 1
 when attribution coverage falls below 95% of the measured rewrite
 wall-time or SP_i growth, and 2 when the trace / run reference cannot
-be read or carries no rewriting instrumentation.
+be read or carries no rewriting instrumentation.  ``report``,
+``explain`` and ``obs diff`` exit 2 on an unreadable trace;
+``explain`` and ``obs diff`` also refuse a merged ``verify --jobs N``
+trace (exit 2), whose runs are compared per run after ``obs ingest``.
+A closed stdout (``| head``) ends any command quietly with exit 0.
 
 The run-history database path defaults to ``$REPRO_OBS_DB`` (or
 ``runs.db``); batch ``verify`` auto-ingests its records whenever a
@@ -839,12 +843,16 @@ def _cmd_verify(args):
                      len(profiler.by_stack), args.collapsed_out)
     if tracker is not None:
         tracker.stop()
-    explain_report = None
-    if args.explain and recorder is not None:
-        from repro.obs.attribution import (attribute_events,
+    view = explain_report = None
+    if args.explain or args.profile:
+        from repro.obs.view import fold_events
+
+        view = fold_events(recorder.events)
+    if args.explain:
+        from repro.obs.attribution import (attribute_view,
                                            attribution_event_fields)
 
-        explain_report = attribute_events(recorder.events)
+        explain_report = attribute_view(view)
         # record the aggregates in the trace so downstream consumers
         # (report, ingest) see them without recomputing
         recorder.event("attribution",
@@ -874,19 +882,18 @@ def _cmd_verify(args):
             log.info("wrote %d events to %s",
                      len(recorder.events), args.trace_out)
     if args.profile:
-        from repro.obs.report import render_phase_table, summarize_recorder
+        from repro.obs.report import render_phase_table
 
-        summary = summarize_recorder(recorder)
         print()
         print("Per-phase breakdown")
         print("-------------------")
-        print(render_phase_table(summary["phases"]))
-        sizes = summary["sizes"]
+        print(render_phase_table(view.phases))
+        sizes = view.sizes
         if sizes:
             print(f"SP_i: peak {max(sizes)} monomials over "
                   f"{len(sizes)} steps, "
-                  f"{summary['backtracks']} backtracks, "
-                  f"{summary['threshold_doublings']} threshold doublings")
+                  f"{view.backtracks} backtracks, "
+                  f"{view.threshold_doublings} threshold doublings")
     if tracker is not None:
         from repro.obs.resources import render_resource_table
 
@@ -1066,8 +1073,6 @@ def _cmd_status(args):
                     line += " [cache hit]"
             print(line)
         return 0
-    except BrokenPipeError:
-        return 0                      # downstream pager/head went away
     except (ServiceError, OSError) as exc:
         print(f"status: {exc}", file=sys.stderr)
         return 2
@@ -1169,8 +1174,8 @@ def _cmd_explain(args):
     calibration report); see the module docstring for exit codes."""
     import json
 
-    from repro.obs.attribution import (COVERAGE_TARGET, attribute_events,
-                                       attribute_store_run,
+    from repro.obs.attribution import (COVERAGE_TARGET, attribute_store_run,
+                                       attribute_view,
                                        calibration_from_store,
                                        render_attribution,
                                        render_calibration)
@@ -1188,22 +1193,16 @@ def _cmd_explain(args):
                 print(f"explain: {exc}", file=sys.stderr)
                 return 2
         else:
-            from repro.obs.recorder import read_events_tolerant
-
-            try:
-                events, skipped = read_events_tolerant(args.target)
-            except OSError as exc:
-                print(f"explain: {exc}", file=sys.stderr)
+            view = _load_trace("explain", args.target,
+                               per_run="repro explain run:ID --db DB")
+            if view is None:
                 return 2
-            if skipped:
-                log.warning("%s: skipped %d unparseable line(s)",
-                            args.target, skipped)
-            report = attribute_events(events)
-            if not report["rewrite_runs"]:
+            if not view.rewrite_runs:
                 print(f"explain: {args.target}: no rewriting "
                       "instrumentation in the trace (record it with "
                       "`verify --trace-out`)", file=sys.stderr)
                 return 2
+            report = attribute_view(view)
     calibration = None
     if args.calibration:
         from repro.obs.store import RunStore
@@ -1250,23 +1249,43 @@ def _cmd_explain(args):
     return 0
 
 
-def _obs_view(ref, db, label=None):
-    """Resolve a ``repro obs diff`` operand: ``run:ID`` hits the store,
-    anything else is read as a trace JSONL file."""
-    from repro.obs import diff as obs_diff
+def _load_trace(command, path, per_run=None):
+    """Fold a trace file for ``command``: the :class:`RunView`, or None
+    after printing ``<command>: <error>`` (the caller exits 2).
 
+    ``per_run`` names the per-run command that replaces ``command`` on a
+    relay-merged ``--jobs N`` trace, whose runs must not be blended.
+    """
+    from repro.obs.recorder import read_events_tolerant
+    from repro.obs.view import fold_events
+
+    try:
+        events, skipped = read_events_tolerant(path)
+    except (OSError, ValueError) as exc:
+        print(f"{command}: {exc}", file=sys.stderr)
+        return None
+    if skipped:
+        log.warning("%s: skipped %d unparseable line(s)", path, skipped)
+    view = fold_events(events, label=path)
+    if per_run and view.tasks:
+        print(f"{command}: {path} is a merged --jobs trace of {view.runs} "
+              f"runs; split it with `repro obs ingest --db DB {path}`, then "
+              f"run `{per_run}` on the ingested run ids", file=sys.stderr)
+        return None
+    return view
+
+
+def _obs_view(ref, db):
+    """Resolve a ``repro obs diff`` operand: ``run:ID`` hits the store,
+    anything else is folded from a trace JSONL file."""
     if ref.startswith("run:"):
+        from repro.obs.diff import view_from_store
         from repro.obs.store import RunStore
 
         with RunStore(db) as store:
-            return obs_diff.view_from_store(store, int(ref[len("run:"):]),
-                                            label=label)
-    from repro.obs.recorder import read_events_tolerant
-
-    events, skipped = read_events_tolerant(ref)
-    if skipped:
-        log.warning("%s: skipped %d unparseable line(s)", ref, skipped)
-    return obs_diff.view_from_events(events, label=label or ref)
+            return view_from_store(store, int(ref[len("run:"):]))
+    return _load_trace("obs diff", ref,
+                       per_run="repro obs diff run:A run:B --db DB")
 
 
 def _cmd_obs(args):
@@ -1324,6 +1343,8 @@ def _cmd_obs(args):
         except (OSError, ValueError) as exc:
             print(f"obs diff: {exc}", file=sys.stderr)
             return 2
+        if view_a is None or view_b is None:
+            return 2
         diff = diff_views(view_a, view_b)
         print(render_diff(diff, plot=not args.no_plot))
         if args.json:
@@ -1380,6 +1401,19 @@ def _cmd_obs(args):
 def main(argv=None):
     args = build_parser().parse_args(argv)
     configure_logging(args.verbose, args.quiet)
+    try:
+        code = _run_command(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader of stdout (``| head``, a pager) went away: stop
+        # quietly, and point stdout at devnull so that the interpreter's
+        # exit-time flush cannot fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
+    return code
+
+
+def _run_command(args):
     if args.command == "generate":
         from repro.genmul.multiplier import generate_multiplier
 
@@ -1417,11 +1451,14 @@ def main(argv=None):
     if args.command == "obs":
         return _cmd_obs(args)
     if args.command == "report":
-        from repro.obs.report import report_from_file
+        from repro.obs.report import render_report
 
-        print(report_from_file(args.trace, plot_width=args.plot_width,
-                               plot_height=args.plot_height,
-                               hotspots=args.hotspots))
+        view = _load_trace("report", args.trace)
+        if view is None:
+            return 2
+        print(render_report(view, plot_width=args.plot_width,
+                            plot_height=args.plot_height,
+                            hotspots=args.hotspots))
         return 0
     if args.command == "inject":
         from repro.genmul.faults import inject_visible_fault

@@ -2,11 +2,11 @@
 
 PR 8's static analyzer predicts *where* a design should blow up; this
 module measures where a run's cost actually landed and closes the loop.
-It consumes the commit-level event stream one traced verification
-leaves behind — ``rewrite_begin`` anchors, per-commit ``step`` events,
-the ``attempt`` stream, the pipeline's ``stage_map`` provenance event,
-sampling-profiler ``by_commit`` buckets, and ``resource_sample``
-telemetry — and attributes three costs:
+It reads the commit-level facts :func:`repro.obs.view.fold_events`
+collects from one traced verification — ``rewrite_begin`` windows,
+per-commit records, the pipeline's ``stage_map`` provenance, sampling-
+profiler ``by_commit`` buckets, and ``resource_sample`` telemetry — and
+attributes three costs:
 
 * **wall-time**: the gap between consecutive ``step`` timestamps inside
   the rewrite window is the cost of constructing the upcoming commit
@@ -29,7 +29,8 @@ On top of attribution:
   detection (EWMA baseline with a noise floor, mirroring
   :mod:`repro.obs.trends`), optionally armed with a per-design peak
   baseline from the run-history store; fires RP012/RP013 diagnostics
-  through :class:`~repro.obs.live.LiveMonitor`;
+  through :class:`~repro.obs.live.LiveMonitor` and replays over every
+  folded trace;
 * a calibration layer — :func:`stage_cost_metrics` writes observed
   per-stage cost back into the store (``attr:*`` metrics + the v3
   ``attribution`` table) and :func:`calibration_from_store` reports
@@ -55,10 +56,10 @@ UNKNOWN = "?"
 
 
 # ----------------------------------------------------------------------
-# Event-stream attribution
+# Run attribution
 # ----------------------------------------------------------------------
 
-def _rule_label(kind, compact):
+def rule_label(kind, compact):
     """Substitution-rule label: component kind x replacement flavor."""
     if kind is None:
         return UNKNOWN
@@ -67,196 +68,121 @@ def _rule_label(kind, compact):
     return f"{kind}/{'compact' if compact else 'expand'}"
 
 
-def _new_agg():
-    return {"seconds": 0.0, "growth": 0, "commits": 0, "samples": 0}
+def _rollup(rows):
+    """Sum commit records (or stored cells) by stage, by rule and by
+    (stage, rule) cell; a commit record counts as one commit."""
+    by_stage, by_rule, cells = {}, {}, {}
+    for row in rows:
+        for table, key in ((by_stage, row["stage"]), (by_rule, row["rule"]),
+                           (cells, (row["stage"], row["rule"]))):
+            agg = table.setdefault(key, {"seconds": 0.0, "growth": 0,
+                                         "commits": 0, "samples": 0})
+            agg["seconds"] += row["seconds"] or 0.0
+            agg["growth"] += row["growth"] or 0
+            agg["commits"] += row.get("commits", 1) or 0
+            agg["samples"] += row["samples"] or 0
+    return by_stage, by_rule, cells
 
 
-def attribute_events(events):
-    """Fold one recorded event stream into an attribution report dict.
+def _coverage(by_stage, by_rule, wall, growth):
+    """Round the stage/rule aggregates, add their wall and growth
+    shares, and return the ``wall``/``growth`` coverage sections.
 
-    Handles multi-run traces (modular escalation re-runs the rewrite
-    stage): every ``rewrite_begin`` opens a new window and the
-    aggregates span all of them.  Returns a JSON-ready dict; see
-    :func:`render_attribution` for the human rendering.
+    ``wall`` is ``(total, attributed, unattributed)`` seconds and
+    ``growth`` is ``(total, attributed)`` monomials.
     """
-    meta = {}
-    stage_map = None
-    commits = []
-    rewrite_spans = []
-    resource_samples = []
-    profile = None
-    recorded_anomalies = 0
-    status = None
-    seconds = None
-
-    run = 0
-    sp0 = None
-    prev_t = None
-    prev_size = None
-    last_attempt = {}      # comp -> (kind, compact) of the latest attempt
-    run_last_t = {}        # run -> timestamp of its last commit
-    run_start = {}         # run -> rewrite_begin timestamp
-
-    for event in events:
-        kind = event.get("ev")
-        if kind == "run_begin":
-            meta = {k: v for k, v in event.items() if k not in ("ev", "t")}
-        elif kind == "run_end":
-            status = event.get("status")
-            seconds = event.get("seconds")
-        elif kind == "stage_map":
-            stage_map = {k: v for k, v in event.items()
-                         if k not in ("ev", "t")}
-        elif kind == "rewrite_begin":
-            run += 1
-            prev_t = event.get("t")
-            prev_size = event.get("size", 0)
-            if sp0 is None:
-                sp0 = prev_size
-            run_start[run] = prev_t
-            run_last_t[run] = prev_t
-            last_attempt = {}
-        elif kind == "attempt":
-            last_attempt[event.get("comp")] = (event.get("kind"),
-                                               event.get("compact"))
-        elif kind == "step" and run:
-            t = event.get("t")
-            size = event.get("size", 0)
-            comp = event.get("comp")
-            attempt = last_attempt.get(comp, (event.get("kind"), None))
-            commits.append({
-                "run": run,
-                "step": event.get("i"),
-                "comp": comp,
-                "kind": event.get("kind"),
-                "rule": _rule_label(attempt[0] or event.get("kind"),
-                                    attempt[1]),
-                "stage": None,  # filled in below from the stage map
-                "seconds": (round(t - prev_t, 6)
-                            if None not in (t, prev_t) else 0.0),
-                "growth": max(size - (prev_size or 0), 0),
-                "size": size,
-                "samples": 0,
-            })
-            prev_t = t if t is not None else prev_t
-            prev_size = size
-            run_last_t[run] = prev_t
-        elif kind == "span" and event.get("path") == "rewrite":
-            rewrite_spans.append(event)
-        elif kind == "resource_sample":
-            resource_samples.append(event)
-        elif kind == "profile":
-            profile = event
-        elif kind == "anomaly":
-            recorded_anomalies += 1
-
-    # stage provenance: component index -> region
-    comp_stages = {}
-    if stage_map is not None:
-        comp_stages = {int(idx): stage for idx, stage in
-                       (stage_map.get("components") or {}).items()}
-    for record in commits:
-        record["stage"] = comp_stages.get(record["comp"]) or UNKNOWN
-
-    # wall windows: rewrite_begin.t .. span end, one per rewrite run
-    windows = {}
-    for index, span in enumerate(rewrite_spans, start=1):
-        if index in run_start:
-            start = run_start[index]
-            end = span.get("t", start) + span.get("dur", 0.0)
-            windows[index] = (start, max(end, run_last_t.get(index, start)))
-    for index in run_start:
-        if index not in windows:  # truncated trace: close at last commit
-            windows[index] = (run_start[index], run_last_t[index])
-
-    total_wall = sum(end - start for start, end in windows.values())
-    attributed_wall = sum(record["seconds"] for record in commits)
-    tail = max(total_wall - attributed_wall, 0.0)
-
-    # profiler samples: by_commit buckets are keyed by the upcoming
-    # step; attach them to the final rewrite run (the decisive one)
-    samples_unassigned = 0
-    if profile is not None:
-        buckets = {int(step): count for step, count in
-                   (profile.get("commits") or {}).items()}
-        final = {record["step"]: record for record in commits
-                 if record["run"] == run}
-        for step, count in buckets.items():
-            if step in final:
-                final[step]["samples"] += count
-            else:
-                samples_unassigned += count
-
-    by_stage = {}
-    by_rule = {}
-    cells = {}
-    for record in commits:
-        for table, key in ((by_stage, record["stage"]),
-                           (by_rule, record["rule"])):
-            agg = table.setdefault(key, _new_agg())
-            agg["seconds"] += record["seconds"]
-            agg["growth"] += record["growth"]
-            agg["commits"] += 1
-            agg["samples"] += record["samples"]
-        cell = cells.setdefault((record["stage"], record["rule"]),
-                                _new_agg())
-        cell["seconds"] += record["seconds"]
-        cell["growth"] += record["growth"]
-        cell["commits"] += 1
-        cell["samples"] += record["samples"]
-
-    total_growth = sum(record["growth"] for record in commits)
-    known_wall = sum(record["seconds"] for record in commits
-                     if record["stage"] != UNKNOWN)
-    known_growth = sum(record["growth"] for record in commits
-                       if record["stage"] != UNKNOWN)
-    for table, total in ((by_stage, None), (by_rule, None)):
+    total_wall, known_wall, unknown_wall = wall
+    total_growth, known_growth = growth
+    for table in (by_stage, by_rule):
         for agg in table.values():
             agg["seconds"] = round(agg["seconds"], 6)
             agg["share_seconds"] = (round(agg["seconds"] / total_wall, 4)
                                     if total_wall else 0.0)
             agg["share_growth"] = (round(agg["growth"] / total_growth, 4)
                                    if total_growth else 0.0)
+    return {
+        "rewrite_seconds": round(total_wall, 6),
+        "attributed_seconds": round(known_wall, 6),
+        "unattributed_seconds": round(unknown_wall, 6),
+        "attributed_fraction": (round(known_wall / total_wall, 4)
+                                if total_wall else 1.0),
+    }, {
+        "total": total_growth,
+        "attributed": known_growth,
+        "unattributed": total_growth - known_growth,
+        "attributed_fraction": (round(known_growth / total_growth, 4)
+                                if total_growth else 1.0),
+    }
 
-    report = {
+
+def attribute_view(view):
+    """Attribute one folded run (:func:`repro.obs.view.fold_events`).
+
+    Spans every rewrite run of a modular escalation: each
+    ``rewrite_begin`` opened its own wall window.  Returns a JSON-ready
+    dict; see :func:`render_attribution` for the human rendering.
+    """
+    stage_map = view.stage_map
+    comp_stages = {int(idx): stage for idx, stage in
+                   ((stage_map or {}).get("components") or {}).items()}
+    commits = [{"run": c["run"], "step": c["step"], "comp": c["component"],
+                "kind": c["kind"], "rule": c["rule"],
+                "stage": comp_stages.get(c["component"]) or UNKNOWN,
+                "seconds": c["seconds"], "growth": c["growth"],
+                "size": c["size"], "samples": 0}
+               for c in view.commits if c["run"]]
+    windows = view.rewrite_windows
+    total_wall = sum(end - start for start, end in windows)
+    attributed_wall = sum(record["seconds"] for record in commits)
+    tail = max(total_wall - attributed_wall, 0.0)
+
+    # profiler samples: by_commit buckets are keyed by the upcoming
+    # step; attach them to the final rewrite run (the decisive one)
+    samples_unassigned = 0
+    if view.profile is not None:
+        buckets = {int(step): count for step, count in
+                   (view.profile.get("commits") or {}).items()}
+        final = {record["step"]: record for record in commits
+                 if record["run"] == view.rewrite_runs}
+        for step, count in buckets.items():
+            if step in final:
+                final[step]["samples"] += count
+            else:
+                samples_unassigned += count
+
+    by_stage, by_rule, cells = _rollup(commits)
+    known_wall = sum(record["seconds"] for record in commits
+                     if record["stage"] != UNKNOWN)
+    known_growth = sum(record["growth"] for record in commits
+                       if record["stage"] != UNKNOWN)
+    wall, growth = _coverage(
+        by_stage, by_rule,
+        (total_wall, known_wall, tail + (attributed_wall - known_wall)),
+        (sum(record["growth"] for record in commits), known_growth))
+    return {
         "source": "events",
-        "meta": meta,
-        "status": status,
-        "seconds": seconds,
+        "meta": view.meta,
+        "status": view.status,
+        "seconds": view.seconds,
         "architecture": (stage_map or {}).get("architecture"),
         "risk": ({"factor": stage_map.get("risk_factor"),
                   "score": stage_map.get("risk_score")}
                  if stage_map else None),
         "regions": (stage_map or {}).get("regions"),
-        "rewrite_runs": run,
-        "sp0": sp0,
+        "rewrite_runs": view.rewrite_runs,
+        "sp0": view.sp0,
         "commits": commits,
         "by_stage": by_stage,
         "by_rule": by_rule,
         "cells": [{"stage": stage, "rule": rule, **agg}
                   for (stage, rule), agg in sorted(cells.items())],
-        "wall": {
-            "rewrite_seconds": round(total_wall, 6),
-            "attributed_seconds": round(known_wall, 6),
-            "unattributed_seconds": round(tail + (attributed_wall
-                                                  - known_wall), 6),
-            "attributed_fraction": (round(known_wall / total_wall, 4)
-                                    if total_wall else 1.0),
-        },
-        "growth": {
-            "total": total_growth,
-            "attributed": known_growth,
-            "unattributed": total_growth - known_growth,
-            "attributed_fraction": (round(known_growth / total_growth, 4)
-                                    if total_growth else 1.0),
-        },
+        "wall": wall,
+        "growth": growth,
         "samples_unassigned": samples_unassigned,
-        "anomalies_recorded": recorded_anomalies,
-        "rss": _attribute_rss(resource_samples, commits, windows),
+        "anomalies_recorded": view.anomalies_recorded,
+        "rss": _attribute_rss(view.resource_samples, commits, windows),
+        "anomalies": [diag.as_dict() for diag in view.anomalies],
     }
-    report["anomalies"] = [diag.as_dict() for diag in
-                           replay_anomalies(events)]
-    return report
 
 
 def _attribute_rss(samples, commits, windows):
@@ -271,8 +197,8 @@ def _attribute_rss(samples, commits, windows):
     if not stamped or not windows:
         return None
     stamped.sort()
-    start = min(w[0] for w in windows.values())
-    end = max(w[1] for w in windows.values())
+    start = min(w[0] for w in windows)
+    end = max(w[1] for w in windows)
     inside = [(t, rss) for t, rss in stamped if start <= t <= end]
     before = [rss for t, rss in stamped if t < start]
     baseline = before[-1] if before else (inside[0][1] if inside
@@ -290,10 +216,7 @@ def _attribute_rss(samples, commits, windows):
         per_run.setdefault(record["run"], []).append(record)
     spans = []
     for run_index, run_commits in per_run.items():
-        window = windows.get(run_index)
-        if window is None:
-            continue
-        t = window[0]
+        t = windows[run_index - 1][0]
         for record in run_commits:
             end_t = t + record["seconds"]
             spans.append((t, end_t, record["stage"]))
@@ -434,20 +357,6 @@ def design_baseline(store, design, optimization="none", method="dyposub",
             "runs": len(history)}
 
 
-def replay_anomalies(events, config=None, baseline=None):
-    """Run the streaming detector offline over a recorded stream — so
-    ``repro explain`` flags outlier commits even in traces recorded
-    without a live watchdog.  Returns the fired diagnostics."""
-    detector = CommitAnomalyDetector(config=config, baseline=baseline)
-    for event in events:
-        kind = event.get("ev")
-        if kind == "rewrite_begin":
-            detector.reset()
-        elif kind == "step":
-            detector.observe_step(event)
-    return detector.anomalies
-
-
 # ----------------------------------------------------------------------
 # Store integration: persisted attribution + calibration
 # ----------------------------------------------------------------------
@@ -497,43 +406,29 @@ def attribute_store_run(store, run_id):
     metrics = record.get("metrics", {})
     commits = store.commits(run_id)
 
-    by_stage = {}
-    by_rule = {}
-    for cell in cells:
-        for table, key in ((by_stage, cell["stage"]),
-                           (by_rule, cell["rule"])):
-            agg = table.setdefault(key, _new_agg())
-            agg["seconds"] += cell["seconds"] or 0.0
-            agg["growth"] += cell["growth"] or 0
-            agg["commits"] += cell["commits"] or 0
-            agg["samples"] += cell["samples"] or 0
-
+    by_stage, by_rule, _ = _rollup(cells)
     total_wall = metrics.get("attr:wall:rewrite:seconds",
                              sum(agg["seconds"]
                                  for agg in by_stage.values()))
-    total_growth = sum(agg["growth"] for agg in by_stage.values())
     known_wall = sum(agg["seconds"] for stage, agg in by_stage.items()
                      if stage != UNKNOWN)
     known_growth = sum(agg["growth"] for stage, agg in by_stage.items()
                        if stage != UNKNOWN)
-    for table in (by_stage, by_rule):
-        for agg in table.values():
-            agg["seconds"] = round(agg["seconds"], 6)
-            agg["share_seconds"] = (round(agg["seconds"] / total_wall, 4)
-                                    if total_wall else 0.0)
-            agg["share_growth"] = (round(agg["growth"] / total_growth, 4)
-                                   if total_growth else 0.0)
+    wall, growth = _coverage(
+        by_stage, by_rule,
+        (total_wall, known_wall, max(total_wall - known_wall, 0.0)),
+        (sum(agg["growth"] for agg in by_stage.values()), known_growth))
 
     sp0 = metrics.get("attr:sp0:size")
     commit_rows = []
     prev = sp0
     for row in commits:
-        growth = (max(row["size"] - prev, 0)
-                  if prev is not None else 0)
         commit_rows.append({"run": 1, "step": row["step"],
                             "comp": row["component"], "kind": row["kind"],
                             "rule": UNKNOWN, "stage": UNKNOWN,
-                            "seconds": 0.0, "growth": growth,
+                            "seconds": 0.0,
+                            "growth": (max(row["size"] - prev, 0)
+                                       if prev is not None else 0),
                             "size": row["size"], "samples": 0})
         prev = row["size"]
 
@@ -559,21 +454,8 @@ def attribute_store_run(store, run_id):
         "by_stage": by_stage,
         "by_rule": by_rule,
         "cells": cells,
-        "wall": {
-            "rewrite_seconds": round(total_wall, 6),
-            "attributed_seconds": round(known_wall, 6),
-            "unattributed_seconds": round(max(total_wall - known_wall,
-                                              0.0), 6),
-            "attributed_fraction": (round(known_wall / total_wall, 4)
-                                    if total_wall else 1.0),
-        },
-        "growth": {
-            "total": total_growth,
-            "attributed": known_growth,
-            "unattributed": total_growth - known_growth,
-            "attributed_fraction": (round(known_growth / total_growth, 4)
-                                    if total_growth else 1.0),
-        },
+        "wall": wall,
+        "growth": growth,
         "samples_unassigned": 0,
         "anomalies_recorded": 0,
         "anomalies": [],

@@ -3,8 +3,9 @@
 The paper's headline evidence is a *comparison*: static vs. dynamic
 backward rewriting on the same optimized multiplier (Fig. 5), and
 pre- vs. post-optimization run times (Tables 1-2).  This module takes
-two recorded runs — trace JSONL files, run-history store rows, or
-``--json`` records — normalizes them into a common *view*, and reports
+two recorded runs — trace JSONL files (folded by
+:func:`repro.obs.view.fold_events`), run-history store rows, or
+``--json`` records — as :class:`~repro.obs.view.RunView` s, and reports
 
 * per-phase wall-clock deltas,
 * the per-commit ``SP_i`` size trajectories, their peaks and the peak
@@ -20,69 +21,41 @@ renders the report with an overlaid ASCII Fig.-5 plot.
 from __future__ import annotations
 
 from repro.bench.render import render_table, render_trace_plot
-
-
-def view_from_events(events, label="run"):
-    """Normalize a recorded event stream into a diffable view."""
-    from repro.obs.report import summarize_events
-
-    summary = summarize_events(events)
-    commits = [{"step": e.get("i", i + 1), "component": e.get("comp"),
-                "kind": e.get("kind"), "size": e.get("size", 0),
-                "threshold": e.get("threshold")}
-               for i, e in enumerate(summary["steps"])]
-    return {
-        "label": label,
-        "status": summary["status"],
-        "seconds": summary["seconds"],
-        "phases": dict(summary["phases"]),
-        "sizes": list(summary["sizes"]),
-        "commits": commits,
-        "backtracks": summary["backtracks"],
-        "threshold_doublings": summary["threshold_doublings"],
-        "meta": dict(summary["meta"]),
-    }
+from repro.obs.view import RunView
 
 
 def view_from_store(store, run_id, label=None):
-    """Normalize one run-history store row into a diffable view."""
+    """The :class:`RunView` of one run-history store row."""
     run = store.run(run_id)
     if run is None:
         raise ValueError(f"run {run_id} is not in the store")
-    commits = store.commits(run_id)
-    return {
-        "label": label or (f"run:{run_id} {run['design']} "
-                           f"{run['optimization']} {run['method']}"),
-        "status": run.get("status"),
-        "seconds": run.get("seconds"),
-        "phases": dict(run.get("phases") or {}),
-        "sizes": [c["size"] for c in commits],
-        "commits": commits,
-        "backtracks": run.get("backtracks") or 0,
-        "threshold_doublings": run.get("threshold_doublings") or 0,
-        "meta": dict(run.get("meta") or {}),
-    }
+    return RunView(
+        label=label or (f"run:{run_id} {run['design']} "
+                        f"{run['optimization']} {run['method']}"),
+        status=run.get("status"), seconds=run.get("seconds"),
+        phases=dict(run.get("phases") or {}),
+        commits=store.commits(run_id),
+        backtracks=run.get("backtracks") or 0,
+        threshold_doublings=run.get("threshold_doublings") or 0,
+        meta=dict(run.get("meta") or {}))
 
 
 def view_from_record(record, label=None):
-    """Normalize a ``result_record`` dict (bench / ``verify --json``)."""
+    """The :class:`RunView` of a ``result_record`` dict (bench /
+    ``verify --json``)."""
     stats = record.get("stats", {}) or {}
     commits = record.get("commits") or [
         {"step": i + 1, "component": None, "kind": None, "size": size,
          "threshold": None}
         for i, size in enumerate(record.get("sizes") or ())]
-    return {
-        "label": label or record.get("input") or record.get("method", "run"),
-        "status": record.get("status"),
-        "seconds": record.get("seconds"),
-        "phases": dict(record.get("phases") or {}),
-        "sizes": [c["size"] for c in commits],
-        "commits": commits,
-        "backtracks": stats.get("backtracks") or 0,
-        "threshold_doublings": stats.get("threshold_doublings") or 0,
-        "meta": {key: stats[key] for key in ("nodes", "width_a", "width_b")
-                 if key in stats},
-    }
+    return RunView(
+        label=label or record.get("input") or record.get("method", "run"),
+        status=record.get("status"), seconds=record.get("seconds"),
+        phases=dict(record.get("phases") or {}), commits=list(commits),
+        backtracks=stats.get("backtracks") or 0,
+        threshold_doublings=stats.get("threshold_doublings") or 0,
+        meta={key: stats[key] for key in ("nodes", "width_a", "width_b")
+              if key in stats})
 
 
 def first_divergence(commits_a, commits_b):
@@ -107,11 +80,11 @@ def first_divergence(commits_a, commits_b):
 
 
 def diff_views(a, b):
-    """Structural diff of two normalized views (see module docstring)."""
+    """Structural diff of two :class:`RunView` s (see module docstring)."""
     phases = []
-    for path in sorted(set(a["phases"]) | set(b["phases"])):
-        sec_a = a["phases"].get(path)
-        sec_b = b["phases"].get(path)
+    for path in sorted(set(a.phases) | set(b.phases)):
+        sec_a = a.phases.get(path)
+        sec_b = b.phases.get(path)
         delta = (sec_b - sec_a) if (sec_a is not None and sec_b is not None) \
             else None
         ratio = (sec_b / sec_a if sec_a else None) \
@@ -120,26 +93,27 @@ def diff_views(a, b):
                        "delta": delta, "ratio": ratio})
     phases.sort(key=lambda p: -(abs(p["delta"]) if p["delta"] is not None
                                 else 0.0))
-    peak_a = max(a["sizes"]) if a["sizes"] else 0
-    peak_b = max(b["sizes"]) if b["sizes"] else 0
+    sizes_a, sizes_b = a.sizes, b.sizes
+    peak_a = max(sizes_a, default=0)
+    peak_b = max(sizes_b, default=0)
     return {
-        "labels": (a["label"], b["label"]),
-        "status": (a["status"], b["status"]),
-        "seconds": {"a": a["seconds"], "b": b["seconds"],
-                    "delta": (b["seconds"] - a["seconds"]
-                              if a["seconds"] is not None
-                              and b["seconds"] is not None else None)},
+        "labels": (a.label, b.label),
+        "status": (a.status, b.status),
+        "seconds": {"a": a.seconds, "b": b.seconds,
+                    "delta": (b.seconds - a.seconds
+                              if a.seconds is not None
+                              and b.seconds is not None else None)},
         "phases": phases,
         "peak": {"a": peak_a, "b": peak_b, "gap": peak_b - peak_a,
                  "ratio": (peak_b / peak_a) if peak_a else None},
-        "steps": {"a": len(a["sizes"]), "b": len(b["sizes"])},
-        "divergence": first_divergence(a["commits"], b["commits"]),
-        "backtracks": {"a": a["backtracks"], "b": b["backtracks"],
-                       "delta": b["backtracks"] - a["backtracks"]},
+        "steps": {"a": len(sizes_a), "b": len(sizes_b)},
+        "divergence": first_divergence(a.commits, b.commits),
+        "backtracks": {"a": a.backtracks, "b": b.backtracks,
+                       "delta": b.backtracks - a.backtracks},
         "threshold_doublings": {
-            "a": a["threshold_doublings"], "b": b["threshold_doublings"],
-            "delta": b["threshold_doublings"] - a["threshold_doublings"]},
-        "sizes": {"a": list(a["sizes"]), "b": list(b["sizes"])},
+            "a": a.threshold_doublings, "b": b.threshold_doublings,
+            "delta": b.threshold_doublings - a.threshold_doublings},
+        "sizes": {"a": sizes_a, "b": sizes_b},
     }
 
 

@@ -9,118 +9,15 @@ re-running the verification:
 * the backtracking summary — restore-from-snapshot rejections and
   threshold doublings of Algorithm 2 (from ``backtrack`` /
   ``threshold`` events);
-* the per-phase wall-clock breakdown (from the ``span`` events).
+* the per-phase wall-clock breakdown (from the ``span`` events);
+* the relay worker table of a merged ``--jobs N`` trace, the resource
+  table and the sampling-profiler hotspots, when recorded.
 
-The same machinery renders the live ``--profile`` output from an
-in-memory :class:`~repro.obs.recorder.Recorder`.
+The report renders a :class:`~repro.obs.view.RunView`, the one fold of
+the event stream (:func:`repro.obs.view.fold_events`).
 """
 
 from __future__ import annotations
-
-
-def summarize_events(events):
-    """Fold a list of event dicts into a report-ready summary dict."""
-    summary = {
-        "meta": {},
-        "status": None,
-        "seconds": None,
-        "phases": {},
-        "steps": [],
-        "sizes": [],
-        "thresholds": [],
-        "backtracks": 0,
-        "threshold_doublings": 0,
-        "attempts": 0,
-        "stalls": 0,
-        "opt_passes": [],
-        "counters": {},
-        "workers": {},
-        "resources": {},
-        "resources_summary": None,
-        "profile": None,
-        "stage_map": None,
-        "rewrite_runs": 0,
-        "anomalies": 0,
-        "attribution": None,
-    }
-    for event in events:
-        kind = event.get("ev")
-        worker = event.get("worker_id")
-        if worker is not None:
-            info = summary["workers"].setdefault(worker, {
-                "worker_id": worker, "pid": event.get("pid"),
-                "events": 0, "designs": []})
-            info["events"] += 1
-            if event.get("ev") == "task_begin":
-                design = event.get("design") or event.get("input")
-                if design is not None:
-                    info["designs"].append(design)
-        if kind == "run_begin":
-            summary["meta"] = {k: v for k, v in event.items()
-                               if k not in ("ev", "t")}
-        elif kind == "run_end":
-            summary["status"] = event.get("status")
-            summary["seconds"] = event.get("seconds")
-        elif kind == "span":
-            path = event.get("path", event.get("name", "?"))
-            summary["phases"][path] = (summary["phases"].get(path, 0.0)
-                                       + event.get("dur", 0.0))
-        elif kind == "step":
-            summary["steps"].append(event)
-            summary["sizes"].append(event.get("size", 0))
-        elif kind == "attempt":
-            summary["attempts"] += 1
-        elif kind == "backtrack":
-            summary["backtracks"] += 1
-        elif kind == "stall":
-            summary["stalls"] += 1
-        elif kind == "threshold":
-            summary["threshold_doublings"] += 1
-            summary["thresholds"].append(event.get("value"))
-        elif kind == "opt_pass":
-            summary["opt_passes"].append(event)
-        elif kind == "phase_resources":
-            phase = event.get("phase", "?")
-            slot = summary["resources"].setdefault(phase, {})
-            for key in ("rss_peak_kb", "tracemalloc_peak_kb"):
-                if event.get(key) is not None:
-                    slot[key] = max(slot.get(key, event[key]), event[key])
-            for key in ("tracemalloc_kb", "gc_collections"):
-                if event.get(key) is not None:
-                    slot[key] = round(slot.get(key, 0) + event[key], 1)
-        elif kind == "resources_summary":
-            summary["resources_summary"] = {
-                k: v for k, v in event.items()
-                if k not in ("ev", "t", "worker_id", "pid", "seq")}
-        elif kind == "profile":
-            summary["profile"] = {
-                k: v for k, v in event.items()
-                if k not in ("ev", "t", "worker_id", "pid", "seq")}
-        elif kind == "stage_map":
-            summary["stage_map"] = {
-                k: v for k, v in event.items()
-                if k not in ("ev", "t", "worker_id", "pid", "seq")}
-        elif kind == "rewrite_begin":
-            summary["rewrite_runs"] += 1
-        elif kind == "anomaly":
-            summary["anomalies"] += 1
-        elif kind == "attribution":
-            summary["attribution"] = {
-                k: v for k, v in event.items()
-                if k not in ("ev", "t", "worker_id", "pid", "seq")}
-        elif kind == "summary":
-            summary["counters"] = event.get("counters", {})
-            # a recorded summary is authoritative for aggregate phase
-            # timings (span events may have been trimmed)
-            for path, total in event.get("phases", {}).items():
-                summary["phases"].setdefault(path, total)
-    return summary
-
-
-def summarize_recorder(recorder):
-    """Build the same summary directly from a live recorder."""
-    return summarize_events(recorder.events + [
-        {"ev": "summary", **recorder.summary()}])
 
 
 def render_phase_table(phases, total=None):
@@ -139,20 +36,23 @@ def render_phase_table(phases, total=None):
     return render_table(["phase", "seconds", "share"], rows)
 
 
-def render_report(summary, plot_width=72, plot_height=14):
-    """Human-readable run report (the ``repro report`` output)."""
+def render_report(view, plot_width=72, plot_height=14, hotspots=False):
+    """Human-readable run report (the ``repro report`` output).
+
+    ``hotspots`` appends the sampling-profiler hotspot table when the
+    trace carries a ``profile`` event (``verify --profile-sample``).
+    """
     from repro.bench.render import render_table, render_trace_plot
 
     lines = []
-    meta = summary["meta"]
-    if meta:
-        pairs = ", ".join(f"{k}={v}" for k, v in sorted(meta.items()))
+    if view.meta:
+        pairs = ", ".join(f"{k}={v}" for k, v in sorted(view.meta.items()))
         lines.append(f"# run: {pairs}")
-    if summary["status"] is not None:
-        seconds = summary["seconds"]
-        timing = f" in {seconds:.2f}s" if seconds is not None else ""
-        lines.append(f"# outcome: {summary['status']}{timing}")
-    sizes = summary["sizes"]
+    if view.status is not None:
+        timing = (f" in {view.seconds:.2f}s" if view.seconds is not None
+                  else "")
+        lines.append(f"# outcome: {view.status}{timing}")
+    sizes = view.sizes
     if sizes:
         lines.append("")
         lines.append(render_trace_plot(
@@ -163,50 +63,49 @@ def render_report(summary, plot_width=72, plot_height=14):
     else:
         lines.append("(no step events: run recorded without rewriting "
                      "instrumentation)")
-    dynamics = [["substitution attempts", summary["attempts"]],
-                ["committed steps", len(summary["steps"])],
-                ["backtracks (snapshot restores)", summary["backtracks"]],
-                ["threshold doublings", summary["threshold_doublings"]],
+    dynamics = [["substitution attempts", view.attempts],
+                ["committed steps", len(view.commits)],
+                ["backtracks (snapshot restores)", view.backtracks],
+                ["threshold doublings", view.threshold_doublings],
                 ["final threshold",
-                 summary["thresholds"][-1] if summary["thresholds"] else "-"]]
-    if summary["stalls"]:
-        dynamics.append(["stalls flagged (watchdog)", summary["stalls"]])
-    if summary["anomalies"]:
-        dynamics.append(["commit anomalies flagged", summary["anomalies"]])
-    if summary["rewrite_runs"] > 1:
-        dynamics.append(["rewrite runs (escalation)",
-                         summary["rewrite_runs"]])
+                 view.thresholds[-1] if view.thresholds else "-"]]
+    if view.stalls:
+        dynamics.append(["stalls flagged (watchdog)", view.stalls])
+    if view.anomalies_recorded:
+        dynamics.append(["commit anomalies flagged",
+                         view.anomalies_recorded])
+    if view.rewrite_runs > 1:
+        dynamics.append(["rewrite runs (escalation)", view.rewrite_runs])
     lines.append("")
     lines.append(render_table(["metric", "value"], dynamics,
                               title="Backward-rewriting dynamics"))
-    if summary["opt_passes"]:
+    if view.opt_passes:
         rows = [[p.get("script", "?"), p.get("pass", "?"),
                  p.get("before", "-"), p.get("after", "-"),
                  p.get("after", 0) - p.get("before", 0)]
-                for p in summary["opt_passes"]]
+                for p in view.opt_passes]
         lines.append("")
         lines.append(render_table(
             ["script", "pass", "nodes before", "nodes after", "delta"],
             rows, title="Optimization passes"))
-    if summary["phases"]:
+    if view.phases:
         lines.append("")
         lines.append("Per-phase wall clock")
         lines.append("--------------------")
-        lines.append(render_phase_table(summary["phases"]))
-    if summary["workers"]:
+        lines.append(render_phase_table(view.phases))
+    if view.workers:
         rows = []
-        for worker in sorted(summary["workers"]):
-            info = summary["workers"][worker]
+        for worker in sorted(view.workers):
+            info = view.workers[worker]
             designs = ", ".join(str(d).rsplit("/", 1)[-1]
                                 for d in info["designs"]) or "-"
-            rows.append([worker, info.get("pid", "-"), info["events"],
-                         designs])
+            rows.append([worker, info["pid"], info["events"], designs])
         lines.append("")
         lines.append(render_table(
             ["worker", "pid", "events", "designs"], rows,
             title="Relay workers (merged trace)"))
-    if summary["stage_map"]:
-        stage_map = summary["stage_map"]
+    if view.stage_map:
+        stage_map = view.stage_map
         regions = stage_map.get("regions") or {}
         region_text = ", ".join(f"{name}={count}"
                                 for name, count in sorted(regions.items()))
@@ -216,44 +115,38 @@ def render_report(summary, plot_width=72, plot_height=14):
             f"(risk factor {stage_map.get('risk_factor', '?')}; "
             f"AND vars per region: {region_text}) — run `repro explain` "
             "on this trace for the full cost attribution")
-    if summary["attribution"]:
-        attr = summary["attribution"]
-        wall = attr.get("wall") or {}
-        growth = attr.get("growth") or {}
+    if view.attribution:
+        wall = view.attribution.get("wall") or {}
+        growth = view.attribution.get("growth") or {}
         lines.append("")
         lines.append(
             f"Attribution summary: "
             f"{wall.get('attributed_fraction', 0):.0%} of rewrite "
             f"wall-time and {growth.get('attributed_fraction', 0):.0%} "
             f"of SP_i growth attributed "
-            f"({attr.get('anomalies', 0)} anomaly(ies))")
-    if summary["resources"] or summary["resources_summary"]:
+            f"({view.attribution.get('anomalies', 0)} anomaly(ies))")
+    if view.phase_resources or view.resources_summary:
         from repro.obs.resources import render_resource_table
 
         lines.append("")
-        lines.append(render_resource_table(summary["resources"],
-                                           summary["resources_summary"]))
+        lines.append(render_resource_table(view.phase_resources,
+                                           view.resources_summary))
+    if hotspots:
+        from repro.obs.resources import render_hotspot_table
+
+        lines.append("")
+        lines.append("Sampling profiler\n-----------------")
+        lines.append(render_hotspot_table(view.profile) if view.profile
+                     else "(trace has no profile event; record one with "
+                          "`verify --profile-sample --trace-out ...`)")
     return "\n".join(lines)
 
 
 def report_from_file(path, plot_width=72, plot_height=14, hotspots=False):
-    """Read a JSONL trace and render the full report.
-
-    ``hotspots`` appends the sampling-profiler hotspot table when the
-    trace carries a ``profile`` event (``verify --profile-sample``).
-    """
+    """Read a JSONL trace and render the full report."""
     from repro.obs.recorder import read_events
+    from repro.obs.view import fold_events
 
-    summary = summarize_events(read_events(path))
-    text = render_report(summary, plot_width=plot_width,
-                         plot_height=plot_height)
-    if hotspots:
-        from repro.obs.resources import render_hotspot_table
-
-        text += "\n\nSampling profiler\n-----------------\n"
-        if summary["profile"]:
-            text += render_hotspot_table(summary["profile"])
-        else:
-            text += ("(trace has no profile event; record one with "
-                     "`verify --profile-sample --trace-out ...`)")
-    return text
+    return render_report(fold_events(read_events(path)),
+                         plot_width=plot_width, plot_height=plot_height,
+                         hotspots=hotspots)

@@ -389,146 +389,81 @@ class RunStore:
 
     # -- ingestion: event streams --------------------------------------
 
-    @staticmethod
-    def _worker_rows_from_events(events):
-        """Per-worker accounting recovered from a worker-tagged stream."""
-        rows = {}
-        for event in events:
-            worker = event.get("worker_id")
-            if worker is None:
-                continue
-            info = rows.setdefault(worker, {
-                "worker_id": worker, "pid": event.get("pid"),
-                "events": 0, "first_t": None, "last_t": None})
-            info["events"] += 1
-            if event.get("pid") is not None:
-                info["pid"] = event["pid"]
-            stamp = event.get("t")
-            if stamp is not None:
-                if info["first_t"] is None or stamp < info["first_t"]:
-                    info["first_t"] = stamp
-                if info["last_t"] is None or stamp > info["last_t"]:
-                    info["last_t"] = stamp
-        return [rows[worker] for worker in sorted(rows)]
-
-    @staticmethod
-    def _resources_from_events(events):
-        """Per-phase resource telemetry from ``phase_resources`` events."""
-        out = {}
-        for event in events:
-            if event.get("ev") != "phase_resources":
-                continue
-            phase = event.get("phase")
-            if not phase:
-                continue
-            out[phase] = {key: event.get(key)
-                          for key in ("rss_peak_kb", "tracemalloc_kb",
-                                      "tracemalloc_peak_kb",
-                                      "gc_collections")}
-        return out
-
     def ingest_events(self, events, design, optimization="none",
                       method=None, *, git_rev=None, source=None):
-        """Ingest one recorded event stream (a trace JSONL's contents).
+        """Ingest one recorded event stream (a trace JSONL's contents)."""
+        from repro.obs.view import fold_events
 
-        When the stream carries commit-level ``step`` events, the
+        return self.ingest_view(fold_events(events), design, optimization,
+                                method, git_rev=git_rev, source=source)
+
+    def ingest_view(self, view, design, optimization="none", method=None,
+                    *, git_rev=None, source=None):
+        """Persist one folded run (:func:`repro.obs.view.fold_events`).
+
+        When the run carries commit-level ``step`` events, the
         cost-attribution cells and their ``attr:*`` calibration metrics
-        (see :mod:`repro.obs.attribution`) are computed and stored
-        alongside the raw trajectory.
+        (see :mod:`repro.obs.attribution`) are stored alongside the raw
+        trajectory.
         """
-        from repro.obs.report import summarize_events
-
-        summary = summarize_events(events)
-        meta = dict(summary["meta"])
-        phases = summary["phases"]
-        sizes = summary["sizes"]
-        commits = [step for step in summary["steps"]]
-        rows = []
-        for index, event in enumerate(commits, start=1):
-            rows.append({"step": event.get("i", index),
-                         "component": event.get("comp"),
-                         "kind": event.get("kind"),
-                         "size": event.get("size", 0),
-                         "threshold": event.get("threshold")})
+        meta = dict(view.meta)
+        sizes = view.sizes
         metrics = {f"counter:{name}": value
-                   for name, value in summary["counters"].items()}
+                   for name, value in view.counters.items()}
         attribution = None
-        if rows:
-            from repro.obs.attribution import (attribute_events,
+        if view.rewrite_runs and view.commits:
+            from repro.obs.attribution import (attribute_view,
                                                stage_cost_metrics)
 
-            report = attribute_events(events)
-            if report["rewrite_runs"]:
-                attribution = report["cells"]
-                metrics.update(stage_cost_metrics(report))
-                if report.get("sp0") is not None:
-                    metrics["attr:sp0:size"] = report["sp0"]
-                if report.get("architecture"):
-                    meta.setdefault("architecture",
-                                    report["architecture"])
+            report = attribute_view(view)
+            attribution = report["cells"]
+            metrics.update(stage_cost_metrics(report))
+            if report["sp0"] is not None:
+                metrics["attr:sp0:size"] = report["sp0"]
+            if report["architecture"]:
+                meta.setdefault("architecture", report["architecture"])
         return self.add_run(
             design=design, optimization=optimization,
             method=method or meta.get("method", "unknown"),
-            status=summary["status"], seconds=summary["seconds"],
-            steps=len(sizes) or None,
-            max_poly_size=max(sizes) if sizes else None,
-            backtracks=summary["backtracks"],
-            threshold_doublings=summary["threshold_doublings"],
-            phases=phases, commits=rows, metrics=metrics,
-            workers=self._worker_rows_from_events(events),
-            resources=self._resources_from_events(events),
-            attribution=attribution,
+            status=view.status, seconds=view.seconds,
+            steps=len(sizes) or None, max_poly_size=max(sizes, default=None),
+            backtracks=view.backtracks,
+            threshold_doublings=view.threshold_doublings,
+            phases=view.phases, commits=view.commits, metrics=metrics,
+            workers=[view.workers[worker] for worker in sorted(view.workers)],
+            resources=view.phase_resources, attribution=attribution,
             git_rev=git_rev, source=source, meta=meta or None)
-
-    def ingest_merged_events(self, events, *, design=None,
-                             optimization="none", method=None,
-                             git_rev=None, source=None):
-        """Ingest a merged multi-worker trace (``verify --jobs N
-        --trace-out``): one run per ``task_begin`` segment, labelled by
-        the design the relay tagged it with.  Returns the new run ids.
-        """
-        from repro.obs.relay import split_worker_runs
-
-        run_ids = []
-        for label, segment in split_worker_runs(events):
-            if not any(event.get("ev") == "run_begin"
-                       for event in segment):
-                continue  # bookkeeping-only segment (samplers, summary)
-            seg_design = (pathlib.Path(label).stem if label
-                          else design or "trace")
-            run_ids.append(self.ingest_events(
-                segment, design=seg_design, optimization=optimization,
-                method=method, git_rev=git_rev, source=source))
-        return run_ids
-
-    @staticmethod
-    def _is_merged_trace(events):
-        """True for relay-merged traces: worker-tagged events with
-        batch ``task_begin`` boundaries."""
-        return any(event.get("ev") == "task_begin" for event in events)
 
     def ingest_trace_file(self, path, design=None, optimization="none",
                           method=None, *, git_rev=None, source=None):
         """Ingest a ``verify --trace-out`` JSONL file; tolerates
-        truncated traces.  Returns ``(run_id, skipped_lines)`` — for a
-        relay-merged multi-run trace, ``run_id`` is the list of new
-        run ids instead."""
+        truncated traces.  Returns ``(run_id, skipped_lines)``.
+
+        A relay-merged ``verify --jobs N`` trace is ingested as one run
+        per ``task_begin`` segment, labelled by the design the relay
+        tagged it with; ``run_id`` is then the list of new run ids.
+        """
         from repro.obs.recorder import read_events_tolerant
+        from repro.obs.relay import split_worker_runs
+        from repro.obs.view import fold_events
 
         events, skipped = read_events_tolerant(path)
         if skipped:
             log.warning("%s: skipped %d unparseable line(s)", path, skipped)
-        if self._is_merged_trace(events):
-            run_ids = self.ingest_merged_events(
-                events, design=design or pathlib.Path(path).stem,
-                optimization=optimization, method=method, git_rev=git_rev,
-                source=source or str(path))
-            return run_ids, skipped
-        run_id = self.ingest_events(
-            events, design=design or pathlib.Path(path).stem,
-            optimization=optimization, method=method, git_rev=git_rev,
-            source=source or str(path))
-        return run_id, skipped
+        design = design or pathlib.Path(path).stem
+        options = dict(optimization=optimization, method=method,
+                       git_rev=git_rev, source=source or str(path))
+        view = fold_events(events)
+        if not view.tasks:
+            return self.ingest_view(view, design, **options), skipped
+        run_ids = []
+        for label, segment in split_worker_runs(events):
+            view = fold_events(segment)
+            if view.runs:  # skip bookkeeping-only segments (samplers)
+                run_ids.append(self.ingest_view(
+                    view, pathlib.Path(label).stem if label else design,
+                    **options))
+        return run_ids, skipped
 
     # -- ingestion: JSON payloads --------------------------------------
 

@@ -1,0 +1,225 @@
+"""One pass over a recorded event stream: the :class:`RunView`.
+
+The event kinds a traced verification emits (the schema pinned by
+``tests/obs/event_schema.json``) are a data format, and this module is
+its only reader.  :func:`fold_events` walks a recorded event list once
+and fills a :class:`RunView`; ``repro report``, ``repro explain``,
+``repro obs diff`` and the run-history store's trace ingest are
+renderers of that view.  :func:`repro.obs.diff.view_from_store` and
+:func:`repro.obs.diff.view_from_record` build the same type from store
+rows and ``--json`` records.
+
+The fold keeps one rule per fact:
+
+* ``stage_map``, ``profile``, ``resources_summary`` and ``attribution``
+  bodies drop the envelope keys ``ev``/``t``/``worker_id``/``pid``/``seq``
+  (``run_begin`` meta drops only ``ev``/``t``);
+* a worker's ``pid`` is its last non-None value;
+* a phase measured twice (modular escalation reruns ``rewrite``) merges
+  max-for-peaks and sum-for-deltas, as
+  :attr:`repro.obs.resources.ResourceTracker.phase_resources` does.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+from repro.obs.attribution import CommitAnomalyDetector, rule_label
+
+_ENVELOPE = ("ev", "t", "worker_id", "pid", "seq")
+_PEAK_KEYS = ("rss_peak_kb", "tracemalloc_peak_kb")
+_DELTA_KEYS = ("tracemalloc_kb", "gc_collections")
+
+
+@dataclass
+class RunView:
+    """Everything the observability surfaces read about one run.
+
+    ``commits`` holds one dict per committed rewriting step with the
+    store's columns (``step``, ``component``, ``kind``, ``size``,
+    ``threshold``); folded traces add the rewrite-run index ``run``
+    (0 before any ``rewrite_begin``) and, inside a rewrite run, the
+    substitution ``rule`` and the wall ``seconds`` and ``SP_i``
+    ``growth`` since the previous commit.  ``rewrite_windows`` is one
+    ``(start, end)`` pair per ``rewrite_begin``, closed by its
+    ``rewrite`` span or, in a truncated trace, by its last commit.
+    ``anomalies`` are the diagnostics of a default
+    :class:`~repro.obs.attribution.CommitAnomalyDetector` replayed over
+    the commits; ``anomalies_recorded`` counts the ``anomaly`` events a
+    live watchdog wrote.  ``runs``/``tasks`` count ``run_begin`` and
+    batch ``task_begin`` events: a trace with tasks is a relay-merged
+    batch.
+    """
+
+    label: str | None = None
+    meta: dict = field(default_factory=dict)
+    status: str | None = None
+    seconds: float | None = None
+    phases: dict = field(default_factory=dict)
+    commits: list = field(default_factory=list)
+    attempts: int = 0
+    backtracks: int = 0
+    threshold_doublings: int = 0
+    thresholds: list = field(default_factory=list)
+    stalls: int = 0
+    sp0: int | None = None
+    rewrite_windows: list = field(default_factory=list)
+    stage_map: dict | None = None
+    profile: dict | None = None
+    resource_samples: list = field(default_factory=list)
+    phase_resources: dict = field(default_factory=dict)
+    resources_summary: dict | None = None
+    attribution: dict | None = None
+    opt_passes: list = field(default_factory=list)
+    counters: dict = field(default_factory=dict)
+    workers: dict = field(default_factory=dict)
+    runs: int = 0
+    tasks: int = 0
+    anomalies_recorded: int = 0
+    anomalies: list = field(default_factory=list)
+
+    @property
+    def sizes(self):
+        """The ``SP_i`` size after every commit (the Fig. 5 curve)."""
+        return [commit["size"] for commit in self.commits]
+
+    @property
+    def rewrite_runs(self):
+        return len(self.rewrite_windows)
+
+
+def _body(event):
+    return {k: v for k, v in event.items() if k not in _ENVELOPE}
+
+
+def _account_worker(workers, worker, kind, event):
+    info = workers.setdefault(worker, {
+        "worker_id": worker, "pid": None, "events": 0, "designs": [],
+        "first_t": None, "last_t": None})
+    info["events"] += 1
+    if event.get("pid") is not None:
+        info["pid"] = event["pid"]
+    stamp = event.get("t")
+    if stamp is not None:
+        if info["first_t"] is None or stamp < info["first_t"]:
+            info["first_t"] = stamp
+        if info["last_t"] is None or stamp > info["last_t"]:
+            info["last_t"] = stamp
+    if kind == "task_begin":
+        design = event.get("design") or event.get("input")
+        if design is not None:
+            info["designs"].append(design)
+
+
+def _merge_phase_resources(slot, event):
+    for key in _PEAK_KEYS:
+        if event.get(key) is not None:
+            slot[key] = max(slot.get(key, event[key]), event[key])
+    for key in _DELTA_KEYS:
+        if event.get(key) is not None:
+            slot[key] = round(slot.get(key, 0) + event[key], 1)
+
+
+def fold_events(events, label=None):
+    """Fold a recorded event list into a :class:`RunView` in one pass.
+
+    A ``summary`` event's phase totals fill in phases that have no
+    ``span`` events (trimmed traces).
+    """
+    view = RunView(label=label)
+    detector = CommitAnomalyDetector()
+    prev_t = prev_size = None
+    last_attempt = {}      # comp -> (kind, compact) of its latest attempt
+    starts = []            # rewrite_begin timestamp per rewrite run
+    last_commit_t = []     # timestamp of the last commit per rewrite run
+    rewrite_spans = []
+    for event in events:
+        kind = event.get("ev")
+        worker = event.get("worker_id")
+        if worker is not None:
+            _account_worker(view.workers, worker, kind, event)
+        if kind == "run_begin":
+            view.runs += 1
+            view.meta = {k: v for k, v in event.items()
+                         if k not in ("ev", "t")}
+        elif kind == "run_end":
+            view.status = event.get("status")
+            view.seconds = event.get("seconds")
+        elif kind == "span":
+            path = event.get("path", event.get("name", "?"))
+            view.phases[path] = (view.phases.get(path, 0.0)
+                                 + event.get("dur", 0.0))
+            if path == "rewrite":
+                rewrite_spans.append(event)
+        elif kind == "rewrite_begin":
+            detector.reset()
+            prev_t = event.get("t")
+            prev_size = event.get("size", 0)
+            if view.sp0 is None:
+                view.sp0 = prev_size
+            starts.append(prev_t)
+            last_commit_t.append(prev_t)
+            last_attempt = {}
+        elif kind == "attempt":
+            view.attempts += 1
+            last_attempt[event.get("comp")] = (event.get("kind"),
+                                               event.get("compact"))
+        elif kind == "step":
+            detector.observe_step(event)
+            size = event.get("size", 0)
+            comp = event.get("comp")
+            commit = {"run": len(starts),
+                      "step": event.get("i", len(view.commits) + 1),
+                      "component": comp, "kind": event.get("kind"),
+                      "size": size, "threshold": event.get("threshold")}
+            if starts:
+                t = event.get("t")
+                attempt = last_attempt.get(comp, (event.get("kind"), None))
+                commit["rule"] = rule_label(attempt[0] or event.get("kind"),
+                                            attempt[1])
+                commit["seconds"] = (round(t - prev_t, 6)
+                                     if None not in (t, prev_t) else 0.0)
+                commit["growth"] = max(size - (prev_size or 0), 0)
+                prev_t = t if t is not None else prev_t
+                prev_size = size
+                last_commit_t[-1] = prev_t
+            view.commits.append(commit)
+        elif kind == "backtrack":
+            view.backtracks += 1
+        elif kind == "threshold":
+            view.threshold_doublings += 1
+            view.thresholds.append(event.get("value"))
+        elif kind == "stall":
+            view.stalls += 1
+        elif kind == "anomaly":
+            view.anomalies_recorded += 1
+        elif kind == "opt_pass":
+            view.opt_passes.append(event)
+        elif kind == "resource_sample":
+            view.resource_samples.append(event)
+        elif kind == "phase_resources":
+            _merge_phase_resources(
+                view.phase_resources.setdefault(event.get("phase", "?"), {}),
+                event)
+        elif kind == "resources_summary":
+            view.resources_summary = _body(event)
+        elif kind == "profile":
+            view.profile = _body(event)
+        elif kind == "stage_map":
+            view.stage_map = _body(event)
+        elif kind == "attribution":
+            view.attribution = _body(event)
+        elif kind == "task_begin":
+            view.tasks += 1
+        elif kind == "summary":
+            view.counters = event.get("counters", {})
+            for path, total in event.get("phases", {}).items():
+                view.phases.setdefault(path, total)
+    for index, start in enumerate(starts):
+        end = last_commit_t[index]
+        if index < len(rewrite_spans):
+            span = rewrite_spans[index]
+            end = max(span.get("t", start) + span.get("dur", 0.0), end)
+        view.rewrite_windows.append((start, end))
+    view.anomalies = detector.anomalies
+    return view

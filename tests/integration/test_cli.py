@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -86,6 +88,25 @@ class TestObservabilityCli:
         assert "Per-phase breakdown" in out
         assert "rewrite" in out
         assert "SP_i: peak" in out
+
+    def test_explain_and_profile_share_one_fold(self, tmp_path, capsys,
+                                                monkeypatch):
+        from repro.obs import view
+
+        folds = []
+        fold_events = view.fold_events
+
+        def counting_fold(events, label=None):
+            folds.append(label)
+            return fold_events(events, label)
+
+        monkeypatch.setattr(view, "fold_events", counting_fold)
+        src = tmp_path / "m.aag"
+        main(["generate", "SP-DT-LF", "4", "-o", str(src)])
+        assert main(["verify", str(src), "--explain", "--profile"]) == 0
+        out = capsys.readouterr().out
+        assert "Per-phase breakdown" in out and "Cost attribution" in out
+        assert len(folds) == 1
 
     def test_report_roundtrip(self, tmp_path, capsys):
         src = tmp_path / "m.aag"
@@ -593,3 +614,71 @@ class TestServiceCli:
         assert "submit:" in capsys.readouterr().err
         assert main(["status", "--port", "1"]) == 2
         assert "status:" in capsys.readouterr().err
+
+
+class TestTraceInputs:
+    """``report``, ``explain`` and ``obs diff`` load traces through one
+    helper: unreadable inputs and merged batch traces exit 2 with a
+    ``<command>: ...`` message, never a traceback."""
+
+    FIXTURES = Path(__file__).parents[1] / "obs" / "fixtures"
+
+    def test_report_of_a_missing_trace_exits_two(self, tmp_path, capsys):
+        assert main(["report", str(tmp_path / "missing.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("report: ")
+        assert "missing.jsonl" in err and "Traceback" not in err
+
+    def test_report_warns_about_skipped_lines(self, tmp_path, capsys):
+        trace = tmp_path / "cut.jsonl"
+        trace.write_text('{"ev": "run_begin", "t": 0.0, "method": "d"}\n'
+                         '{"ev": "step", "t"', encoding="utf-8")
+        assert main(["report", str(trace)]) == 0
+        captured = capsys.readouterr()
+        assert "# run: method=d" in captured.out
+        assert "skipped 1 unparseable line(s)" in captured.err
+
+    @pytest.mark.parametrize("argv, hint", [
+        (["explain", "merged.jsonl"], "`repro explain run:ID --db DB`"),
+        (["obs", "diff", "single.jsonl", "merged.jsonl"],
+         "`repro obs diff run:A run:B --db DB`"),
+    ])
+    def test_merged_trace_is_refused_per_run(self, argv, hint, capsys,
+                                             monkeypatch):
+        monkeypatch.chdir(self.FIXTURES)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        command = " ".join(argv[:-2] if argv[0] == "obs" else argv[:1])
+        assert captured.err.startswith(
+            f"{command}: merged.jsonl is a merged --jobs trace of 2 runs")
+        assert "`repro obs ingest --db DB merged.jsonl`" in captured.err
+        assert hint in captured.err
+
+    def test_report_still_renders_a_merged_trace(self, capsys,
+                                                 monkeypatch):
+        monkeypatch.chdir(self.FIXTURES)
+        assert main(["report", "merged.jsonl"]) == 0
+        assert "Relay workers (merged trace)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["report", "single.jsonl", "--hotspots"],
+        ["explain", "single.jsonl"],
+        ["obs", "diff", "single.jsonl", "escalated.jsonl"],
+    ])
+    def test_closed_stdout_ends_quietly(self, argv):
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", *argv], cwd=self.FIXTURES,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=src))
+        proc.stdout.close()   # the reader is gone before any write
+        err = proc.stderr.read()
+        assert proc.wait() == 0
+        assert "Traceback" not in err and "BrokenPipeError" not in err

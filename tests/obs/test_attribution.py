@@ -1,5 +1,6 @@
-"""Tests for repro.obs.attribution: the cost-attribution engine,
-streaming anomaly detection, and the store-backed calibration layer."""
+"""Tests for repro.obs.attribution: the cost-attribution engine over a
+folded run view, streaming anomaly detection, and the store-backed
+calibration layer."""
 
 import pytest
 
@@ -9,16 +10,20 @@ from repro.obs.attribution import (
     UNKNOWN,
     AnomalyConfig,
     CommitAnomalyDetector,
-    attribute_events,
     attribute_store_run,
+    attribute_view,
     attribution_event_fields,
     calibration_from_store,
     design_baseline,
     render_attribution,
     render_calibration,
-    replay_anomalies,
     stage_cost_metrics,
 )
+from repro.obs.view import fold_events
+
+
+def _attribute(events):
+    return attribute_view(fold_events(events))
 
 
 def _stream():
@@ -55,7 +60,7 @@ def _stream():
 
 class TestAttributeEvents:
     def test_growth_lands_in_the_right_stage(self):
-        report = attribute_events(_stream())
+        report = _attribute(_stream())
         assert report["architecture"] == "ripple"
         assert report["risk"] == {"factor": 1.2, "score": 55.0}
         assert report["sp0"] == 10
@@ -69,7 +74,7 @@ class TestAttributeEvents:
                                     "attributed_fraction": 1.0}
 
     def test_wall_time_windows_and_explicit_tail(self):
-        report = attribute_events(_stream())
+        report = _attribute(_stream())
         wall = report["wall"]
         assert wall["rewrite_seconds"] == pytest.approx(0.5)
         # commit gaps: 0.1 + 0.2 + 0.1 + 0.05; the remaining 0.05s
@@ -81,7 +86,7 @@ class TestAttributeEvents:
         assert report["by_stage"]["ppg"]["seconds"] == pytest.approx(0.15)
 
     def test_rule_labels_join_the_attempt_stream(self):
-        report = attribute_events(_stream())
+        report = _attribute(_stream())
         rules = {record["step"]: record["rule"]
                  for record in report["commits"]}
         assert rules[1] == "FA/expand"
@@ -91,7 +96,7 @@ class TestAttributeEvents:
         assert report["by_rule"]["FA/expand"]["growth"] == 10
 
     def test_cells_cross_stage_and_rule(self):
-        report = attribute_events(_stream())
+        report = _attribute(_stream())
         keys = {(cell["stage"], cell["rule"])
                 for cell in report["cells"]}
         assert ("fsa", "FA/expand") in keys
@@ -99,7 +104,7 @@ class TestAttributeEvents:
 
     def test_trace_without_stage_map_buckets_unknown(self):
         events = [e for e in _stream() if e["ev"] != "stage_map"]
-        report = attribute_events(events)
+        report = _attribute(events)
         assert set(report["by_stage"]) == {UNKNOWN}
         # unknown-stage commits count against coverage
         assert report["wall"]["attributed_fraction"] == 0.0
@@ -116,7 +121,7 @@ class TestAttributeEvents:
              "dur": 0.25},
             {"ev": "run_end", "t": 4.0, "status": "correct", "seconds": 4.0},
         ]
-        report = attribute_events(events)
+        report = _attribute(events)
         assert report["rewrite_runs"] == 2
         assert report["sp0"] == 10  # anchored at the first run
         assert report["wall"]["rewrite_seconds"] == pytest.approx(0.75)
@@ -127,7 +132,7 @@ class TestAttributeEvents:
         # a crashed run has no rewrite span event: the window must
         # close at the last observed commit instead of being dropped
         events = [e for e in _stream() if e["ev"] not in ("span", "run_end")]
-        report = attribute_events(events)
+        report = _attribute(events)
         assert report["status"] is None
         assert report["wall"]["rewrite_seconds"] == pytest.approx(0.45)
         assert report["wall"]["unattributed_seconds"] == pytest.approx(0.0)
@@ -136,7 +141,7 @@ class TestAttributeEvents:
         events = _stream()
         events.insert(-1, {"ev": "profile", "t": 1.9, "samples": 4,
                            "commits": {"2": 3, "9": 1}})
-        report = attribute_events(events)
+        report = _attribute(events)
         by_step = {record["step"]: record for record in report["commits"]}
         assert by_step[2]["samples"] == 3
         assert report["samples_unassigned"] == 1  # no step 9 existed
@@ -150,7 +155,7 @@ class TestAttributeEvents:
             {"ev": "resource_sample", "t": 1.35, "rss_kb": 300},  # commit 3
             {"ev": "resource_sample", "t": 1.48, "rss_kb": 250},  # tail
         ]
-        report = attribute_events(events)
+        report = _attribute(events)
         rss = report["rss"]
         assert rss["samples"] == 3
         assert rss["baseline_kb"] == 100
@@ -161,10 +166,10 @@ class TestAttributeEvents:
         assert rss["by_stage"][UNKNOWN]["samples"] == 1
 
     def test_no_resource_telemetry_is_none(self):
-        assert attribute_events(_stream())["rss"] is None
+        assert _attribute(_stream())["rss"] is None
 
     def test_empty_stream(self):
-        report = attribute_events([])
+        report = _attribute([])
         assert report["rewrite_runs"] == 0
         assert report["commits"] == []
         assert report["wall"]["rewrite_seconds"] == 0.0
@@ -173,7 +178,7 @@ class TestAttributeEvents:
     def test_coverage_meets_the_acceptance_target(self):
         # the synthetic stream mirrors real traces: >= 95% of measured
         # wall time and growth is assigned to commit+rule+stage
-        report = attribute_events(_stream())
+        report = _attribute(_stream())
         assert report["growth"]["attributed_fraction"] >= COVERAGE_TARGET
 
 
@@ -230,10 +235,11 @@ class TestAnomalyDetector:
             {"ev": "step", "t": 1.46, "i": 5, "comp": 0, "kind": "HA",
              "size": 500},
         ]
-        diags = replay_anomalies(
-            events, config=AnomalyConfig(tolerance=2.0, floor=1,
-                                         min_history=3))
+        # the fold replays the default detector over every trace, so
+        # explain flags outliers even without a live watchdog
+        diags = fold_events(events).anomalies
         assert [d.code for d in diags] == ["RP012"]
+        assert _attribute(events)["anomalies"][0]["code"] == "RP012"
 
     def test_design_baseline_from_store(self):
         with RunStore() as store:
@@ -247,7 +253,7 @@ class TestAnomalyDetector:
 
 class TestStoreIntegration:
     def test_stage_cost_metrics_flatten_the_report(self):
-        metrics = stage_cost_metrics(attribute_events(_stream()))
+        metrics = stage_cost_metrics(_attribute(_stream()))
         assert metrics["attr:stage:fsa:growth"] == 10
         assert metrics["attr:stage:ppg:seconds"] == pytest.approx(0.15)
         assert metrics["attr:rule:FA/expand:growth"] == 10
@@ -261,7 +267,7 @@ class TestStoreIntegration:
                 attribute_store_run(store, 999)
 
     def test_report_rebuilds_from_v3_rows(self):
-        live = attribute_events(_stream())
+        live = _attribute(_stream())
         with RunStore() as store:
             run_id = store.add_run(
                 "m4", "dyposub", status="correct", seconds=2.0,
@@ -324,7 +330,7 @@ class TestCalibration:
 
 class TestRendering:
     def test_attribution_report_headline(self):
-        text = render_attribution(attribute_events(_stream()))
+        text = render_attribution(_attribute(_stream()))
         assert "100% of SP_i growth landed in 2 commit(s) " \
             "inside the fsa region" in text
         assert "Cost by stage region" in text
@@ -333,7 +339,7 @@ class TestRendering:
         assert "unattributed remainder" in text
 
     def test_top_commits_table_respects_the_limit(self):
-        text = render_attribution(attribute_events(_stream()), top=2)
+        text = render_attribution(_attribute(_stream()), top=2)
         assert "Top 2 commits by SP_i growth" in text
 
     def test_calibration_rendering(self):
@@ -352,7 +358,7 @@ class TestRendering:
         assert "need at least 2 series" in text
 
     def test_event_fields_are_compact_aggregates(self):
-        fields = attribution_event_fields(attribute_events(_stream()))
+        fields = attribution_event_fields(_attribute(_stream()))
         assert fields["architecture"] == "ripple"
         assert fields["rewrite_runs"] == 1
         assert fields["stages"]["fsa"]["growth"] == 10

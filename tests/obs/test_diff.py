@@ -7,10 +7,10 @@ from repro.obs.diff import (
     diff_views,
     first_divergence,
     render_diff,
-    view_from_events,
     view_from_record,
     view_from_store,
 )
+from repro.obs.view import RunView, fold_events
 
 
 def _commits(components, sizes):
@@ -20,10 +20,10 @@ def _commits(components, sizes):
 
 
 def _view(label, components, sizes, seconds=1.0, backtracks=0):
-    return {"label": label, "status": "correct", "seconds": seconds,
-            "phases": {"rewrite": seconds * 0.8},
-            "sizes": list(sizes), "commits": _commits(components, sizes),
-            "backtracks": backtracks, "threshold_doublings": 0, "meta": {}}
+    return RunView(label=label, status="correct", seconds=seconds,
+                   phases={"rewrite": seconds * 0.8},
+                   commits=_commits(components, sizes),
+                   backtracks=backtracks)
 
 
 class TestFirstDivergence:
@@ -60,7 +60,7 @@ class TestDiffViews:
     def test_phase_deltas_sorted_by_magnitude(self):
         a = _view("a", [0], [3], seconds=1.0)
         b = _view("b", [0], [3], seconds=3.0)
-        b["phases"]["spec"] = 0.01
+        b.phases["spec"] = 0.01
         diff = diff_views(a, b)
         assert diff["phases"][0]["phase"] == "rewrite"
         assert diff["phases"][0]["delta"] > 0
@@ -95,15 +95,18 @@ class TestViewSources:
         recorder = Recorder()
         result = verify_multiplier(aig, record_trace=True,
                                    recorder=recorder)
-        from_events = view_from_events(recorder.events, label="events")
+        from_events = fold_events(recorder.events, label="events")
         record = result_record(result, recorder)
         from_record = view_from_record(record, label="record")
         with RunStore() as store:
             run_id = store.ingest_events(recorder.events, design="m4")
             from_store = view_from_store(store, run_id, label="store")
-        assert (from_events["sizes"] == from_record["sizes"]
-                == from_store["sizes"] == result.sizes())
-        orders = [[c["component"] for c in view["commits"]]
+        # one view type whatever the source, so diff_views takes one input
+        for view in (from_events, from_record, from_store):
+            assert isinstance(view, RunView)
+        assert (from_events.sizes == from_record.sizes
+                == from_store.sizes == result.sizes())
+        orders = [[c["component"] for c in view.commits]
                   for view in (from_events, from_record, from_store)]
         assert orders[0] == orders[1] == orders[2]
         # self-diff: no divergence, zero peak gap
@@ -123,7 +126,7 @@ class TestViewSources:
             recorder = Recorder()
             verify_multiplier(aig, method=method, record_trace=True,
                               recorder=recorder, **budgets[method])
-            views[method] = view_from_events(recorder.events, label=method)
+            views[method] = fold_events(recorder.events, label=method)
         diff = diff_views(views["dyposub"], views["static"])
         assert diff["peak"]["a"] > 0 and diff["peak"]["b"] > 0
         # the orders genuinely differ on this design, so the diff must

@@ -1,4 +1,4 @@
-"""Tests for repro.obs.report: event folding and report rendering."""
+"""Tests for repro.obs.report: rendering the folded run view."""
 
 import pytest
 
@@ -11,9 +11,8 @@ from repro.obs import (
     render_phase_table,
     render_report,
     report_from_file,
-    summarize_events,
-    summarize_recorder,
 )
+from repro.obs.view import fold_events
 from repro.opt.scripts import optimize
 
 
@@ -29,22 +28,22 @@ def traced_run():
 class TestSummarize:
     def test_summary_matches_result(self, traced_run):
         result, recorder = traced_run
-        summary = summarize_recorder(recorder)
-        assert summary["meta"]["method"] == "dyposub"
-        assert summary["status"] == result.status == "correct"
-        assert summary["sizes"] == result.sizes()
-        assert len(summary["steps"]) == result.stats["steps"]
-        assert summary["attempts"] == result.stats["attempts"]
-        assert summary["backtracks"] == result.stats["backtracks"]
-        assert (summary["threshold_doublings"]
+        summary = fold_events(recorder.events)
+        assert summary.meta["method"] == "dyposub"
+        assert summary.status == result.status == "correct"
+        assert summary.sizes == result.sizes()
+        assert len(summary.commits) == result.stats["steps"]
+        assert summary.attempts == result.stats["attempts"]
+        assert summary.backtracks == result.stats["backtracks"]
+        assert (summary.threshold_doublings
                 == result.stats["threshold_doublings"])
 
     def test_phases_cover_the_pipeline(self, traced_run):
         _, recorder = traced_run
-        summary = summarize_recorder(recorder)
+        summary = fold_events(recorder.events)
         for phase in ("spec", "atomic", "components", "rewrite"):
-            assert phase in summary["phases"], phase
-            assert summary["phases"][phase] >= 0.0
+            assert phase in summary.phases, phase
+            assert summary.phases[phase] >= 0.0
 
     def test_summarize_events_equals_file_replay(self, traced_run, tmp_path):
         _, recorder = traced_run
@@ -53,26 +52,25 @@ class TestSummarize:
         for event in recorder.events:
             sink._emit(event)
         sink.close()
-        replayed = summarize_events(read_events(str(path)))
-        live = summarize_recorder(recorder)
-        assert replayed["sizes"] == live["sizes"]
-        assert replayed["backtracks"] == live["backtracks"]
-        assert replayed["status"] == live["status"]
+        replayed = fold_events(read_events(str(path)))
+        live = fold_events(recorder.events)
+        assert replayed == live
+        assert replayed.sizes == live.sizes == traced_run[0].sizes()
 
     def test_empty_event_list(self):
-        summary = summarize_events([])
-        assert summary["sizes"] == []
-        assert summary["status"] is None
-        assert summary["stalls"] == 0
-        assert summary["backtracks"] == 0
-        assert summary["phases"] == {}
+        summary = fold_events([])
+        assert summary.sizes == []
+        assert summary.status is None
+        assert summary.stalls == 0
+        assert summary.backtracks == 0
+        assert summary.phases == {}
 
     def test_single_event(self):
-        summary = summarize_events(
+        summary = fold_events(
             [{"ev": "run_begin", "t": 0.0, "method": "static", "nodes": 7}])
-        assert summary["meta"]["method"] == "static"
-        assert summary["sizes"] == []
-        assert summary["status"] is None
+        assert summary.meta["method"] == "static"
+        assert summary.sizes == []
+        assert summary.status is None
 
     def test_stalls_are_counted_and_rendered(self):
         events = [
@@ -84,21 +82,21 @@ class TestSummarize:
             {"ev": "run_end", "t": 13.0, "status": "correct",
              "seconds": 13.0},
         ]
-        summary = summarize_events(events)
-        assert summary["stalls"] == 1
+        summary = fold_events(events)
+        assert summary.stalls == 1
         assert "stalls flagged (watchdog)" in render_report(summary)
 
     def test_stall_free_report_omits_the_row(self, traced_run):
         _, recorder = traced_run
-        summary = summarize_recorder(recorder)
-        assert summary["stalls"] == 0
+        summary = fold_events(recorder.events)
+        assert summary.stalls == 0
         assert "stalls flagged" not in render_report(summary)
 
 
 class TestRender:
     def test_report_contains_curve_and_dynamics(self, traced_run):
         _, recorder = traced_run
-        text = render_report(summarize_recorder(recorder))
+        text = render_report(fold_events(recorder.events))
         assert "SP_i size per committed rewriting step" in text
         assert "Backward-rewriting dynamics" in text
         assert "backtracks (snapshot restores)" in text
@@ -106,7 +104,7 @@ class TestRender:
 
     def test_phase_table_shares_sum_to_100(self, traced_run):
         _, recorder = traced_run
-        table = render_phase_table(summarize_recorder(recorder)["phases"])
+        table = render_phase_table(fold_events(recorder.events).phases)
         shares = [float(line.split()[-1].rstrip("%"))
                   for line in table.splitlines()
                   if line.strip().endswith("%")]
@@ -130,8 +128,8 @@ class TestRender:
         recorder = Recorder()
         optimize(generate_multiplier("SP-AR-RC", 4), "resyn3",
                  recorder=recorder)
-        summary = summarize_recorder(recorder)
-        assert summary["opt_passes"]
+        summary = fold_events(recorder.events)
+        assert summary.opt_passes
         text = render_report(summary)
         assert "Optimization passes" in text
         assert "resyn3" in text

@@ -265,6 +265,46 @@ class TestSchemaV2:
             assert len(record["workers"]) == 2
             assert "rewrite" in record["resources"]
 
+    def test_rerun_phase_keeps_merged_resources(self):
+        """Two ``phase_resources`` events of one phase (a modular
+        escalation reruns ``rewrite``) merge max-for-peaks and
+        sum-for-deltas instead of keeping the last one."""
+        events = [{"ev": "run_begin", "t": 0.0, "method": "dyposub"}]
+        for peak, delta in ((900.0, 1.5), (500.0, 2.0)):
+            events.append({"ev": "phase_resources", "t": 0.1,
+                           "phase": "rewrite", "rss_kb": peak,
+                           "rss_peak_kb": peak, "tracemalloc_kb": delta,
+                           "tracemalloc_peak_kb": peak,
+                           "gc_collections": 1})
+        with RunStore() as store:
+            row = store.resources(store.ingest_events(events, "d"))
+        assert row["rewrite"] == {"rss_peak_kb": 900.0,
+                                  "tracemalloc_kb": 3.5,
+                                  "tracemalloc_peak_kb": 900.0,
+                                  "gc_collections": 2}
+
+    def test_escalated_run_persists_the_tracker_resources(self):
+        from repro.obs.resources import ResourceTracker
+        from tests.core.test_pipeline import sextuple_output_multiplier
+
+        tracker = ResourceTracker(Recorder(), interval=None)
+        result = verify_multiplier(sextuple_output_multiplier(),
+                                   ring="modular", prime_schedule=(3, 5),
+                                   recorder=tracker)
+        tracker.close()
+        assert result.stats["escalations"] == 1
+        rewrites = [e for e in tracker.events
+                    if e["ev"] == "phase_resources"
+                    and e["phase"] == "rewrite"]
+        assert len(rewrites) == 2
+        with RunStore() as store:
+            stored = store.resources(store.ingest_events(tracker.events,
+                                                         "sextuple"))
+        for phase, merged in tracker.phase_resources.items():
+            for key in ("rss_peak_kb", "tracemalloc_kb",
+                        "tracemalloc_peak_kb", "gc_collections"):
+                assert stored[phase][key] == merged[key], (phase, key)
+
     def test_v1_file_upgrades_in_place(self, tmp_path):
         import sqlite3
 
