@@ -35,7 +35,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
                                   "check_component_coverage",
                                   "check_vanishing_rules"),
     "repro.analysis.structure": ("ArchitectureReport", "StageGuess",
-                                 "analyze_aig", "analyze_design",
-                                 "recommend_overrides", "risk_calibration",
+                                 "analyze_aig", "recommend_overrides",
+                                 "risk_calibration",
                                  "spearman"),
 })

@@ -41,7 +41,7 @@ import json
 
 from repro.aig.ops import fanout_map
 from repro.analysis.diagnostics import DiagnosticReport
-from repro.core.atomic import block_coverage, detect_atomic_blocks
+from repro.core.atomic import block_coverage
 
 #: Stage labels the classifier can emit.
 PPG_LABELS = ("simple", "booth", "unknown")
@@ -125,14 +125,6 @@ class ArchitectureReport:
     def recognized(self):
         return "unknown" not in (self.ppg.label, self.ppa.label,
                                  self.fsa.label)
-
-    def region_index(self):
-        """Cached :class:`RegionIndex` over this report's regions."""
-        index = getattr(self, "_region_index", None)
-        if index is None:
-            index = RegionIndex(self.regions)
-            self._region_index = index
-        return index
 
     def as_dict(self):
         return {
@@ -593,58 +585,32 @@ def risk_calibration(store, entries, method="dyposub"):
 _STAGE_PRECEDENCE = ("fsa", "ppa", "ppg")
 
 
-class RegionIndex:
-    """Var -> stage lookup over one report's ``regions`` partition.
-
-    Built once from :attr:`ArchitectureReport.regions`; answers both
-    single-variable and variable-set queries.  A set of variables (a
-    component's internal cone plus its outputs) is mapped by majority
-    vote, breaking ties toward the later pipeline stage — see
-    ``_STAGE_PRECEDENCE``.  Unknown variables (inputs, vars outside
-    every region) vote for no stage; an all-unknown set maps to None.
-    """
-
-    def __init__(self, regions):
-        self._where = {}
-        for stage, vars_ in regions.items():
-            for var in vars_:
-                self._where[var] = stage
-
-    def stage_of_var(self, var):
-        """The stage region holding ``var``, or None."""
-        return self._where.get(var)
-
-    def stage_of_vars(self, vars_):
-        """Majority-vote stage of a variable set, or None."""
-        votes = {}
-        for var in vars_:
-            stage = self._where.get(var)
-            if stage is not None:
-                votes[stage] = votes.get(stage, 0) + 1
-        if not votes:
-            return None
-        best = max(votes.values())
-        for stage in _STAGE_PRECEDENCE:
-            if votes.get(stage) == best:
-                return stage
-        return None  # pragma: no cover - precedence covers every stage
-
-
 def component_stage_map(arch, components):
     """Map component index -> stage region for one analyzed design.
 
     ``components`` is the pipeline's component list
-    (:class:`repro.core.components.Component`); each is located by its
-    internal AND cone plus its output variables.  This is the
-    commit -> region provenance the attribution layer keys on: a
+    (:class:`repro.core.components.Component`); each is located by
+    majority vote over its internal AND cone plus its output variables,
+    breaking ties toward the later pipeline stage (see
+    ``_STAGE_PRECEDENCE``).  Variables outside every region (inputs)
+    vote for no stage, so an all-unknown component maps to None.  This
+    is the commit -> region provenance the attribution layer keys on: a
     ``step`` event names the component, the component names its vars,
     the vars name the stage.
     """
-    index = arch.region_index()
+    where = {var: stage for stage, vars_ in arch.regions.items()
+             for var in vars_}
     mapping = {}
     for comp in components:
-        vars_ = set(comp.output_vars) | set(comp.internal)
-        mapping[comp.index] = index.stage_of_vars(vars_)
+        votes = {}
+        for var in set(comp.output_vars) | set(comp.internal):
+            stage = where.get(var)
+            if stage is not None:
+                votes[stage] = votes.get(stage, 0) + 1
+        best = max(votes.values(), default=None)
+        mapping[comp.index] = next(
+            (stage for stage in _STAGE_PRECEDENCE
+             if votes.get(stage, 0) == best), None)
     return mapping
 
 
@@ -652,8 +618,14 @@ def component_stage_map(arch, components):
 # Entry point
 # ----------------------------------------------------------------------
 
-def analyze_aig(aig, width_a=None, subject=""):
-    """Run the full static architecture analysis over one AIG."""
+def analyze_aig(aig, blocks, width_a=None, subject=""):
+    """Run the full static architecture analysis over one AIG.
+
+    ``blocks`` are the design's atomic HA/FA blocks, as returned by
+    :func:`repro.core.atomic.detect_atomic_blocks` for this same AIG;
+    the caller detects them once and shares them with everything else
+    that needs them.
+    """
     from repro.analysis.lint import infer_widths
 
     report = DiagnosticReport(subject=subject or aig.name)
@@ -679,7 +651,6 @@ def analyze_aig(aig, width_a=None, subject=""):
             report=report)
 
     sup_a, sup_b = operand_supports(aig, wa, wb)
-    blocks = detect_atomic_blocks(aig)
     coverage = block_coverage(aig, blocks)
     fanouts, po_refs = fanout_map(aig)
     by_out, level = _block_dag(aig, blocks)
@@ -752,11 +723,6 @@ def analyze_aig(aig, width_a=None, subject=""):
                    f"schedule",
                    factor=risk["factor"], score=risk["score"])
     return arch
-
-
-def analyze_design(aig, width_a=None, subject=""):
-    """Alias kept symmetrical with ``lint_design`` for CLI callers."""
-    return analyze_aig(aig, width_a=width_a, subject=subject)
 
 
 def recommend_overrides(arch, config):

@@ -1128,6 +1128,7 @@ def _cmd_analyze(args):
 
     from repro.analysis import DiagnosticReport, report_from_error
     from repro.analysis.structure import analyze_aig
+    from repro.core.atomic import detect_atomic_blocks
     from repro.errors import ReproError
 
     records = []
@@ -1143,7 +1144,8 @@ def _cmd_analyze(args):
             records.append({"subject": path, "architecture": None,
                             "diagnostics": report.as_dict()})
             continue
-        arch = analyze_aig(aig, width_a=args.width_a, subject=path)
+        arch = analyze_aig(aig, detect_atomic_blocks(aig),
+                           width_a=args.width_a, subject=path)
         print(arch.render())
         records.append(arch.as_dict())
         if not arch.report.clean:

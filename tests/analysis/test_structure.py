@@ -15,6 +15,7 @@ from repro.analysis.structure import (
     spearman,
 )
 from repro.aig.aig import Aig
+from repro.core.atomic import detect_atomic_blocks
 from repro.core.pipeline import Pipeline, VerifyConfig
 from repro.genmul.multiplier import generate_multiplier
 from repro.obs.store import RunStore
@@ -35,7 +36,7 @@ SPOT_ZOO = [
 
 def analyze(architecture, width, script="none"):
     aig = optimize(generate_multiplier(architecture, width), script)
-    return analyze_aig(aig, width_a=width,
+    return analyze_aig(aig, detect_atomic_blocks(aig), width_a=width,
                        subject=f"{architecture}-{width}-{script}")
 
 
@@ -71,7 +72,7 @@ class TestClassification:
 
     def test_width_inference_from_even_split(self):
         aig = generate_multiplier("SP-AR-RC", 5)
-        arch = analyze_aig(aig)  # no width given
+        arch = analyze_aig(aig, detect_atomic_blocks(aig))  # no width given
         assert arch.width_a == 5
         assert arch.ppg.label == "simple"
 
@@ -96,7 +97,7 @@ class TestDiagnostics:
         aig = Aig()
         a, b = aig.add_inputs(2)
         aig.add_output(a)
-        arch = analyze_aig(aig, width_a=1)
+        arch = analyze_aig(aig, detect_atomic_blocks(aig), width_a=1)
         codes = [d.code for d in arch.report]
         assert "RS002" in codes
         assert not arch.recognized
@@ -205,7 +206,8 @@ class TestRiskCalibration:
             for architecture, width in self.CALIBRATION_SET:
                 aig = generate_multiplier(architecture, width)
                 design = f"{architecture}-{width}"
-                arch = analyze_aig(aig, width_a=width, subject=design)
+                arch = analyze_aig(aig, detect_atomic_blocks(aig),
+                                   width_a=width, subject=design)
                 result = Pipeline(VerifyConfig(width_a=width)).run(aig)
                 assert result.status == "correct"
                 store.add_run(design, "dyposub", optimization="none",
