@@ -11,7 +11,9 @@ flow:
    certificate cache inside the POST, without queueing;
 3. submit a fault-injected variant — must miss the cache and come back
    ``buggy`` with a concrete counterexample;
-4. ``POST /shutdown`` — the server must drain and exit 0.
+4. submit a design with an odd number of inputs — the job must end
+   ``done`` with an ``invalid`` RA030 verdict, and no run row;
+5. ``POST /shutdown`` — the server must drain and exit 0.
 
 Run from the repo root: ``PYTHONPATH=src python scripts/service_smoke.py``
 """
@@ -28,6 +30,7 @@ from repro.aig.aig import Aig, lit_neg, lit_var
 from repro.aig.aiger import write_aag
 from repro.genmul.faults import inject_visible_fault
 from repro.genmul.multiplier import generate_multiplier
+from repro.obs.store import RunStore
 from repro.service.client import ServiceClient
 
 FAILURES = []
@@ -116,6 +119,15 @@ def main():
         check(cex.get("a") is not None and cex.get("b") is not None,
               f"buggy verdict carries a counterexample ({cex})")
 
+        odd = client.wait(
+            client.submit("aag 3 3 0 1 0\n2\n4\n6\n2\n",
+                          design="odd.aag")["id"], timeout=300)
+        check(odd["state"] == "done", "odd-input design ends done")
+        check(odd["record"]["status"] == "invalid",
+              "odd-input design is an invalid verdict")
+        codes = [d.get("code") for d in odd["record"]["diagnostics"]]
+        check(codes == ["RA030"], f"invalid verdict carries RA030 ({codes})")
+
         stats = client.stats()
         check(stats["cache_hits"] == 1, "service counted one cache hit")
         check(stats["certificates"] == 2,
@@ -125,6 +137,9 @@ def main():
         client.shutdown()
         code = server.wait(timeout=120)
         check(code == 0, f"server drained and exited cleanly (rc={code})")
+        with RunStore(str(tmp / "runs.db")) as store:
+            check(store.runs(design="odd") == [],
+                  "the invalid verdict wrote no run row")
     finally:
         if server.poll() is None:
             server.terminate()

@@ -480,92 +480,17 @@ def _emit(aig, output):
         sys.stdout.write(text)
 
 
-def _verify_worker(job):
-    """Module-level (picklable) batch worker: verify one AIG under its
-    own worker-tagged relay recorder, return only plain data.
-
-    An input that fails pre-flight lint is reported as an ``invalid``
-    record (with its diagnostics) instead of crashing the batch.  Every
-    record carries the ``worker_id`` that produced it; when no relay
-    queue is bound (serial ``--jobs 1`` path) the tagged events ride
-    back on the record itself so the parent can still merge one trace.
-    With a ``db``, the worker opens its own store connection (WAL-safe
-    across the pool) so fresh final verdicts land in the certificate
-    cache and resubmissions hit it.
-    """
-    import dataclasses
-
-    from repro.core.pipeline import Pipeline
-    from repro.errors import DesignLintError, ReproError
-    from repro.obs.relay import child_recorder, flush_child
-    from repro.service.persistence import verdict_record
-
-    path, config, want_resources, want_profile, db, use_cache = job
-    base = child_recorder()
-    recorder = base
-    tracker = None
-    profiler = None
-    store = None
-    if want_resources:
-        from repro.obs.resources import ResourceTracker
-
-        tracker = ResourceTracker(base)
-        recorder = tracker
-    if want_profile:
-        from repro.obs.resources import SamplingProfiler
-
-        profiler = SamplingProfiler(recorder).start()
-    base.event("task_begin", design=path)
-    try:
-        aig = read_aag(path)
-        if db:
-            from repro.obs.store import RunStore
-
-            store = RunStore(db)
-        pipeline = Pipeline(dataclasses.replace(config, record_trace=True))
-        result = pipeline.run(aig, recorder=recorder, store=store,
-                              design=path, use_cache=use_cache)
-    except DesignLintError as exc:
-        report = exc.report
-        record = {"input": path, "status": "invalid", "timed_out": False,
-                  "cache_hit": False, "summary": f"invalid: {exc}",
-                  "diagnostics": report.as_dicts() if report else []}
-        result = None
-    except ReproError as exc:
-        record = {"input": path, "status": "invalid", "timed_out": False,
-                  "cache_hit": False, "summary": f"invalid: {exc}",
-                  "diagnostics": [exc.as_dict()]}
-        result = None
-    finally:
-        if store is not None:
-            store.close()
-    if result is not None:
-        record = verdict_record(result, base, input_path=path)
-    record["worker_id"] = base.worker
-    if profiler is not None:
-        record["profile"] = profiler.stop()
-    if tracker is not None:
-        tracker.stop()
-        record["resources"] = tracker.phase_resources
-    base.close()
-    base.event("task_end", design=path, status=record["status"])
-    if base._queue is None:
-        # serial path: no relay queue to stream over — the parent
-        # collects the tagged events straight off the record
-        record["_relay_events"] = base.events
-    flush_child(base)
-    return record
-
-
 def _cmd_verify_batch(args):
     """Several inputs: one verdict line each, optional merged JSON,
     optional process-parallel fan-out with one relay-merged trace."""
     import json
 
     from repro.bench.harness import parallel_map
-
     from repro.core.pipeline import VerifyConfig
     from repro.errors import ConfigError
+    from repro.service.persistence import ingest_verify_records
+    from repro.service.task import (Task, cached_record, open_store,
+                                    task_worker)
 
     if args.profile:
         print("verify: --profile needs a single input "
@@ -586,14 +511,20 @@ def _cmd_verify_batch(args):
     # here in O(hash) and never reach the worker pool
     use_cache = not args.no_cache
     cached = {}
-    if args.db and use_cache:
-        cached = _consult_cache(args.inputs, config, args.db)
+    store = open_store(args.db) if use_cache else None
+    if store is not None:
+        with store:
+            for path in args.inputs:
+                record = cached_record(store, path, config)
+                if record is not None:
+                    record.update(input=path, worker_id=0)
+                    cached[path] = record
         if cached:
             log.info("answered %d of %d input(s) from the certificate "
                      "cache", len(cached), len(args.inputs))
     pending = [path for path in args.inputs if path not in cached]
-    jobs_args = [(path, config, args.resources, args.profile_sample,
-                  args.db, use_cache) for path in pending]
+    tasks = [Task(path, path, path, config, args.db, use_cache,
+                  args.resources, args.profile_sample) for path in pending]
 
     # parent telemetry: a relay merges the workers' tagged events into
     # one trace whenever anything downstream consumes events
@@ -630,7 +561,7 @@ def _cmd_verify_batch(args):
         def progress(label, worker_id):
             log.info("worker %d picked up %s", worker_id, label)
 
-    records = parallel_map(_verify_worker, jobs_args, jobs=args.jobs,
+    records = parallel_map(task_worker, tasks, jobs=args.jobs,
                            progress=progress, labels=pending,
                            initializer=initializer,
                            initargs=initargs or ())
@@ -674,10 +605,7 @@ def _cmd_verify_batch(args):
         elif record["timed_out"]:
             exit_code = max(exit_code, 2)
         elif record["status"] == "invalid":
-            for diag in record.get("diagnostics", []):
-                print(f"  {diag.get('code', '?')} "
-                      f"{diag.get('severity', 'error')}: "
-                      f"{diag.get('message', '')}")
+            _print_diagnostics(record)
             exit_code = max(exit_code, 3)
     if args.json:
         payload = {"command": "verify", "inputs": args.inputs,
@@ -689,59 +617,25 @@ def _cmd_verify_batch(args):
             json.dump(payload, handle, indent=2)
         log.info("wrote %d records to %s", len(records), args.json)
     if args.db:
-        _ingest_records(records, args.db)
+        ingest_verify_records(records, args.db)
     return exit_code
 
 
-def _ingest_records(records, db):
-    """Fold verify records into the run-history store via the shared
-    persistence API (best effort — a broken database must not change
-    the verify exit code)."""
-    from repro.service.persistence import ingest_verify_records
-
-    ingest_verify_records(records, db)
-
-
-def _consult_cache(paths, config, db):
-    """Answer batch inputs from the certificate cache before any worker
-    spawns; returns ``{path: verdict record}`` for the hits.  Inputs
-    that fail to parse or fingerprint fall through to the workers,
-    which produce the real diagnostic."""
-    from repro.errors import ReproError
-    from repro.obs.store import RunStore
-    from repro.service.fingerprint import design_fingerprint
-    from repro.service.persistence import cache_lookup
-
-    hits = {}
-    try:
-        with RunStore(db) as store:
-            for path in paths:
-                try:
-                    aig = read_aag(path)
-                    fingerprint = design_fingerprint(
-                        aig, config.width_a, config.width_b,
-                        signed=config.signed)
-                except (OSError, ReproError, ValueError):
-                    continue
-                record = cache_lookup(store, fingerprint)
-                if record is not None:
-                    record["input"] = path
-                    record["worker_id"] = 0
-                    hits[path] = record
-    except Exception as exc:  # noqa: BLE001 - cache is an optimization
-        log.warning("could not consult certificate cache in %s: %s",
-                    db, exc)
-    return hits
+def _print_diagnostics(record, file=None):
+    """One ``CODE severity: message`` line per finding of an
+    ``invalid`` verdict record."""
+    for diag in record.get("diagnostics", []):
+        print(f"  {diag.get('code', '?')} {diag.get('severity', 'error')}: "
+              f"{diag.get('message', '')}", file=file or sys.stdout)
 
 
 def _cmd_verify(args):
-    import dataclasses
     import json
 
-    from repro.core.pipeline import Pipeline, VerifyConfig
+    from repro.core.pipeline import VerifyConfig
+    from repro.errors import ConfigError
     from repro.obs.recorder import JsonlSink, Recorder
-
-    from repro.errors import ConfigError, DesignLintError
+    from repro.service.task import open_store, run_design
 
     if len(args.inputs) > 1:
         return _cmd_verify_batch(args)
@@ -796,31 +690,11 @@ def _cmd_verify(args):
         profiler = SamplingProfiler(recorder,
                                     interval=args.profile_interval)
         profiler.start()
-    store = None
-    if args.db:
-        from repro.obs.store import RunStore
-
-        try:
-            store = RunStore(args.db)
-        except Exception as exc:  # noqa: BLE001 - cache is an optimization
-            log.warning("could not open %s: %s", args.db, exc)
+    store = open_store(args.db)
     try:
-        pipeline = Pipeline(dataclasses.replace(
-            config, record_trace=recorder is not None))
-        result = pipeline.run(aig, recorder=recorder, store=store,
-                              design=args.inputs[0],
-                              use_cache=not args.no_cache)
-    except DesignLintError as exc:
-        if exc.report is not None:
-            exc.report.subject = exc.report.subject or args.inputs[0]
-            print(exc.report.render(), file=sys.stderr)
-        else:
-            print(f"verify: {exc}", file=sys.stderr)
-        if profiler is not None:
-            profiler.stop()
-        if recorder is not None:
-            recorder.close()
-        return 3
+        result, record = run_design(aig, config, recorder=recorder,
+                                    store=store, design=args.inputs[0],
+                                    use_cache=not args.no_cache)
     finally:
         if store is not None:
             store.close()
@@ -844,11 +718,11 @@ def _cmd_verify(args):
     if tracker is not None:
         tracker.stop()
     view = explain_report = None
-    if args.explain or args.profile:
+    if result is not None and (args.explain or args.profile):
         from repro.obs.view import fold_events
 
         view = fold_events(recorder.events)
-    if args.explain:
+    if view is not None and args.explain:
         from repro.obs.attribution import (attribute_view,
                                            attribution_event_fields)
 
@@ -857,31 +731,32 @@ def _cmd_verify(args):
         # (report, ingest) see them without recomputing
         recorder.event("attribution",
                        **attribution_event_fields(explain_report))
-    cache_note = " [cache hit]" if result.stats.get("cache_hit") else ""
-    print(result.summary() + cache_note)
-    if args.json or args.db:
-        from repro.service.persistence import verdict_record
+    if result is None:
+        print(f"{args.inputs[0]}: {record['summary']}", file=sys.stderr)
+        _print_diagnostics(record, file=sys.stderr)
+    else:
+        cache_note = " [cache hit]" if record["cache_hit"] else ""
+        print(record["summary"] + cache_note)
+    if monitor is not None and monitor.stalls:
+        record["stalls"] = [diag.as_dict() for diag in monitor.stalls]
+    if monitor is not None and monitor.anomalies:
+        record["anomalies"] = [diag.as_dict()
+                               for diag in monitor.anomalies]
+    if args.json:
+        payload = {"command": "verify", "inputs": args.inputs,
+                   "records": [record]}
+        with open(args.json, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle, indent=2)
+    if args.db:
+        from repro.service.persistence import ingest_verify_records
 
-        record = verdict_record(result, recorder,
-                                input_path=args.inputs[0])
-        if monitor is not None and monitor.stalls:
-            record["stalls"] = [diag.as_dict() for diag in monitor.stalls]
-        if monitor is not None and monitor.anomalies:
-            record["anomalies"] = [diag.as_dict()
-                                   for diag in monitor.anomalies]
-        if args.json:
-            payload = {"command": "verify", "inputs": args.inputs,
-                       "records": [record]}
-            with open(args.json, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, indent=2)
-        if args.db:
-            _ingest_records([record], args.db)
+        ingest_verify_records([record], args.db)
     if recorder is not None:
         recorder.close()
         if args.trace_out:
             log.info("wrote %d events to %s",
                      len(recorder.events), args.trace_out)
-    if args.profile:
+    if view is not None and args.profile:
         from repro.obs.report import render_phase_table
 
         print()
@@ -916,6 +791,8 @@ def _cmd_verify(args):
         print("Cost attribution")
         print("----------------")
         print(render_attribution(explain_report))
+    if result is None:
+        return 3
     if result.status == "buggy":
         a = result.stats.get("counterexample_a")
         b = result.stats.get("counterexample_b")

@@ -11,6 +11,11 @@ certified:
 * :mod:`repro.service.persistence` — the shared persistence API over
   the SQLite run-history store: certificate lookup/store and run-record
   ingestion used identically by the CLI, batch verify and the service;
+* :mod:`repro.service.task` — the one verification task every front
+  end runs (``repro verify``, ``verify --jobs``, ``repro serve``): one
+  design in, one verdict record out, typed errors as ``invalid``
+  records, plus the picklable pool worker and the pre-dispatch cache
+  consult;
 * :mod:`repro.service.jobs` — priority job queue and job records;
 * :mod:`repro.service.core` — :class:`VerificationService`: submission,
   cache consult, worker fan-out (``parallel_map``-style process pool

@@ -11,8 +11,9 @@
   time in O(hash), never touching the queue or a worker;
 * **fan-out** — cache misses are queued by priority and dispatched to a
   persistent ``multiprocessing.Pool`` (one dispatcher thread per pool
-  slot, so job N+1 starts the moment a worker frees up).  Workers run
-  under the PR 6 event relay: every pipeline event streams back
+  slot, so job N+1 starts the moment a worker frees up).  Each job runs
+  :func:`repro.service.task.task_worker` — the same task batch verify
+  dispatches — under the event relay: every pipeline event streams back
   worker-tagged and is routed to its job's event stream live, keyed by
   the ``task_begin`` bracket each worker emits.  ``use_processes=False``
   runs jobs inline on the dispatcher thread (same code path via the
@@ -31,6 +32,7 @@ import threading
 import time
 
 from repro.service.jobs import DEFAULT_PRIORITY, Job, JobQueue
+from repro.service.task import Task, cached_record, task_worker
 
 log = logging.getLogger("repro.service.core")
 
@@ -62,65 +64,6 @@ def config_from_options(options):
         return VerifyConfig(record_trace=True, **kwargs)
     except (ConfigError, TypeError) as exc:
         raise SubmitError(f"bad job options: {exc}") from exc
-
-
-def service_worker(args):
-    """Module-level (picklable) service worker: verify one submitted
-    design under a worker-tagged relay recorder; returns the verdict
-    record (plain data only).
-
-    Mirrors the batch ``_verify_worker`` contract: lint failures become
-    ``invalid`` records instead of crashes, the ``task_begin`` /
-    ``task_end`` bracket is labelled with the *job id* so the parent
-    relay can route streamed events to the right job, and on the
-    queue-less inline path the tagged events ride back on the record.
-    """
-    job_id, design, source, options, db, use_cache = args
-
-    from repro.aig.aiger import read_aag
-    from repro.core.pipeline import Pipeline
-    from repro.errors import DesignLintError, ReproError
-    from repro.obs.relay import child_recorder, flush_child
-    from repro.service.persistence import verdict_record
-
-    base = child_recorder()
-    base.event("task_begin", design=job_id, input=design)
-    store = None
-    result = None
-    try:
-        try:
-            config = config_from_options(options)
-            aig = read_aag(source)
-            if db:
-                from repro.obs.store import RunStore
-
-                store = RunStore(db)
-            pipeline = Pipeline(config)
-            result = pipeline.run(aig, recorder=base, store=store,
-                                  design=design, use_cache=use_cache)
-        except DesignLintError as exc:
-            report = exc.report
-            record = {"status": "invalid", "timed_out": False,
-                      "cache_hit": False, "summary": f"invalid: {exc}",
-                      "diagnostics": report.as_dicts() if report else []}
-        except (ReproError, SubmitError, ValueError) as exc:
-            record = {"status": "invalid", "timed_out": False,
-                      "cache_hit": False, "summary": f"invalid: {exc}",
-                      "diagnostics": [exc.as_dict()]
-                      if hasattr(exc, "as_dict") else []}
-        if result is not None:
-            record = verdict_record(result, base, input_path=design)
-    finally:
-        if store is not None:
-            store.close()
-    record["input"] = design
-    record["worker_id"] = base.worker
-    base.event("task_end", design=job_id, status=record["status"],
-               cache_hit=record.get("cache_hit", False))
-    if base._queue is None:
-        record["_relay_events"] = base.events
-    flush_child(base)
-    return record
 
 
 class VerificationService:
@@ -231,33 +174,24 @@ class VerificationService:
         with self._lock:
             self._counter += 1
             job = Job(f"job-{self._counter:04d}", design, source,
-                      priority=priority, options=merged)
+                      priority=priority, config=config)
             job.use_cache = use_cache
             self.jobs[job.id] = job
         job.events.append({"ev": "submitted", "job": job.id,
                            "design": design, "priority": job.priority})
-        if use_cache and self._answer_from_cache(job, aig, config):
-            return job
-        self.queue.put(job)
+        record = None
+        if use_cache and self._store is not None:
+            with self._lock:          # one sqlite connection, many threads
+                record = cached_record(self._store, aig, config)
+        if record is None:
+            self.queue.put(job)
+        else:
+            self._answer_from_cache(job, record)
         return job
 
-    def _answer_from_cache(self, job, aig, config):
-        """Submission-time cache consult: True when the job is done."""
-        if self._store is None:
-            return False
-        from repro.service.fingerprint import design_fingerprint
-        from repro.service.persistence import cache_lookup
-
-        try:
-            fingerprint = design_fingerprint(aig, config.width_a,
-                                             config.width_b,
-                                             signed=config.signed)
-        except ValueError:
-            return False              # odd interface; let the pipeline rule
-        with self._lock:              # one sqlite connection, many threads
-            record = cache_lookup(self._store, fingerprint)
-        if record is None:
-            return False
+    def _answer_from_cache(self, job, record):
+        """Complete a job at submission time with its cached verdict."""
+        fingerprint = record["fingerprint"]
         record["input"] = job.design
         job.record = record
         job.state = "done"
@@ -269,7 +203,6 @@ class VerificationService:
             self.cache_hits += 1
         log.info("%s: answered from cache (%s, fingerprint %s…)",
                  job.id, record.get("status"), fingerprint[:12])
-        return True
 
     # -- dispatch ------------------------------------------------------
 
@@ -281,13 +214,13 @@ class VerificationService:
                 return
             job.state = "running"
             job.started_at = time.time()
-            args = (job.id, job.design, job.source, job.options,
-                    self.db, job.use_cache)
+            task = Task(job.id, job.design, job.source, job.config,
+                        self.db, job.use_cache)
             try:
                 if self._pool is not None:
-                    record = self._pool.apply(service_worker, (args,))
+                    record = self._pool.apply(task_worker, (task,))
                 else:
-                    record = service_worker(args)
+                    record = task_worker(task)
             except Exception as exc:  # noqa: BLE001 - job, not service, fails
                 job.state = "failed"
                 job.error = str(exc)
@@ -310,8 +243,7 @@ class VerificationService:
         if record.get("cache_hit"):
             with self._lock:
                 self.cache_hits += 1
-        if self.db and not record.get("cache_hit") \
-                and record.get("status") != "invalid":
+        if self.db:
             from repro.service.persistence import ingest_verify_records
 
             ingest_verify_records([record], self.db)

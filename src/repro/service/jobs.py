@@ -25,12 +25,12 @@ class Job:
     """One submitted verification task and its whole life cycle."""
 
     def __init__(self, job_id, design, source, *, priority=DEFAULT_PRIORITY,
-                 options=None):
+                 config=None):
         self.id = job_id
         self.design = design
         self.source = source          # AAG text, kept until the job runs
         self.priority = int(priority)
-        self.options = dict(options or {})  # VerifyConfig overrides
+        self.config = config          # the VerifyConfig validated at submit
         self.use_cache = True         # may be cleared at submission
         self.state = "queued"
         self.submitted_at = time.time()

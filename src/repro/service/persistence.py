@@ -168,11 +168,15 @@ def cache_store(store, fingerprint, record, *, design=None, run_id=None):
 def ingest_verify_records(records, db):
     """Fold verify records into the run-history store (best effort — a
     broken database must not change the verify exit code).  Cache-hit
-    records are skipped: the run they replay is already in the history.
+    records are skipped (the run they replay is already in the
+    history), and so are ``invalid`` ones (no verification ran).
     Returns the new run ids, or None when ingestion failed."""
     from repro.obs.store import RunStore, current_git_rev
 
-    fresh = [record for record in records if not record.get("cache_hit")]
+    fresh = [record for record in records if not record.get("cache_hit")
+             and record.get("status") != "invalid"]
+    if not fresh:
+        return []
     try:
         with RunStore(db) as store:
             run_ids = store.ingest_verify_payload(

@@ -1,0 +1,163 @@
+"""One verification task: one design in, one verdict record out.
+
+Every front end — single-input ``repro verify``, batch ``verify
+--jobs N`` and ``repro serve`` — turns a design into its verdict record
+through this module, so lint failures, the task's event bracket and the
+cache consult cannot drift between them:
+
+* :func:`run_design` — run the :class:`~repro.core.pipeline.Pipeline`
+  on one design; a typed error (failed pre-flight lint, an odd input
+  count, an unreadable file) becomes an ``invalid`` record with its
+  diagnostics, never a traceback;
+* :func:`task_worker` — the picklable pool worker batch verify and the
+  service both dispatch: :func:`run_design` under a worker-tagged relay
+  recorder, bracketed by ``task_begin`` / ``task_end``;
+* :func:`cached_record` — the parent's pre-dispatch certificate-cache
+  consult.
+
+The relay, the store and ``multiprocessing`` are imported inside the
+functions that use them, so a plain ``repro verify`` loads none of them.
+"""
+
+from __future__ import annotations
+
+import collections
+import dataclasses
+import logging
+
+log = logging.getLogger("repro.service.task")
+
+
+#: One unit of :func:`task_worker` work (plain, picklable data):
+#: ``label`` tags the ``task_begin``/``task_end`` bracket (the input
+#: path, or the service job id), ``design`` is the record's ``input``
+#: and the cache row label, ``source`` is what gets parsed (a file path
+#: or AAG text), ``config`` is the validated
+#: :class:`~repro.core.pipeline.VerifyConfig`, ``db`` the run-history
+#: store, and ``resources``/``profile`` arm the per-phase
+#: ``ResourceTracker`` and the ``SamplingProfiler``.
+Task = collections.namedtuple(
+    "Task", "label design source config db use_cache resources profile",
+    defaults=(None, True, False, False))
+
+
+def open_store(db):
+    """The run-history store at ``db``; None without a ``db`` or when it
+    will not open (the cache is an optimization, never a failure)."""
+    if not db:
+        return None
+    from repro.obs.store import RunStore
+
+    try:
+        return RunStore(db)
+    except Exception as exc:  # noqa: BLE001 - cache is an optimization
+        log.warning("could not open %s: %s", db, exc)
+        return None
+
+
+def _read(aig_or_source):
+    from repro.aig.aiger import read_aag
+
+    if isinstance(aig_or_source, str):
+        return read_aag(aig_or_source)
+    return aig_or_source
+
+
+def run_design(aig_or_source, config, *, recorder=None, store=None,
+               design=None, use_cache=True):
+    """Verify one design; returns ``(result | None, record)``.
+
+    ``aig_or_source`` is an :class:`~repro.aig.aig.Aig`, a file path or
+    AAG text.  The per-commit trace is recorded exactly when a
+    ``recorder`` is attached.  On success ``record`` is the
+    :func:`~repro.service.persistence.verdict_record` of the result;
+    any :class:`~repro.errors.ReproError` gives ``(None, record)`` with
+    an ``invalid`` record carrying the error's diagnostics.  The
+    recorder is left open: closing it is the caller's job.
+    """
+    from repro.core.pipeline import Pipeline
+    from repro.errors import DesignLintError, ReproError
+    from repro.service.persistence import verdict_record
+
+    try:
+        aig = _read(aig_or_source)
+        pipeline = Pipeline(dataclasses.replace(
+            config, record_trace=recorder is not None))
+        result = pipeline.run(aig, recorder=recorder, store=store,
+                              design=design, use_cache=use_cache)
+    except DesignLintError as exc:
+        diagnostics = exc.report.as_dicts() if exc.report else []
+        message = str(exc)
+    except ReproError as exc:
+        diagnostics = [exc.as_dict()]
+        message = str(exc)
+    else:
+        return result, verdict_record(result, recorder, input_path=design)
+    return None, {"input": design, "status": "invalid", "timed_out": False,
+                  "cache_hit": False, "summary": f"invalid: {message}",
+                  "diagnostics": diagnostics}
+
+
+def task_worker(task):
+    """Module-level (picklable) pool worker: run one :class:`Task` under
+    its own worker-tagged relay recorder; returns the verdict record
+    (plain data only) with the ``worker_id`` that produced it.
+
+    The ``task_begin`` / ``task_end`` bracket carries ``task.label``, so
+    the parent relay can attribute every streamed event (the service
+    routes them to the job).  When no relay queue is bound (the serial
+    and inline paths) the tagged events ride back on the record under
+    ``_relay_events`` for the parent to collect.
+    """
+    from repro.obs.relay import child_recorder, flush_child
+
+    base = child_recorder()
+    recorder = base
+    tracker = profiler = None
+    if task.resources:
+        from repro.obs.resources import ResourceTracker
+
+        recorder = tracker = ResourceTracker(base)
+    if task.profile:
+        from repro.obs.resources import SamplingProfiler
+
+        profiler = SamplingProfiler(recorder).start()
+    base.event("task_begin", design=task.label, input=task.design)
+    store = open_store(task.db)
+    try:
+        _result, record = run_design(task.source, task.config,
+                                     recorder=recorder, store=store,
+                                     design=task.design,
+                                     use_cache=task.use_cache)
+    finally:
+        if store is not None:
+            store.close()
+    record["worker_id"] = base.worker
+    if profiler is not None:
+        record["profile"] = profiler.stop()
+    if tracker is not None:
+        tracker.stop()
+        record["resources"] = tracker.phase_resources
+    base.close()
+    base.event("task_end", design=task.label, status=record["status"])
+    if base._queue is None:
+        record["_relay_events"] = base.events
+    flush_child(base)
+    return record
+
+
+def cached_record(store, aig_or_source, config):
+    """The cached verdict record of a design, looked up before any
+    worker is dispatched; None on a miss or for a design that cannot be
+    parsed or fingerprinted (the worker then reports it)."""
+    from repro.errors import ReproError
+    from repro.service.fingerprint import design_fingerprint
+    from repro.service.persistence import cache_lookup
+
+    try:
+        fingerprint = design_fingerprint(_read(aig_or_source),
+                                         config.width_a, config.width_b,
+                                         signed=config.signed)
+    except (ReproError, ValueError):
+        return None
+    return cache_lookup(store, fingerprint)

@@ -465,6 +465,14 @@ class TestVerifyPreflightCli:
         err = capsys.readouterr().err
         assert "RA002" in err
 
+    def test_odd_input_count_exits_three_with_report(self, tmp_path,
+                                                     capsys):
+        odd = tmp_path / "odd.aag"
+        odd.write_text("aag 3 3 0 1 0\n2\n4\n6\n2\n")
+        assert main(["verify", str(odd)]) == 3
+        err = capsys.readouterr().err
+        assert "RA030" in err and "Traceback" not in err
+
     def test_missing_file_exits_three_with_report(self, tmp_path, capsys):
         missing = tmp_path / "missing.aag"
         assert main(["verify", str(missing)]) == 3

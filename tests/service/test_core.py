@@ -96,6 +96,15 @@ class TestSubmit:
         assert "task_begin" in kinds and "task_end" in kinds
         assert "run_begin" in kinds and "run_end" in kinds
 
+    def test_event_stream_folds_to_the_record_counters(self, service,
+                                                       aag_text):
+        from repro.obs.view import fold_events
+
+        job = _wait(service, service.submit("m.aag", aag_text))
+        assert "summary" in [e["ev"] for e in job.events]
+        assert job.record["counters"]
+        assert fold_events(job.events).counters == job.record["counters"]
+
 
 class TestCache:
     def test_resubmission_is_answered_at_submit_time(self, service,

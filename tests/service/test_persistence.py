@@ -119,6 +119,18 @@ class TestIngest:
         with RunStore(db) as store:
             assert len(store) == 2  # the replay was skipped
 
+    def test_invalid_records_are_not_ingested(self, verified, tmp_path):
+        aig, result = verified
+        db = str(tmp_path / "runs.db")
+        invalid = {"input": "odd.aag", "status": "invalid",
+                   "timed_out": False, "cache_hit": False,
+                   "summary": "invalid: odd input count",
+                   "diagnostics": [{"code": "RA030"}]}
+        record = verdict_record(result, input_path="m.aag")
+        assert len(ingest_verify_records([invalid, record], db)) == 1
+        with RunStore(db) as store:
+            assert [run["design"] for run in store.runs()] == ["m"]
+
     def test_broken_db_is_best_effort(self, verified, tmp_path):
         aig, result = verified
         bad = tmp_path / "not-a-dir" / "x" / "runs.db"
