@@ -223,7 +223,7 @@ def collect_schema_events():
     events = []
 
     # DyPoSub with real backtracking (SP-WT-CL): run_begin, span, step,
-    # attempt (incl. too_large), progress, backtrack, threshold,
+    # attempt (incl. too_large), backtrack, threshold,
     # invariants_checked, run_end, summary.
     aig = benchmark_multiplier("SP-WT-CL", 8, "none")
     recorder = Recorder()
@@ -292,8 +292,8 @@ def collect_schema_events():
     times = [0.0]
     monitor = LiveMonitor(Recorder(), stall_budget=1.0,
                           clock=lambda: times[0])
-    monitor.event("progress", step=1, size=10, candidates=2, remaining=3,
-                  backtracks=0)
+    monitor.event("step", i=1, comp=0, kind="FA", size=10, threshold=None,
+                  candidates=2, remaining=3)
     times[0] = 10.0
     monitor.pulse()
     events += monitor.events

@@ -483,6 +483,7 @@ def _emit(aig, output):
 def _cmd_verify_batch(args):
     """Several inputs: one verdict line each, optional merged JSON,
     optional process-parallel fan-out with one relay-merged trace."""
+    import contextlib
     import json
 
     from repro.bench.harness import parallel_map
@@ -552,19 +553,25 @@ def _cmd_verify_batch(args):
         relay = EventRelay(recorder=monitor or recorder,
                            on_event=on_event, on_tick=on_tick)
 
-    use_queue = args.jobs > 1 and len(args.inputs) > 1
+    # a serial batch streams in-process only under a live monitor;
+    # otherwise its events ride back on the records
+    pooled = args.jobs > 1 and len(tasks) > 1
     initializer = initargs = None
-    if relay is not None and use_queue:
+    streaming = contextlib.nullcontext()
+    if relay is not None and pooled:
         initializer, initargs = relay.pool_initializer()
         relay.start()
-    if args.live and monitor is not None:
+    elif monitor is not None:
+        streaming = relay.in_process()
+    if monitor is not None:
         def progress(label, worker_id):
             log.info("worker %d picked up %s", worker_id, label)
 
-    records = parallel_map(task_worker, tasks, jobs=args.jobs,
-                           progress=progress, labels=pending,
-                           initializer=initializer,
-                           initargs=initargs or ())
+    with streaming:
+        records = parallel_map(task_worker, tasks, jobs=args.jobs,
+                               progress=progress, labels=pending,
+                               initializer=initializer,
+                               initargs=initargs or ())
     for record in records:
         record["jobs"] = args.jobs
         events = record.pop("_relay_events", None)

@@ -271,12 +271,6 @@ class RewritingEngine:
                 step=self.steps, component=index,
                 kind=self.components[index].kind, size=size,
                 threshold=threshold))
-        if self.obs.enabled:
-            self.obs.count("rewrite.commits")
-            self.obs.observe("rewrite.sp_size", size)
-            self.obs.event("step", i=self.steps, comp=index,
-                           kind=self.components[index].kind, size=size,
-                           threshold=threshold)
         self._candidates.discard(index)
         self._done.add(index)
         for producer in self._producers_of[index]:
@@ -284,12 +278,14 @@ class RewritingEngine:
             if self._pending_consumers[producer] == 0 and producer not in self._done:
                 self._candidates.add(producer)
         if self.obs.enabled:
-            # heartbeat for live watchdogs: the full progress picture
-            # after the DAG update (candidate pool included)
-            self.obs.event("progress", step=self.steps, size=size,
+            # after the DAG update, so the candidate pool is current
+            self.obs.count("rewrite.commits")
+            self.obs.observe("rewrite.sp_size", size)
+            self.obs.event("step", i=self.steps, comp=index,
+                           kind=self.components[index].kind, size=size,
+                           threshold=threshold,
                            candidates=len(self._candidates),
-                           remaining=self.remaining,
-                           backtracks=self.backtracks)
+                           remaining=self.remaining)
         self._check_budget()
 
     def substitute(self, index):

@@ -277,9 +277,9 @@ class CommitAnomalyDetector:
       from the run-history store (see :func:`design_baseline`); fires
       at most once per rewrite run.
 
-    Feed ``observe_step(fields)`` every ``step`` event (the
-    :class:`~repro.obs.live.LiveMonitor` does this when armed with a
-    detector) and ``reset()`` on every ``rewrite_begin``.
+    Feed ``observe_step(fields)`` every ``step`` event and ``reset()``
+    on every ``rewrite_begin``; :class:`~repro.obs.view.RunFold` does
+    both for the detector it is given.
     """
 
     def __init__(self, config=None, baseline=None, design=None):

@@ -1,41 +1,33 @@
-"""Live progress heartbeat and stall watchdog for long verifications.
+"""Live status line and stall watchdog for long verifications.
 
 A :class:`LiveMonitor` wraps any recorder (it satisfies the same
-interface, so the pipeline threads it through unchanged) and watches
-the event stream in real time:
+interface, so the pipeline threads it through unchanged) and feeds each
+event it forwards into a :class:`~repro.obs.view.RunFold`, the fold
+``repro report`` replays, so the live picture is the trace's:
 
-* every engine ``progress`` event — emitted by
-  :meth:`~repro.core.rewriting.RewritingEngine.commit` with the step
-  index, candidate-pool size, current ``SP_i`` size, remaining
-  components and backtrack count — refreshes a single-line terminal
-  status (``verify --live``);
-* the vanishing reducer's *pulse* hook fires between events, so the
-  watchdog keeps breathing even while one giant substitution is being
-  normalized;
+* each commit's ``step`` event refreshes a single-line terminal status
+  (``verify --live``) rendered from the fold's
+  :class:`~repro.obs.view.RunView`;
+* the vanishing reducer's *pulse* hook keeps the watchdog breathing
+  while one giant substitution is being normalized;
 * when no commit lands within ``stall_budget`` seconds, the monitor
-  flags a **stall**: a structured RP011 diagnostic (one per silent
-  gap), a ``stall`` event in the trace, and a visible warning line —
-  instead of a silent hang;
+  flags a **stall**: an RP011 diagnostic (one per silent gap), a
+  ``stall`` event in the trace and a visible warning line;
 * armed with a :class:`~repro.obs.attribution.CommitAnomalyDetector`
-  (``detector=``), every ``step`` event is additionally screened for
-  commit-level SP_i outliers: an RP012/RP013 diagnostic, an
-  ``anomaly`` event in the trace, and a visible warning line, live
-  while the run is still going.
+  (``detector=``), the fold screens every commit: an RP012/RP013
+  diagnostic, an ``anomaly`` event and a warning line, live.
 
-Rendering adapts to the terminal: carriage-return in-place updates only
-when stderr is an interactive tty (and ``NO_COLOR``/``TERM=dumb`` are
-not set); otherwise — CI logs, redirected stderr — the monitor falls
-back to plain line-per-update output so logs stay readable.
+Rendering uses carriage-return in-place updates only when stderr is an
+interactive tty (and ``NO_COLOR``/``TERM=dumb`` are not set); otherwise
+it prints plain line-per-update output so logs stay readable.
 
-In batch ``--jobs N`` mode the monitor is fed worker-tagged relay
-events via :meth:`LiveMonitor.worker_event` (and the relay's idle
-:meth:`LiveMonitor.tick`), tracks a per-worker heartbeat, and fires
-RP011 for the *specific* stalled worker instead of letting one silent
-process drag the whole pool.
+In batch ``--jobs N`` mode the relay feeds worker-tagged events to
+:meth:`LiveMonitor.worker_event` (and ticks :meth:`LiveMonitor.tick`
+while workers are silent); each worker's current task gets its own
+fold, and RP011 names the *specific* stalled worker.
 
 Observation only: the monitor never raises and never changes the run's
-outcome; a stalled run keeps going and finishes (or hits its budget)
-exactly as it would have.
+outcome.
 """
 
 from __future__ import annotations
@@ -44,6 +36,8 @@ import os
 import time
 
 from repro.obs.recorder import Recorder
+from repro.obs.resources import current_phase
+from repro.obs.view import RunFold
 
 #: Default seconds without a commit before a stall is flagged.
 DEFAULT_STALL_BUDGET = 10.0
@@ -65,26 +59,46 @@ def detect_interactive(stream):
         return False
 
 
-class _LiveSpan:
-    """Span wrapper that tracks the current phase for the status line."""
+def _position(view):
+    """``(step, size, total)`` at the view's last commit; ``total`` is
+    None until a commit reports its remaining components."""
+    if not view.commits:
+        return 0, None, None
+    last = view.commits[-1]
+    total = (last["step"] + view.remaining
+             if view.remaining is not None else None)
+    return last["step"], last["size"], total
 
-    __slots__ = ("_monitor", "_inner", "_name")
 
-    def __init__(self, monitor, inner, name):
-        self._monitor = monitor
-        self._inner = inner
-        self._name = name
+class _Watch:
+    """One fold under a stall clock: the single run, or a batch
+    worker's current task."""
 
-    def __enter__(self):
-        self._monitor._phases.append(self._name)
-        self._inner.__enter__()
-        return self
+    __slots__ = ("fold", "commits", "last_commit", "stall_open",
+                 "task_status")
 
-    def __exit__(self, exc_type, exc, tb):
-        result = self._inner.__exit__(exc_type, exc, tb)
-        if self._monitor._phases:
-            self._monitor._phases.pop()
-        return result
+    def __init__(self, now, label=None, detector=None):
+        self.fold = RunFold(label, detector)
+        self.commits = 0
+        self.last_commit = now
+        self.stall_open = False
+        self.task_status = None
+
+    @property
+    def status(self):
+        """The verdict once the run (or the worker's task) has ended."""
+        return self.task_status or self.fold.view.status
+
+    def feed(self, event, now):
+        """Fold ``event``; a new commit restarts the stall clock.
+        Returns the anomalies the event fired."""
+        fired = self.fold.feed(event)
+        commits = len(self.fold.view.commits)
+        if commits != self.commits:
+            self.commits = commits
+            self.last_commit = now
+            self.stall_open = False
+        return fired
 
 
 class LiveMonitor:
@@ -92,16 +106,13 @@ class LiveMonitor:
 
     ``inner`` is the recorder that actually stores/streams the events
     (defaults to a fresh in-memory :class:`Recorder`); ``stream`` is
-    where the status line is rendered (None disables rendering, e.g.
-    for tests that only want the watchdog); ``clock`` is injectable so
-    stalls can be tested without sleeping.  ``interactive`` forces the
-    in-place ``\\r`` rendering mode on or off; the default ``None``
-    auto-detects from the stream (tty, ``NO_COLOR``, ``TERM``) and
-    falls back to plain line-per-update output when the stream is not
-    an interactive terminal.  ``detector`` optionally arms streaming
-    commit-level anomaly detection (see
-    :class:`repro.obs.attribution.CommitAnomalyDetector`); fired
-    diagnostics accumulate in ``self.anomalies``.
+    where the status line is rendered (None disables rendering);
+    ``clock`` is injectable so stalls can be tested without sleeping.
+    ``interactive`` forces the in-place ``\\r`` rendering mode on or
+    off (default: auto-detected from the stream).  ``detector`` is the
+    single run's :class:`~repro.obs.attribution.CommitAnomalyDetector`
+    (None screens nothing); fired diagnostics accumulate in
+    ``self.anomalies``.
     """
 
     enabled = True
@@ -115,25 +126,22 @@ class LiveMonitor:
         self.stream = stream
         self.interactive = (detect_interactive(stream)
                             if interactive is None else interactive)
-        self.detector = detector
-        self.anomalies = []
         self.stalls = []
         self.workers = {}
         self._clock = clock
         self._start = clock()
-        self._last_commit = self._start
+        self._run = _Watch(self._start, detector=detector)
         self._last_render = 0.0
-        self._stall_open = False
         self._rendered = False
-        self._phases = []
-        # live state mirrored from the event stream
-        self.step = 0
-        self.total = None
-        self.size = None
-        self.candidates = None
-        self.backtracks = 0
-        self.attempts = 0
-        self.pulses = 0
+
+    @property
+    def view(self):
+        """The single run folded so far (a :class:`RunView`)."""
+        return self._run.fold.view
+
+    @property
+    def anomalies(self):
+        return self.view.anomalies
 
     # -- recorder interface (observation tees off the delegation) ------
 
@@ -146,10 +154,22 @@ class LiveMonitor:
 
     def event(self, kind, /, **fields):
         self.inner.event(kind, **fields)
-        self._observe(kind, fields)
+        now = self._clock()
+        fields["ev"] = kind
+        for diag in self._run.feed(fields, now):
+            context = diag.context or {}
+            self.inner.event("anomaly", code=diag.code, **{
+                key: context.get(key)
+                for key in ("step", "size", "baseline", "ratio")})
+            self._warn(diag)
+        if self._run.status is not None:
+            self.finish()
+            return
+        self._check_stall(self._run, now)
+        self._maybe_render(now)
 
     def span(self, name, /, **fields):
-        return _LiveSpan(self, self.inner.span(name, **fields), name)
+        return self.inner.span(name, **fields)
 
     def count(self, name, value=1, /):
         self.inner.count(name, value)
@@ -171,74 +191,26 @@ class LiveMonitor:
     def pulse(self, units=1):
         """Heartbeat from inside a long computation (the vanishing
         reducer); checks the stall clock without emitting an event."""
-        self.pulses += 1
         now = self._clock()
-        self._check_stall(now)
-        self._maybe_render(now)
-
-    def _observe(self, kind, fields):
-        now = self._clock()
-        if kind == "progress":
-            self.step = fields.get("step", self.step)
-            self.size = fields.get("size", self.size)
-            self.candidates = fields.get("candidates", self.candidates)
-            self.backtracks = fields.get("backtracks", self.backtracks)
-            remaining = fields.get("remaining")
-            if remaining is not None:
-                self.total = self.step + remaining
-            self._last_commit = now
-            self._stall_open = False
-        elif kind == "step":
-            self._last_commit = now
-            self._stall_open = False
-            if self.detector is not None:
-                self._check_anomaly(fields)
-        elif kind == "rewrite_begin":
-            if self.detector is not None:
-                self.detector.reset()
-        elif kind == "attempt":
-            self.attempts += 1
-        elif kind == "backtrack":
-            self.backtracks += 1
-        elif kind == "run_end":
-            self.finish()
-            return
-        self._check_stall(now)
+        self._check_stall(self._run, now)
         self._maybe_render(now)
 
     # -- batch mode: per-worker heartbeats over the relay ---------------
 
     def worker_event(self, record):
         """Observe one worker-tagged relay record as it arrives (wire
-        this as ``EventRelay(on_event=monitor.worker_event)``)."""
+        this as ``EventRelay(on_event=monitor.worker_event)``); each
+        ``task_begin`` starts a fresh fold for its worker."""
         worker = record.get("worker_id", 0)
         now = self._clock()
-        state = self.workers.setdefault(worker, {
-            "design": None, "step": 0, "size": None, "status": None,
-            "last_commit": now, "stall_open": False})
         kind = record.get("ev")
-        if kind == "task_begin":
-            state["design"] = record.get("design") or record.get("input")
-            state["step"] = 0
-            state["size"] = None
-            state["status"] = None
-            state["last_commit"] = now
-            state["stall_open"] = False
-        elif kind in ("progress", "step"):
-            state["step"] = record.get("step", record.get("i",
-                                                          state["step"]))
-            state["size"] = record.get("size", state["size"])
-            state["last_commit"] = now
-            state["stall_open"] = False
-        elif kind == "run_end":
-            state["status"] = record.get("status")
-            state["last_commit"] = now
-            state["stall_open"] = False
-        elif kind == "task_end":
-            state["status"] = record.get("status", state["status"])
-            state["design"] = None
-            state["last_commit"] = now
-            state["stall_open"] = False
+        if kind == "task_begin" or worker not in self.workers:
+            self.workers[worker] = _Watch(
+                now, record.get("design") or record.get("input"))
+        watch = self.workers[worker]
+        watch.feed(record, now)
+        if kind == "task_end":
+            watch.task_status = record.get("status")
         self.tick()
 
     def tick(self):
@@ -246,109 +218,82 @@ class LiveMonitor:
         ``on_tick``): check every worker's stall clock and refresh the
         status rendering even while all workers are silent."""
         now = self._clock()
-        for worker, state in sorted(self.workers.items()):
-            gap = now - state["last_commit"]
-            if gap <= self.stall_budget or state["stall_open"]:
-                continue
-            if state["status"] is not None and state["design"] is None:
-                continue  # worker finished its task; silence is fine
-            state["stall_open"] = True
-            from repro.analysis.diagnostics import Diagnostic
-
-            design = state["design"] or "?"
-            diag = Diagnostic(
-                code="RP011",
-                message=(f"worker {worker} ({design}): no progress for "
-                         f"{gap:.1f}s (stall budget "
-                         f"{self.stall_budget:g}s) at step "
-                         f"{state['step']}"),
-                context={"worker_id": worker, "design": state["design"],
-                         "seconds_since_commit": round(gap, 3),
-                         "stall_budget": self.stall_budget,
-                         "step": state["step"], "size": state["size"]})
-            self.stalls.append(diag)
-            self.inner.event("stall", worker_id=worker,
-                             step=state["step"], size=state["size"],
-                             seconds_since_commit=round(gap, 3),
-                             budget=self.stall_budget)
-            if self.stream is not None:
-                self._clear_line()
-                self.stream.write(diag.render() + "\n")
-                self.stream.flush()
+        for worker, watch in sorted(self.workers.items()):
+            self._check_stall(watch, now, worker)
         if self.workers:
             self._maybe_render(now)
 
-    def _worker_status_line(self, now):
-        parts = [f"[live workers={len(self.workers)}]"]
-        for worker, state in sorted(self.workers.items()):
-            if state["design"] is not None:
-                label = str(state["design"]).rsplit("/", 1)[-1]
-                cell = f"w{worker} {label} step {state['step']}"
-                if state["size"] is not None:
-                    cell += f" SP_i {state['size']}"
-            else:
-                cell = f"w{worker} {state['status'] or 'idle'}"
-            parts.append(cell)
-        parts.append(f"{now - self._start:.1f}s")
-        return " | ".join(parts)
-
-    def _check_stall(self, now):
-        gap = now - self._last_commit
-        if gap <= self.stall_budget or self._stall_open:
+    def _check_stall(self, watch, now, worker=None):
+        """Flag RP011 once per silent gap of one fold (re-armed by its
+        next commit); a fold whose run has ended may stay silent."""
+        gap = now - watch.last_commit
+        if (gap <= self.stall_budget or watch.stall_open
+                or watch.status is not None):
             return
-        # one diagnostic per silent gap: re-arm only after the next commit
-        self._stall_open = True
+        watch.stall_open = True
         from repro.analysis.diagnostics import Diagnostic
 
-        diag = Diagnostic(
-            code="RP011",
-            message=(f"no rewriting commit for {gap:.1f}s "
-                     f"(stall budget {self.stall_budget:g}s) "
-                     f"at step {self.step}"
-                     + (f"/{self.total}" if self.total else "")
-                     + (f", SP_i size {self.size}"
-                        if self.size is not None else "")),
-            context={"seconds_since_commit": round(gap, 3),
-                     "stall_budget": self.stall_budget,
-                     "step": self.step, "size": self.size,
-                     "candidates": self.candidates,
-                     "backtracks": self.backtracks})
+        view = watch.fold.view
+        step, size, total = _position(view)
+        where = (f"{gap:.1f}s (stall budget {self.stall_budget:g}s) "
+                 f"at step {step}")
+        if worker is None:
+            tags = {}
+            extra = {"candidates": view.candidates,
+                     "backtracks": view.backtracks}
+            message = (f"no rewriting commit for {where}"
+                       + (f"/{total}" if total else "")
+                       + (f", SP_i size {size}" if size is not None
+                          else ""))
+        else:
+            tags = {"worker_id": worker}
+            extra = {**tags, "design": view.label}
+            message = (f"worker {worker} ({view.label or '?'}): no "
+                       f"progress for {where}")
+        diag = Diagnostic(code="RP011", message=message, context={
+            "seconds_since_commit": round(gap, 3),
+            "stall_budget": self.stall_budget, "step": step, "size": size,
+            **extra})
         self.stalls.append(diag)
-        self.inner.event("stall", step=self.step, size=self.size,
+        self.inner.event("stall", **tags, step=step, size=size,
                          seconds_since_commit=round(gap, 3),
                          budget=self.stall_budget)
+        self._warn(diag)
+
+    # -- terminal rendering --------------------------------------------
+
+    def _warn(self, diag):
         if self.stream is not None:
             self._clear_line()
             self.stream.write(diag.render() + "\n")
             self.stream.flush()
 
-    def _check_anomaly(self, fields):
-        for diag in self.detector.observe_step(fields):
-            self.anomalies.append(diag)
-            context = diag.context or {}
-            self.inner.event("anomaly", code=diag.code,
-                             step=context.get("step"),
-                             size=context.get("size"),
-                             baseline=context.get("baseline"),
-                             ratio=context.get("ratio"))
-            if self.stream is not None:
-                self._clear_line()
-                self.stream.write(diag.render() + "\n")
-                self.stream.flush()
-
-    # -- terminal rendering --------------------------------------------
-
     def _status_line(self, now):
-        phase = ".".join(self._phases) or "-"
-        parts = [f"[live] {phase}"]
-        total = f"/{self.total}" if self.total else ""
-        parts.append(f"step {self.step}{total}")
-        if self.size is not None:
-            parts.append(f"SP_i {self.size}")
-        if self.candidates is not None:
-            parts.append(f"cand {self.candidates}")
-        parts.append(f"bt {self.backtracks}")
-        parts.append(f"att {self.attempts}")
+        view = self.view
+        step, size, total = _position(view)
+        parts = [f"[live] {current_phase(self.inner) or '-'}",
+                 f"step {step}" + (f"/{total}" if total else "")]
+        if size is not None:
+            parts.append(f"SP_i {size}")
+        if view.candidates is not None:
+            parts.append(f"cand {view.candidates}")
+        parts += [f"bt {view.backtracks}", f"att {view.attempts}",
+                  f"{now - self._start:.1f}s"]
+        return " | ".join(parts)
+
+    def _worker_status_line(self, now):
+        parts = [f"[live workers={len(self.workers)}]"]
+        for worker, watch in sorted(self.workers.items()):
+            view = watch.fold.view
+            if watch.status is None and view.label is not None:
+                step, size, _ = _position(view)
+                label = str(view.label).rsplit("/", 1)[-1]
+                cell = f"w{worker} {label} step {step}"
+                if size is not None:
+                    cell += f" SP_i {size}"
+            else:
+                cell = f"w{worker} {watch.status or 'idle'}"
+            parts.append(cell)
         parts.append(f"{now - self._start:.1f}s")
         return " | ".join(parts)
 

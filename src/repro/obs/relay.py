@@ -39,6 +39,7 @@ that cannot happen on the happy path).
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import os
 import queue as queue_mod
@@ -193,6 +194,19 @@ class EventRelay:
                                         name="repro-obs-relay", daemon=True)
         self._thread.start()
         return self
+
+    @contextlib.contextmanager
+    def in_process(self):
+        """Queued mode without a pool: while the block runs, this
+        process's :class:`ChildRecorder` events (worker 0) stream
+        through the queue, so ``on_event``/``on_tick`` see a serial task
+        while it runs.  The queue is unbound again on exit."""
+        child_init(self.queue)
+        self.start()
+        try:
+            yield self
+        finally:
+            child_init(None)
 
     # -- receiving -----------------------------------------------------
 

@@ -86,12 +86,10 @@ def _gc_collections():
 
 def current_phase(recorder):
     """Dotted path of the innermost open span, walking recorder
-    wrappers (LiveMonitor keeps ``_phases``, Recorder ``_stack``)."""
+    wrappers down to the :class:`Recorder` that keeps the span stack."""
     seen = 0
     while recorder is not None and seen < 8:
-        stack = getattr(recorder, "_phases", None)
-        if stack is None:
-            stack = getattr(recorder, "_stack", None)
+        stack = getattr(recorder, "_stack", None)
         if stack is not None:
             # snapshot: the owning thread may mutate concurrently
             return ".".join(list(stack))

@@ -2,10 +2,11 @@
 
 The event kinds a traced verification emits (the schema pinned by
 ``tests/obs/event_schema.json``) are a data format, and this module is
-its only reader.  :func:`fold_events` walks a recorded event list once
-and fills a :class:`RunView`; ``repro report``, ``repro explain``,
-``repro obs diff`` and the run-history store's trace ingest are
-renderers of that view.  :func:`repro.obs.diff.view_from_store` and
+its only reader.  :class:`RunFold` folds it into a :class:`RunView` one
+event at a time (:func:`fold_events` over a recorded list, the live
+monitor as events are emitted); ``repro report``, ``repro explain``,
+``repro obs diff``, store ingest and ``verify --live`` render that
+view.  :func:`repro.obs.diff.view_from_store` and
 :func:`repro.obs.diff.view_from_record` build the same type from store
 rows and ``--json`` records.
 
@@ -43,9 +44,10 @@ class RunView:
     ``growth`` since the previous commit.  ``rewrite_windows`` is one
     ``(start, end)`` pair per ``rewrite_begin``, closed by its
     ``rewrite`` span or, in a truncated trace, by its last commit.
-    ``anomalies`` are the diagnostics of a default
-    :class:`~repro.obs.attribution.CommitAnomalyDetector` replayed over
-    the commits; ``anomalies_recorded`` counts the ``anomaly`` events a
+    ``candidates``/``remaining`` are the engine's candidate pool and
+    components left at the last commit.  ``anomalies`` are the
+    diagnostics of the fold's detector over the commits;
+    ``anomalies_recorded`` counts the ``anomaly`` events a
     live watchdog wrote.  ``runs``/``tasks`` count ``run_begin`` and
     batch ``task_begin`` events: a trace with tasks is a relay-merged
     batch.
@@ -57,6 +59,8 @@ class RunView:
     seconds: float | None = None
     phases: dict = field(default_factory=dict)
     commits: list = field(default_factory=list)
+    candidates: int | None = None
+    remaining: int | None = None
     attempts: int = 0
     backtracks: int = 0
     threshold_doublings: int = 0
@@ -120,20 +124,24 @@ def _merge_phase_resources(slot, event):
             slot[key] = round(slot.get(key, 0) + event[key], 1)
 
 
-def fold_events(events, label=None):
-    """Fold a recorded event list into a :class:`RunView` in one pass.
+class RunFold:
+    """The fold, one event at a time: :meth:`feed` folds an event into
+    :attr:`view` (the run so far) and returns the anomalies it newly
+    fired; :meth:`finish` closes the rewrite windows and returns the
+    view.  ``detector`` (a :class:`CommitAnomalyDetector`, or None to
+    screen nothing) screens every commit."""
 
-    A ``summary`` event's phase totals fill in phases that have no
-    ``span`` events (trimmed traces).
-    """
-    view = RunView(label=label)
-    detector = CommitAnomalyDetector()
-    prev_t = prev_size = None
-    last_attempt = {}      # comp -> (kind, compact) of its latest attempt
-    starts = []            # rewrite_begin timestamp per rewrite run
-    last_commit_t = []     # timestamp of the last commit per rewrite run
-    rewrite_spans = []
-    for event in events:
+    def __init__(self, label=None, detector=None):
+        self.view = RunView(label=label)
+        self.detector = detector
+        self._prev_t = self._prev_size = None
+        self._last_attempt = {}  # comp -> (kind, compact) of its latest attempt
+        self._windows = []       # [rewrite_begin t, last commit t] per run
+        self._rewrite_spans = []
+
+    def feed(self, event):
+        view = self.view
+        fired = []
         kind = event.get("ev")
         worker = event.get("worker_id")
         if worker is not None:
@@ -150,40 +158,45 @@ def fold_events(events, label=None):
             view.phases[path] = (view.phases.get(path, 0.0)
                                  + event.get("dur", 0.0))
             if path == "rewrite":
-                rewrite_spans.append(event)
+                self._rewrite_spans.append(event)
         elif kind == "rewrite_begin":
-            detector.reset()
-            prev_t = event.get("t")
-            prev_size = event.get("size", 0)
+            if self.detector is not None:
+                self.detector.reset()
+            self._prev_t = event.get("t")
+            self._prev_size = event.get("size", 0)
             if view.sp0 is None:
-                view.sp0 = prev_size
-            starts.append(prev_t)
-            last_commit_t.append(prev_t)
-            last_attempt = {}
+                view.sp0 = self._prev_size
+            self._windows.append([self._prev_t, self._prev_t])
+            self._last_attempt = {}
         elif kind == "attempt":
             view.attempts += 1
-            last_attempt[event.get("comp")] = (event.get("kind"),
-                                               event.get("compact"))
+            self._last_attempt[event.get("comp")] = (event.get("kind"),
+                                                     event.get("compact"))
         elif kind == "step":
-            detector.observe_step(event)
+            if self.detector is not None:
+                fired = self.detector.observe_step(event)
+                view.anomalies.extend(fired)
             size = event.get("size", 0)
             comp = event.get("comp")
-            commit = {"run": len(starts),
+            commit = {"run": len(self._windows),
                       "step": event.get("i", len(view.commits) + 1),
                       "component": comp, "kind": event.get("kind"),
                       "size": size, "threshold": event.get("threshold")}
-            if starts:
-                t = event.get("t")
-                attempt = last_attempt.get(comp, (event.get("kind"), None))
+            if self._windows:
+                t, prev_t = event.get("t"), self._prev_t
+                attempt = self._last_attempt.get(comp,
+                                                 (event.get("kind"), None))
                 commit["rule"] = rule_label(attempt[0] or event.get("kind"),
                                             attempt[1])
                 commit["seconds"] = (round(t - prev_t, 6)
                                      if None not in (t, prev_t) else 0.0)
-                commit["growth"] = max(size - (prev_size or 0), 0)
-                prev_t = t if t is not None else prev_t
-                prev_size = size
-                last_commit_t[-1] = prev_t
+                commit["growth"] = max(size - (self._prev_size or 0), 0)
+                self._prev_t = t if t is not None else prev_t
+                self._prev_size = size
+                self._windows[-1][1] = self._prev_t
             view.commits.append(commit)
+            view.candidates = event.get("candidates")
+            view.remaining = event.get("remaining")
         elif kind == "backtrack":
             view.backtracks += 1
         elif kind == "threshold":
@@ -215,11 +228,27 @@ def fold_events(events, label=None):
             view.counters = event.get("counters", {})
             for path, total in event.get("phases", {}).items():
                 view.phases.setdefault(path, total)
-    for index, start in enumerate(starts):
-        end = last_commit_t[index]
-        if index < len(rewrite_spans):
-            span = rewrite_spans[index]
-            end = max(span.get("t", start) + span.get("dur", 0.0), end)
-        view.rewrite_windows.append((start, end))
-    view.anomalies = detector.anomalies
-    return view
+        return fired
+
+    def finish(self):
+        """Close one ``(start, end)`` window per rewrite run; returns
+        the view."""
+        for index, (start, end) in enumerate(self._windows):
+            if index < len(self._rewrite_spans):
+                span = self._rewrite_spans[index]
+                end = max(span.get("t", start) + span.get("dur", 0.0), end)
+            self.view.rewrite_windows.append((start, end))
+        return self.view
+
+
+def fold_events(events, label=None):
+    """Fold a recorded event list into a :class:`RunView` in one pass,
+    replaying a default :class:`CommitAnomalyDetector` over the commits.
+
+    A ``summary`` event's phase totals fill in phases that have no
+    ``span`` events (trimmed traces).
+    """
+    fold = RunFold(label, CommitAnomalyDetector())
+    for event in events:
+        fold.feed(event)
+    return fold.finish()

@@ -154,9 +154,47 @@ class TestLiveVerifyCli:
                      str(trace)]) == 0
         from repro.obs import read_events
 
-        kinds = [event["ev"] for event in read_events(str(trace))]
-        assert "progress" in kinds
+        events = read_events(str(trace))
+        kinds = [event["ev"] for event in events]
+        steps = [event for event in events if event["ev"] == "step"]
+        assert steps and all("candidates" in event for event in steps)
         assert kinds[-1] == "summary"
+
+    def test_serial_batch_watchdog_sees_the_running_task(
+            self, tmp_path, capsys, monkeypatch):
+        """A ``--jobs 1 --live`` batch streams each task's events while
+        it runs, so a silent task is flagged before it finishes; records,
+        worker ids and event accounting are those of the serial path."""
+        import json
+        import time
+
+        from repro.obs import relay
+        from repro.service import task
+
+        run_design = task.run_design
+
+        def silent_start(source, config, *, recorder, **kwargs):
+            recorder.flush()  # task_begin reaches the monitor
+            time.sleep(0.8)   # then the task goes silent past the budget
+            return run_design(source, config, recorder=recorder, **kwargs)
+
+        monkeypatch.setattr(task, "run_design", silent_start)
+        paths = []
+        for arch in ("SP-AR-RC", "SP-WT-CL"):
+            path = tmp_path / f"{arch}.aag"
+            main(["generate", arch, "4", "-o", str(path)])
+            paths.append(str(path))
+        out = tmp_path / "batch.json"
+        assert main(["verify", *paths, "--jobs", "1", "--live",
+                     "--stall-budget", "0.2", "--json", str(out)]) == 0
+        err = capsys.readouterr().err
+        for path in paths:
+            assert f"RP011 warning: worker 0 ({path})" in err
+        payload = json.loads(out.read_text())
+        assert [r["status"] for r in payload["records"]] == ["correct"] * 2
+        assert [r["worker_id"] for r in payload["records"]] == [0, 0]
+        assert payload["event_loss"] == 0
+        assert relay._CHILD_QUEUE is None
 
 
 class TestObsCli:

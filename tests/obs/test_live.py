@@ -5,6 +5,7 @@ import io
 from repro.core import verify_multiplier
 from repro.genmul import generate_multiplier
 from repro.obs import LiveMonitor, Recorder
+from repro.obs.resources import current_phase
 
 
 class FakeClock:
@@ -40,34 +41,36 @@ class TestTee:
     def test_spans_track_the_phase_stack(self):
         monitor, _ = _monitor()
         with monitor.span("rewrite"):
-            assert monitor._phases == ["rewrite"]
-        assert monitor._phases == []
+            assert current_phase(monitor) == "rewrite"
+        assert current_phase(monitor) == ""
         assert monitor.events[-1]["ev"] == "span"
 
     def test_progress_mirrors_engine_state(self):
         monitor, _ = _monitor()
-        monitor.event("progress", step=3, size=17, candidates=4,
-                      remaining=7, backtracks=1)
-        assert monitor.step == 3
-        assert monitor.size == 17
-        assert monitor.candidates == 4
-        assert monitor.total == 10
-        assert monitor.backtracks == 1
+        monitor.event("backtrack", comp=2, growth=40, threshold=0.1)
+        monitor.event("step", i=3, comp=1, kind="FA", size=17,
+                      threshold=0.1, candidates=4, remaining=7)
+        view = monitor.view
+        assert view.commits[-1]["step"] == 3
+        assert view.commits[-1]["size"] == 17
+        assert view.candidates == 4
+        assert view.commits[-1]["step"] + view.remaining == 10
+        assert view.backtracks == 1
 
 
 class TestWatchdog:
     def test_no_stall_within_budget(self):
         monitor, clock = _monitor(stall_budget=5.0)
-        monitor.event("progress", step=1, size=4, candidates=1,
-                      remaining=1, backtracks=0)
+        monitor.event("step", i=1, comp=0, kind="FA", size=4,
+                      candidates=1, remaining=1)
         clock.advance(4.9)
         monitor.pulse()
         assert monitor.stalls == []
 
     def test_stall_flagged_as_rp011(self):
         monitor, clock = _monitor(stall_budget=5.0)
-        monitor.event("progress", step=2, size=9, candidates=3,
-                      remaining=5, backtracks=0)
+        monitor.event("step", i=2, comp=0, kind="FA", size=9,
+                      candidates=3, remaining=5)
         clock.advance(6.0)
         monitor.pulse()
         assert len(monitor.stalls) == 1
@@ -89,8 +92,8 @@ class TestWatchdog:
         monitor.pulse()  # same gap, no re-flag
         assert len(monitor.stalls) == 1
         # a commit re-arms the watchdog; the next gap is a new stall
-        monitor.event("progress", step=1, size=3, candidates=1,
-                      remaining=1, backtracks=0)
+        monitor.event("step", i=1, comp=0, kind="FA", size=3,
+                      candidates=1, remaining=1)
         clock.advance(6.0)
         monitor.pulse()
         assert len(monitor.stalls) == 2
@@ -108,8 +111,8 @@ class TestWatchdog:
         """Acceptance: a commit gap longer than the budget is flagged
         on the very next heartbeat after the budget expires."""
         monitor, clock = _monitor(stall_budget=10.0)
-        monitor.event("progress", step=5, size=100, candidates=2,
-                      remaining=3, backtracks=0)
+        monitor.event("step", i=5, comp=0, kind="FA", size=100,
+                      candidates=2, remaining=3)
         for _ in range(9):  # nine in-budget pulses: silence is fine
             clock.advance(1.0)
             monitor.pulse()
@@ -227,8 +230,8 @@ class TestRendering:
                               interactive=True)
         clock.advance(1.0)
         with monitor.span("rewrite"):
-            monitor.event("progress", step=2, size=9, candidates=3,
-                          remaining=4, backtracks=1)
+            monitor.event("step", i=2, comp=0, kind="FA", size=9,
+                          candidates=3, remaining=4)
         text = stream.getvalue()
         assert "[live] rewrite" in text
         assert "step 2/6" in text
@@ -246,8 +249,8 @@ class TestRendering:
         assert monitor.interactive is False
         clock.advance(3.0)
         with monitor.span("rewrite"):
-            monitor.event("progress", step=2, size=9, candidates=3,
-                          remaining=4, backtracks=1)
+            monitor.event("step", i=2, comp=0, kind="FA", size=9,
+                          candidates=3, remaining=4)
         monitor.finish()
         text = stream.getvalue()
         assert "\r" not in text
@@ -276,8 +279,8 @@ class TestRendering:
         monitor = LiveMonitor(Recorder(), stream=stream, refresh=0.0,
                               clock=clock)
         clock.advance(1.0)
-        monitor.event("progress", step=1, size=3, candidates=1,
-                      remaining=0, backtracks=0)
+        monitor.event("step", i=1, comp=0, kind="FA", size=3,
+                      candidates=1, remaining=0)
         monitor.event("run_end", status="correct", seconds=1.0)
         assert monitor.events[-1]["ev"] == "run_end"
 
@@ -328,20 +331,33 @@ class TestWorkerHeartbeats:
 
 
 class TestPipelineIntegration:
-    def test_monitor_threads_through_a_real_run(self):
-        """The monitor satisfies the recorder interface end to end and
-        sees the engine's progress heartbeat."""
+    def test_monitor_threads_through_a_real_run(self, monkeypatch):
+        """The monitor satisfies the recorder interface end to end,
+        folds the engine's commits, and its pulse reaches the vanishing
+        reducer."""
+        from repro.core.vanishing import VanishingRuleSet
+
+        installed = []
+        set_pulse = VanishingRuleSet.set_pulse
+
+        def spy(rules, fn, *args, **kwargs):
+            installed.append(fn)
+            return set_pulse(rules, fn, *args, **kwargs)
+
+        monkeypatch.setattr(VanishingRuleSet, "set_pulse", spy)
         aig = generate_multiplier("SP-AR-RC", 4)
         monitor = LiveMonitor(Recorder(), stall_budget=1000.0)
         result = verify_multiplier(aig, record_trace=True,
                                    recorder=monitor)
         assert result.status == "correct"
-        assert monitor.step == result.stats["steps"]
-        progress = [e for e in monitor.events if e["ev"] == "progress"]
-        assert len(progress) == result.stats["steps"]
+        assert monitor.view.commits[-1]["step"] == result.stats["steps"]
+        steps = [e for e in monitor.events if e["ev"] == "step"]
+        assert len(steps) == result.stats["steps"]
+        assert steps[-1]["remaining"] == 0
+        assert all("candidates" in e for e in steps)
         assert monitor.stalls == []
-        # the vanishing reducer's pulse hook fired during rewriting
-        assert monitor.pulses >= 0
+        # Pipeline.run wired the monitor's heartbeat into the reducer
+        assert installed == [monitor.pulse]
 
     def test_parity_under_live_monitor(self):
         aig = generate_multiplier("SP-AR-RC", 4)
@@ -351,3 +367,29 @@ class TestPipelineIntegration:
         assert plain.status == monitored.status
         assert plain.stats == monitored.stats
         assert plain.trace == monitored.trace
+
+
+class TestReplayAgreement:
+    def test_live_fold_agrees_with_the_replay(self):
+        """Fed a recorded trace event by event, the monitor's anomalies
+        and last commit are the replayed fold's."""
+        from pathlib import Path
+
+        from repro.obs import read_events
+        from repro.obs.attribution import CommitAnomalyDetector
+        from repro.obs.view import fold_events
+
+        events = read_events(
+            str(Path(__file__).with_name("fixtures") / "single.jsonl"))
+        monitor = LiveMonitor(Recorder(), stall_budget=1000.0,
+                              detector=CommitAnomalyDetector())
+        for event in events:
+            fields = {k: v for k, v in event.items() if k != "ev"}
+            monitor.event(event["ev"], **fields)
+        view = fold_events(events)
+        assert view.commits
+        assert ([d.as_dict() for d in monitor.anomalies]
+                == [d.as_dict() for d in view.anomalies])
+        last = monitor.view.commits[-1]
+        assert (last["step"], last["size"]) == (view.commits[-1]["step"],
+                                                view.commits[-1]["size"])
