@@ -223,7 +223,7 @@ def collect_schema_events():
     events = []
 
     # DyPoSub with real backtracking (SP-WT-CL): run_begin, span, step,
-    # attempt (incl. too_large), backtrack, threshold,
+    # attempt (incl. paused at its size bound), backtrack, threshold,
     # invariants_checked, run_end, summary.
     aig = benchmark_multiplier("SP-WT-CL", 8, "none")
     recorder = Recorder()
@@ -364,7 +364,11 @@ def schema_from_events(events):
 def check_schema(schema_path, update=False):
     """Compare the pipeline's event vocabulary against the golden
     snapshot; with ``update=True`` rewrite the snapshot instead."""
-    schema = schema_from_events(collect_schema_events())
+    events = collect_schema_events()
+    if not any(event["ev"] == "attempt" and event.get("paused")
+               for event in events):
+        return ["sweep: no attempt paused at its size bound"]
+    schema = schema_from_events(events)
     if update:
         with open(schema_path, "w", encoding="utf-8") as handle:
             json.dump(schema, handle, indent=2)

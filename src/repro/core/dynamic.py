@@ -4,10 +4,19 @@ At every step the eligible candidates are sorted by the number of
 occurrences of their outputs in ``SP_i`` (ascending: substituting a
 variable occurring ``k`` times by a ``k``-monomial polynomial can add
 ``k*(k-1)`` monomials, Example 6).  A substitution is accepted only when
-it grows ``SP_i`` by less than a threshold (initially 10%); otherwise
-``SP_i`` is restored from the snapshot and the next candidate is tried
-(Example 7).  When every candidate fails, the threshold doubles and the
-scan restarts — so the algorithm always terminates with a full rewrite.
+it grows ``SP_i`` by less than a threshold ``τ`` (initially 10%);
+otherwise ``SP_i`` is restored from the snapshot and the next candidate
+is tried (Example 7).  When every candidate fails, the threshold doubles
+and the scan restarts — so the algorithm always terminates with a full
+rewrite.
+
+Every attempt is bounded: it pauses once its partial size passes
+``SLACK * (1 + τ) * |SP_i|`` and counts as a rejection at that ``τ``,
+so a candidate that would blow ``SP_i`` up is never built in full just
+to be thrown away.  A paused attempt is resumed where it stopped, never
+restarted, once a doubled threshold lifts the bound to its partial
+size.  Pausing is a heuristic — a partial result can still shrink
+through cancellation — which the slack leaves room for.
 """
 
 from __future__ import annotations
@@ -15,7 +24,9 @@ from __future__ import annotations
 from repro.core.rewriting import AttemptTooLarge
 from repro.errors import BudgetExceeded, VerificationError
 
-_TOO_LARGE = object()
+# An attempt pauses once its partial size passes SLACK times the size
+# the threshold would accept.
+SLACK = 2
 
 
 def dynamic_backward_rewriting(engine, initial_threshold=0.1,
@@ -28,10 +39,10 @@ def dynamic_backward_rewriting(engine, initial_threshold=0.1,
     """
     if initial_threshold <= 0:
         raise VerificationError("threshold must be positive")
-    engine.last_threshold = initial_threshold
     while not engine.finished():
         if not engine.candidates():
             raise VerificationError("component DAG has a dependency cycle")
+        engine.last_threshold = initial_threshold
         occurrences = engine.occurrence_counts()
         # Candidates whose outputs no longer occur in SP_i substitute as
         # no-ops; retire them immediately instead of paying for attempts.
@@ -40,31 +51,40 @@ def dynamic_backward_rewriting(engine, initial_threshold=0.1,
             for idx in silent:
                 engine.commit(idx, engine.sp)
             continue
-        sorted_candidates = sorted(
-            occurrences, key=lambda idx: (occurrences[idx], idx))
-        sp_old = engine.sp
-        old_size = max(len(sp_old), 1)
-        threshold = initial_threshold
-        j = 0
-        # Substitution attempts are deterministic for a fixed SP_i, so
-        # re-scans after a threshold doubling reuse cached results
-        # instead of recomputing the substitution.
-        attempts = {}
+        order = sorted(occurrences, key=lambda idx: (occurrences[idx], idx))
+        index, new_sp, threshold = _choose(engine, order, initial_threshold,
+                                           threshold_factor)
+        engine.commit(index, new_sp, threshold=threshold)
+    return engine.remainder()
+
+
+def _choose(engine, order, threshold, threshold_factor):
+    """Algorithm 2's scan for one step: the first candidate in ``order``
+    whose substitution grows ``SP_i`` by less than the threshold,
+    doubling the threshold after every fully rejected scan.  Returns
+    ``(index, new_sp, threshold)``."""
+    old_size = max(len(engine.sp), 1)
+    # One step's attempts, kept across threshold doublings: SP_i is
+    # fixed within the step, so a finished attempt is reused and a
+    # paused one resumes where it stopped.  Attempts still paused when
+    # the step ends are closed, which records them.
+    attempts = {}
+    j = 0
+    try:
         while True:
             engine.check_time()
-            index = sorted_candidates[j]
-            cached = attempts.get(index)
-            if cached is None:
-                try:
-                    cached = engine.attempt(index)
-                except AttemptTooLarge:
-                    cached = _TOO_LARGE
-                attempts[index] = cached
-            if cached is not _TOO_LARGE:
-                growth = (len(cached) - old_size) / old_size
+            index = order[j]
+            attempt = attempts.get(index)
+            if attempt is None:
+                attempt = attempts[index] = engine.start(index)
+            try:
+                new_sp = attempt.advance(SLACK * (1 + threshold) * old_size)
+            except AttemptTooLarge:
+                new_sp = None
+            if new_sp is not None:
+                growth = (len(new_sp) - old_size) / old_size
                 if growth < threshold:
-                    engine.commit(index, cached, threshold=threshold)
-                    break
+                    return index, new_sp, threshold
                 engine.note_backtrack(index, growth=round(growth, 4),
                                       threshold=threshold)
             else:
@@ -72,23 +92,26 @@ def dynamic_backward_rewriting(engine, initial_threshold=0.1,
             # restore SP_i (immutable arenas make this free) and try
             # the next candidate; double the threshold after a full scan
             j += 1
-            if j >= len(sorted_candidates):
-                j = 0
-                threshold *= threshold_factor
-                engine.note_threshold(threshold)
-                finite = [idx for idx in sorted_candidates
-                          if attempts.get(idx) is not _TOO_LARGE]
-                if not finite:
-                    raise BudgetExceeded(
-                        "every substitution attempt exceeded the hard "
-                        "monomial cap", kind="monomials",
-                        steps_done=engine.steps, max_size=engine.max_size)
-                if (engine.monomial_budget is not None
-                        and threshold > engine.monomial_budget):
-                    # Once the threshold allows any growth up to the
-                    # budget, accept the least-occurrence viable
-                    # candidate; the commit enforces the budget itself.
-                    engine.commit(finite[0], attempts[finite[0]],
-                                  threshold=threshold)
-                    break
-    return engine.remainder()
+            if j < len(order):
+                continue
+            j = 0
+            threshold *= threshold_factor
+            engine.note_threshold(threshold)
+            if (engine.monomial_budget is not None
+                    and threshold > engine.monomial_budget):
+                # Once the threshold allows any growth up to the budget,
+                # accept the least-occurrence viable candidate, finishing
+                # it if it is paused; the commit enforces the budget.
+                for idx in order:
+                    try:
+                        return idx, attempts[idx].advance(None), threshold
+                    except AttemptTooLarge:
+                        pass
+            if all(attempt.too_large for attempt in attempts.values()):
+                raise BudgetExceeded(
+                    "every substitution attempt exceeded the hard "
+                    "monomial cap", kind="monomials",
+                    steps_done=engine.steps, max_size=engine.max_size)
+    finally:
+        for attempt in attempts.values():
+            attempt.close()

@@ -1,17 +1,21 @@
 """Tests for the rewriting engine: candidacy rule, substitution,
-compact matching, budgets, and both orders."""
+compact matching, resumable attempts, budgets, and both orders."""
+
+from types import SimpleNamespace
 
 import pytest
 
 from repro.aig.ops import cleanup
+from repro.core import dynamic, rewriting, verify_multiplier
 from repro.core.atomic import detect_atomic_blocks
 from repro.core.cones import build_components
 from repro.core.dynamic import dynamic_backward_rewriting
-from repro.core.rewriting import RewritingEngine
+from repro.core.rewriting import AttemptTooLarge, RewritingEngine
 from repro.core.spec import multiplier_specification
 from repro.core.vanishing import VanishingRuleSet
 from repro.errors import BudgetExceeded, VerificationError
 from repro.genmul import generate_multiplier
+from repro.opt.scripts import optimize
 from repro.poly import Polynomial
 
 
@@ -129,6 +133,105 @@ class TestCompactSubstitution:
         pytest.skip("no compact hit occurred")
 
 
+def check_resumed_attempts(engine, factors=(0.5, 1, 1.5, 2, 4, 8)):
+    """Attempt every candidate twice, once unbounded and once paused at
+    bounds ``factor * |SP_i|`` before it finishes; the results must
+    agree and ``SP_i`` must stay untouched.  Returns the pause count."""
+    sp = engine.sp
+    monos, coeffs = list(sp.monos), list(sp.coeffs)
+    pauses = 0
+    for index in engine.candidates():
+        try:
+            expected = engine.attempt(index)
+        except AttemptTooLarge:
+            expected = None
+        attempt = engine.start(index)
+        try:
+            for factor in factors:
+                bound = factor * len(sp)
+                result = attempt.advance(bound)
+                if result is not None:
+                    break
+                assert attempt.paused and attempt.size > bound
+                pauses += 1
+            else:
+                result = attempt.advance(None)
+        except AttemptTooLarge:
+            assert expected is None, index
+            continue
+        assert expected is not None, index
+        assert result.monos == expected.monos, index
+        assert result.coeffs == expected.coeffs, index
+        assert engine.sp is sp
+        assert sp.monos == monos and sp.coeffs == coeffs
+    return pauses
+
+
+class TestResumableAttempts:
+    @pytest.mark.parametrize("arch,width,every", [
+        ("SP-WT-CL", 8, 8),
+        ("BP-AR-RC", 4, 5),
+    ])
+    def test_resumed_attempt_equals_unbounded_attempt(self, arch, width,
+                                                      every):
+        # the hard cap keeps the blow-up candidates cheap to reject
+        engine = make_engine(arch, width, monomial_budget=20_000)
+        commit = engine.commit
+        pauses = []
+
+        def checked_commit(index, new_sp, threshold=None):
+            if engine.steps % every == 0:
+                pauses.append(check_resumed_attempts(engine))
+            commit(index, new_sp, threshold=threshold)
+
+        engine.commit = checked_commit
+        assert dynamic_backward_rewriting(engine).is_zero()
+        assert len(pauses) > 3
+        assert sum(pauses) > 0
+
+    def test_budget_fallback_finishes_paused_attempts(self, monkeypatch):
+        """With a vanishing slack every attempt pauses at once, so each
+        step ends in the monomial-budget fallback, which must finish the
+        least-occurrence candidate before committing it."""
+        monkeypatch.setattr(dynamic, "SLACK", 1e-12)
+        engine = make_engine("SP-DT-LF", blocks=False, monomial_budget=1000,
+                             record_trace=True)
+        assert dynamic_backward_rewriting(engine).is_zero()
+        thresholds = {step.threshold for step in engine.trace
+                      if step.threshold is not None}
+        assert thresholds == {0.1 * 2 ** 14}
+
+    def test_finished_attempt_is_returned_again(self):
+        engine = make_engine()
+        index = engine.candidates()[0]
+        attempt = engine.start(index)
+        first = attempt.advance(None)
+        assert attempt.advance(0) is first
+        assert not attempt.paused
+
+    def test_paused_attempt_holds_below_its_size(self):
+        engine = make_engine("SP-DT-LF", blocks=False)
+        counts = engine.occurrence_counts()
+        index = max(counts, key=lambda i: (counts[i], i))
+        attempt = engine.start(index)
+        assert attempt.advance(0) is None
+        paused_at = attempt.size
+        assert attempt.advance(paused_at - 1) is None
+        assert attempt.size == paused_at and attempt.bound == paused_at - 1
+        assert attempt.advance(None) is not None
+        attempt.close()  # no-op once finished
+        assert not attempt.paused
+
+    def test_work_guard_on_wallace_carry_lookahead(self):
+        """Rejected blow-up attempts pause instead of being built in
+        full; the commit order and the peak are unchanged."""
+        result = verify_multiplier(generate_multiplier("SP-WT-CL", 8))
+        assert result.status == "correct"
+        assert result.stats["steps"] == 137
+        assert result.stats["max_poly_size"] == 2392
+        assert result.stats["vanishing_removed"] <= 150_000
+
+
 class TestBudgets:
     def test_monomial_budget_trips(self):
         engine = make_engine("SP-DT-LF", monomial_budget=10)
@@ -141,6 +244,45 @@ class TestBudgets:
         with pytest.raises(BudgetExceeded) as info:
             dynamic_backward_rewriting(engine)
         assert info.value.kind == "time"
+
+    def test_time_budget_trips_inside_an_attempt(self, monkeypatch):
+        clock = SimpleNamespace(now=0.0)
+        monkeypatch.setattr(rewriting, "time",
+                            SimpleNamespace(monotonic=lambda: clock.now))
+        engine = make_engine("SP-DT-LF", width=8, blocks=False,
+                             time_budget=60)
+        counts = engine.occurrence_counts()
+        index = max(counts, key=lambda i: (counts[i], i))
+        clock.now = 61.0
+        with pytest.raises(BudgetExceeded) as info:
+            engine.attempt(index)
+        assert info.value.kind == "time"
+        assert engine.steps == 0
+
+    def test_timeout_reports_the_threshold_in_force(self, monkeypatch):
+        """A timeout in a step after a threshold doubling reports the
+        step's own threshold, not the doubled one of the step before."""
+        doubled_at = []
+        note_threshold = RewritingEngine.note_threshold
+
+        def spy(engine, value):
+            doubled_at.append(engine.steps)
+            note_threshold(engine, value)
+
+        def check_time(engine):
+            if doubled_at and engine.steps > doubled_at[-1]:
+                raise BudgetExceeded("time budget exhausted", kind="time",
+                                     steps_done=engine.steps,
+                                     max_size=engine.max_size)
+
+        monkeypatch.setattr(RewritingEngine, "note_threshold", spy)
+        monkeypatch.setattr(RewritingEngine, "check_time", check_time)
+        aig = optimize(generate_multiplier("SP-DT-LF", 8), "map3")
+        result = verify_multiplier(aig)
+        assert result.status == "timeout"
+        assert result.stats["threshold_doublings"] >= 1
+        assert result.stats["threshold"] == 0.1
+        assert "threshold=0.1)" in result.summary()
 
     def test_budget_error_carries_progress(self):
         engine = make_engine("SP-DT-LF", monomial_budget=10)

@@ -25,18 +25,42 @@ def traced_run():
     return result, recorder
 
 
+@pytest.fixture(scope="module")
+def paused_run():
+    """An 8x8 Wallace/carry-lookahead run, whose rejected blow-up
+    attempts pause at their size bound and are never finished."""
+    aig = generate_multiplier("SP-WT-CL", 8)
+    recorder = Recorder()
+    result = verify_multiplier(aig, record_trace=True, recorder=recorder)
+    return result, recorder
+
+
+def assert_summary_matches(result, recorder):
+    summary = fold_events(recorder.events)
+    assert summary.meta["method"] == "dyposub"
+    assert summary.status == result.status == "correct"
+    assert summary.sizes == result.sizes()
+    assert len(summary.commits) == result.stats["steps"]
+    assert summary.attempts == result.stats["attempts"]
+    assert summary.backtracks == result.stats["backtracks"]
+    assert (summary.threshold_doublings
+            == result.stats["threshold_doublings"])
+
+
 class TestSummarize:
     def test_summary_matches_result(self, traced_run):
-        result, recorder = traced_run
-        summary = fold_events(recorder.events)
-        assert summary.meta["method"] == "dyposub"
-        assert summary.status == result.status == "correct"
-        assert summary.sizes == result.sizes()
-        assert len(summary.commits) == result.stats["steps"]
-        assert summary.attempts == result.stats["attempts"]
-        assert summary.backtracks == result.stats["backtracks"]
-        assert (summary.threshold_doublings
-                == result.stats["threshold_doublings"])
+        assert_summary_matches(*traced_run)
+
+    def test_summary_matches_result_with_paused_attempts(self, paused_run):
+        assert_summary_matches(*paused_run)
+
+    def test_paused_attempts_are_recorded(self, paused_run):
+        _, recorder = paused_run
+        paused = [event for event in recorder.events
+                  if event["ev"] == "attempt" and event.get("paused")]
+        assert paused
+        for event in paused:
+            assert event["size"] > event["bound"] > 0
 
     def test_phases_cover_the_pipeline(self, traced_run):
         _, recorder = traced_run
