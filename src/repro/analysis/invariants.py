@@ -6,8 +6,8 @@ violation is always a pipeline bug, never a circuit bug:
 * :func:`check_component_coverage` (RP001) — the atomic-block + cone
   partition covers every reachable AND node exactly once;
 * :func:`check_vanishing_rules` (RP002) — the compiled pair-rule table
-  is well-formed (no rule reproduces its own trigger, the bit-level
-  index structures agree with each other);
+  is well-formed (no rule reproduces its own trigger, the reducer's
+  scan tables agree with the rule lists);
 * :class:`InvariantMonitor` — hooked into every commit of backward
   rewriting: substitution-order legality (RP003 — a component is
   substituted only after every consumer of its outputs) and ``SP_i``
@@ -27,6 +27,7 @@ import random
 
 from repro.aig.ops import reachable_vars
 from repro.errors import PipelineInvariantError
+from repro.poly.monomial import monomial_vars
 
 
 def check_component_coverage(aig, components):
@@ -77,20 +78,19 @@ def check_vanishing_rules(rules):
 
     Checks that every rule's right-hand side does not reproduce its own
     trigger pair (which would make normalization diverge), and that the
-    three bit-level index structures — per-variable lists, per-bit
-    lists, partner unions, global trigger mask — describe the same rule
-    set.
+    scan tables the reducer uses — per-bit entry lists, partner unions,
+    the rescan masks of the rules that have fired, the global trigger
+    mask — describe the per-variable rule lists (compiling the tables
+    first when no reduction has yet).
     """
+    if rules._by_low is None:
+        rules._compile()
     trigger_union = 0
     count = 0
+    unions = {}
     for var, entries in rules._by_var.items():
         bit = 1 << var
         trigger_union |= bit
-        low_entries = rules._by_low.get(bit)
-        if low_entries != entries:
-            raise PipelineInvariantError(
-                f"rule index mismatch for trigger v{var}: _by_var and "
-                "_by_low disagree", code="RP002", context={"node": var})
         partner_union = 0
         for partner_bit, pair_mask, terms in entries:
             count += 1
@@ -105,6 +105,7 @@ def check_vanishing_rules(rules):
                         f"rule on v{var} reproduces its own trigger pair "
                         "on the right-hand side", code="RP002",
                         context={"node": var})
+        unions[bit] = partner_union
         if rules._union_by_low.get(bit, 0) != partner_union:
             raise PipelineInvariantError(
                 f"partner-union index stale for trigger v{var}",
@@ -113,6 +114,33 @@ def check_vanishing_rules(rules):
         raise PipelineInvariantError(
             "global trigger mask disagrees with the per-variable rule "
             "lists", code="RP002", context={})
+    reverse = {}  # partner var -> bits of the triggers it pairs with
+    for bit, union in unions.items():
+        for partner in monomial_vars(union):
+            reverse[partner] = reverse.get(partner, 0) | bit
+    scan_terms_of = rules._scan_terms_of
+    for var, entries in rules._by_var.items():
+        if rules._by_low.get(1 << var) != entries:
+            raise PipelineInvariantError(
+                f"rule index mismatch for trigger v{var}: _by_var and "
+                "_by_low disagree", code="RP002", context={"node": var})
+        for entry in entries:
+            scan_terms = scan_terms_of.get(id(entry))
+            if scan_terms is None:
+                continue  # the rule has not fired yet
+            if [(c, e) for c, e, _rescan in scan_terms] != list(entry[2]):
+                raise PipelineInvariantError(
+                    f"scan terms stale for a rule on v{var}",
+                    code="RP002", context={"node": var})
+            for _coeff, extra, rescan in scan_terms:
+                # the triggers in the term and those with a partner in it
+                expected = extra & trigger_union
+                for partner in monomial_vars(extra):
+                    expected |= reverse.get(partner, 0)
+                if rescan != expected:
+                    raise PipelineInvariantError(
+                        f"rescan mask stale for a rule on v{var}",
+                        code="RP002", context={"node": var})
     if count != len(rules):
         raise PipelineInvariantError(
             f"rule count {len(rules)} disagrees with indexed rules "

@@ -148,9 +148,14 @@ class RewritingEngine:
         vanishing.set_ring(ring)
         self.spec = spec
         # SP_0 as sorted columns; seed the occurrence index so every
-        # kernel carries it forward by delta updates.
+        # kernel carries it forward by delta updates.  Only component
+        # outputs are ever looked up in it, so only those are counted.
+        tracked = 0
+        for comp in components:
+            for var in comp.output_vars:
+                tracked |= 1 << var
         self.sp = PolyArena.from_polynomial(
-            vanishing.apply(ring.convert_poly(spec)))
+            vanishing.apply(ring.convert_poly(spec)), tracked=tracked)
         self.sp.occurrence_index()
         self.record_certificate = record_certificate
         self.certificate_steps = [] if record_certificate else None
@@ -309,6 +314,8 @@ class RewritingEngine:
             return sp
         bit = 1 << var
         rep_items = list(replacement.terms())
+        # every touched monomial minus ``var`` is rule-normalized
+        masks = self.vanishing.product_masks(rep_items)
         cap = self.hard_cap
         timed = self._deadline is not None
         bound = attempt.bound
@@ -327,7 +334,7 @@ class RewritingEngine:
         for k, (mono, coeff) in enumerate(touched):
             if timed and not k & 63:
                 self.check_time()
-            reduce_products(out, mono ^ bit, rep_items, coeff)
+            reduce_products(out, mono ^ bit, rep_items, coeff, masks)
             size = base_len + len(out)
             if cap is not None and size > cap:
                 raise AttemptTooLarge(size)
@@ -337,7 +344,8 @@ class RewritingEngine:
         if flat:
             out = {m: c for m, c in out.items() if c}
             monos = sorted(out)
-            return PolyArena(monos, [out[m] for m in monos], ring=self.ring)
+            return PolyArena(monos, [out[m] for m in monos], ring=self.ring,
+                             tracked=sp.tracked)
         return sp.rebuild(keep_m, keep_c, out,
                           removed=[m for m, _ in touched])
 
@@ -445,12 +453,14 @@ class RewritingEngine:
                     return None
                 q_terms[mono] = quotient
         # the keep columns are already rule-normalized (SP_i invariant);
-        # only the fresh Q*F products need normalization.
+        # only the fresh Q*F products need normalization, and every Q
+        # monomial, a monomial of SP_i minus an output, is normalized.
         fresh = {}
         f_items = list(f_poly.terms())
+        masks = self.vanishing.product_masks(f_items)
         reduce_products = self.vanishing.reduce_products_into
         for q_mono, q_coeff in q_terms.items():
-            reduce_products(fresh, q_mono, f_items, q_coeff)
+            reduce_products(fresh, q_mono, f_items, q_coeff, masks)
         bit_a = 1 << var_a
         bit_b = 1 << var_b
         removed = [m | bit_a for m in part_a]

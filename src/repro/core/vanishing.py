@@ -20,23 +20,34 @@ a single pass over the monomials regardless of how many rules exist.
 Removing vanishing monomials *early* — inside cone polynomials and after
 every global substitution — is what keeps backward rewriting from
 exploding on non-trivial multipliers.
+
+The reducer skips rule scans whose outcome is already known, without
+changing which rules fire or in what order:
+
+* *product filter* — ``SP_i`` is kept rule-normalized, so the base of a
+  substitution product (a touched monomial minus the substituted
+  variable) violates no rule, and ``base | rep`` violates one iff it
+  meets the *partner mask* of ``rep`` (:meth:`VanishingRuleSet.
+  product_masks`, computed once per substitution);
+* *resumed scan* — when a rule fires at trigger bit ``a`` with
+  right-hand term ``E``, no trigger bit below ``a`` had a partner in the
+  monomial, so the next scan covers only the bits from ``a`` up, ``E``
+  and the triggers with a partner in ``E``.
 """
 
 from __future__ import annotations
 
 import logging
+from itertools import repeat
 
 from repro.errors import RuleError
-from repro.poly.monomial import monomial_from_iterable, monomial_vars
+from repro.poly.monomial import monomial_from_iterable
 from repro.poly.polynomial import Polynomial
 from repro.poly.ring import EXACT
 
 log = logging.getLogger("repro.core.vanishing")
 
 _MAX_REWRITE_DEPTH = 24
-
-# rep_items describing the single product ``base | 0`` with coefficient 1
-_ONE_PRODUCT = ((0, 1),)
 
 
 def _extra_mask(extra):
@@ -57,23 +68,25 @@ class VanishingRuleSet:
     Everything is compiled to bitmasks: whether *any* rule can fire on a
     monomial is one ``&`` against the trigger mask, and firing a rule is
     two more bitwise ops — this check runs on every monomial the
-    rewriting engine ever creates.
+    rewriting engine ever creates.  The scan tables are built once,
+    lazily, after the last rule is added (:meth:`_compile`).
     """
 
     def __init__(self, pairs=()):
         # var -> list of (partner_bit, pair_mask, terms); terms are
         # (coeff, extra_mask) pairs
         self._by_var = {}
-        # the same structures keyed by the trigger var's *bit* (1 << var)
-        # so the hot loop never needs bit_length to index them
-        self._by_low = {}
-        # trigger bit -> union of that var's partner bits, so the rule
-        # scan can skip the rule list with one & when no partner occurs
-        self._union_by_low = {}
         self._trigger_mask = 0
         self._count = 0
+        # scan tables, None until the first reduction (see _compile)
+        self._by_low = None
+        self._union_by_low = None
+        self._rescan_of = None
+        self._scan_terms_of = None
         self.removed = 0
         self.rewritten = 0
+        # monomials left unnormalized past _MAX_REWRITE_DEPTH
+        self.truncated = 0
         # optional heartbeat (repro.obs.live): called every
         # ``_pulse_every`` reduce calls so a watchdog keeps breathing
         # through one giant normalization; None costs one check per call
@@ -85,11 +98,6 @@ class VanishingRuleSet:
         self.ring = EXACT
         for carry_var, carry_neg, sum_var, sum_neg in pairs:
             self.add_ha_product_rule(carry_var, carry_neg, sum_var, sum_neg)
-
-    @property
-    def trigger_set(self):
-        """Variables that can trigger a rule (for fast monomial checks)."""
-        return frozenset(monomial_vars(self._trigger_mask))
 
     def __len__(self):
         return self._count
@@ -114,14 +122,12 @@ class VanishingRuleSet:
                 raise RuleError(
                     "rule right-hand side reproduces its trigger",
                     var_a=var_a, var_b=var_b)
-        bit_a = 1 << var_a
-        entry = (1 << var_b, pair_mask, terms)
-        self._by_var.setdefault(var_a, []).append(entry)
-        self._by_low.setdefault(bit_a, []).append(entry)
-        self._union_by_low[bit_a] = (
-            self._union_by_low.get(bit_a, 0) | (1 << var_b))
-        self._trigger_mask |= bit_a
+        self._by_var.setdefault(var_a, []).append(
+            (1 << var_b, pair_mask, terms))
+        self._trigger_mask |= 1 << var_a
         self._count += 1
+        self._by_low = self._union_by_low = None
+        self._rescan_of = self._scan_terms_of = None
 
     def add_ha_product_rule(self, carry_var, carry_neg, sum_var, sum_neg):
         """``C_true * S_true = 0`` with polarities folded into var terms."""
@@ -195,49 +201,130 @@ class VanishingRuleSet:
         self._pulse_acc = 0
 
     # ------------------------------------------------------------------
+    # Scan tables
+    # ------------------------------------------------------------------
+
+    def _compile(self):
+        """Build the scan tables from the final rule set.
+
+        * ``_by_low``: trigger bit -> that variable's rule entries (the
+          ``_by_var`` lists), so the hot loop never needs ``bit_length``
+          to index them;
+        * ``_union_by_low``: trigger bit -> union of its partner bits, so
+          a scan skips the entry list with one ``&``;
+        * ``_rescan_of``: var -> tuple of the trigger vars that have it
+          as a partner (the reverse partner index);
+        * ``_scan_terms_of``: ``id(entry)`` -> the entry's terms with
+          their rescan masks (:meth:`_scan_terms`), filled when a rule
+          first fires — most rules never do, and the masks are as wide
+          as the variable numbering.
+
+        Adding a rule drops the tables; the next reduction rebuilds them.
+        """
+        reverse = {}
+        by_low = {}
+        union_by_low = {}
+        for var, entries in self._by_var.items():
+            union = 0
+            for partner_bit, _pair_mask, _terms in entries:
+                union |= partner_bit
+                reverse.setdefault(partner_bit.bit_length() - 1,
+                                   set()).add(var)
+            bit = 1 << var
+            union_by_low[bit] = union
+            by_low[bit] = entries
+        self._scan_terms_of = {}
+        self._rescan_of = {var: tuple(sorted(triggers))
+                           for var, triggers in reverse.items()}
+        self._union_by_low = union_by_low
+        self._by_low = by_low
+
+    def _scan_terms(self, entry):
+        """``entry``'s right-hand terms as ``(coeff, extra, rescan)``,
+        built on the rule's first firing and kept for the next."""
+        self._scan_terms_of[id(entry)] = scan_terms = tuple(
+            (coeff, extra, self._rescan(extra)) for coeff, extra in entry[2])
+        return scan_terms
+
+    def _rescan(self, mono):
+        """Trigger bits a scan must revisit once ``mono``'s variables
+        enter a monomial: the triggers in ``mono`` and those with a
+        partner in it."""
+        bits = mono & self._trigger_mask
+        get = self._rescan_of.get
+        while mono:
+            low = mono & -mono
+            for var in get(low.bit_length() - 1, ()):
+                bits |= 1 << var
+            mono ^= low
+        return bits
+
+    def product_masks(self, rep_items):
+        """Filter and scan masks for the products ``base | rep_mono`` of
+        a rule-normalized ``base`` (a subset of a monomial of the
+        normalized ``SP_i``), one ``(mask, scan)`` pair per
+        ``(rep_mono, rep_coeff)`` of ``rep_items``.
+
+        ``mask`` is the union of the partners of ``rep_mono``'s
+        variables in both directions: since ``base`` violates no rule,
+        ``base | rep_mono`` violates one iff it meets ``mask``.  ``scan``
+        holds the only trigger bits whose rules can fire on it.  Pass
+        the list to :meth:`reduce_products_into`.
+
+        Returns ``None`` once a reduction has been truncated: ``SP_i``
+        may then hold an unnormalized monomial, so no base is known to
+        be clean any more.
+        """
+        if self.truncated:
+            return None
+        if self._by_low is None:
+            self._compile()
+        union_by_low = self._union_by_low
+        rescan = self._rescan
+        masks = []
+        for rep_mono, _rep_coeff in rep_items:
+            # the triggers with a partner in rep_mono; one inside
+            # rep_mono itself only matters if rep_mono violates a rule
+            # alone, which the forward partners below catch
+            scan = rescan(rep_mono)
+            mask = scan & ~rep_mono
+            own = rep_mono & self._trigger_mask
+            while own:
+                low = own & -own
+                mask |= union_by_low[low]
+                own ^= low
+            masks.append((mask, scan))
+        return masks
+
+    # ------------------------------------------------------------------
     # Application
     # ------------------------------------------------------------------
 
-    def _violated(self, mono):
-        hits = mono & self._trigger_mask
-        if not hits:
-            return None
-        by_low = self._by_low
+    def _violates(self, mono):
         union_by_low = self._union_by_low
+        hits = mono & self._trigger_mask
         while hits:
             low = hits & -hits
             if mono & union_by_low[low]:
-                for partner_bit, pair_mask, terms in by_low[low]:
-                    if mono & partner_bit:
-                        return pair_mask, terms
+                return True
             hits ^= low
-        return None
+        return False
 
     def apply(self, poly):
         """Normalize a polynomial against all rules (single pass)."""
         if not self._count or not poly:
             return poly
-        if all(self._violated(m) is None for m in poly._terms):
+        if self._by_low is None:
+            self._compile()
+        if not any(self._violates(m) for m in poly._terms):
             return poly
         out = {}
         self.reduce_products_into(out, 0, poly._terms.items(), 1)
         return Polynomial({m: c for m, c in out.items() if c}, _trusted=True,
                           ring=self.ring)
 
-    def reduce_into(self, out, mono, coeff, depth=0):
-        """Accumulate the normal form of ``coeff * mono`` into ``out``."""
-        if not (mono & self._trigger_mask):
-            total = out.get(mono, 0) + coeff
-            mod = self.ring.modulus
-            if mod is not None:
-                total %= mod
-            out[mono] = total
-            return
-        self.reduce_products_into(out, mono, _ONE_PRODUCT, coeff,
-                                  depth=depth)
-
     def reduce_products_into(self, out, base, rep_items, coeff_base,
-                             depth=0):
+                             masks=None):
         """Accumulate the normal forms of ``coeff_base * rep_coeff *
         (base | rep_mono)`` into ``out`` for every ``(rep_mono,
         rep_coeff)`` in ``rep_items``.
@@ -249,23 +336,48 @@ class VanishingRuleSet:
         creates, and profiling shows normal forms almost never recur
         (fresh products differ in some variable), so a memo would be
         pure overhead — raw per-monomial cost is everything here.
+
+        ``masks`` is :meth:`product_masks` of ``rep_items``, valid only
+        for a rule-normalized ``base``: a product that meets no partner
+        is accumulated without a scan.  Without masks every product
+        carrying a trigger bit is scanned.  Either way the same rules
+        fire in the same order and ``out`` ends equal: products reduced
+        through the stack drop a key whose sum cancels, products with no
+        trigger bit keep it (so both count toward the attempt size the
+        same way).
         """
+        if self._by_low is None:
+            self._compile()
         trigger = self._trigger_mask
         by_low = self._by_low
         union_by_low = self._union_by_low
+        scan_terms_of = self._scan_terms_of
         out_get = out.get
         mod = self.ring.modulus
         removed = 0
         rewritten = 0
+        truncated = 0
         stack = []
         push = stack.append
         neg_one = None if mod is None else mod - 1
         if mod is not None:
             coeff_base %= mod  # the ±1 folds below need it canonical
-        for rep_mono, rep_coeff in rep_items:
+        if masks is None:
+            masks = repeat((trigger, trigger))
+        for (rep_mono, rep_coeff), (mask, scan) in zip(rep_items, masks):
             mono = base | rep_mono
-            if mono & trigger:
-                push((mono, coeff_base * rep_coeff, depth))
+            if mono & mask:
+                push((mono, coeff_base * rep_coeff, 0, scan))
+            elif mono & trigger:
+                # clean, though it carries a trigger bit: accumulate as
+                # the stack does, dropping a key that cancels
+                value = out_get(mono, 0) + coeff_base * rep_coeff
+                if mod is not None and (value >= mod or value < 0):
+                    value %= mod
+                if value:
+                    out[mono] = value
+                else:
+                    out.pop(mono, None)
             elif mod is None:
                 out[mono] = out_get(mono, 0) + coeff_base * rep_coeff
             elif rep_coeff == 1:
@@ -282,25 +394,26 @@ class VanishingRuleSet:
                 out[mono] = (out_get(mono, 0)
                              + coeff_base * rep_coeff) % mod
         while stack:
-            mono, coeff, depth = stack.pop()
-            truncated = depth > _MAX_REWRITE_DEPTH
+            mono, coeff, depth, scan = stack.pop()
             while True:
-                # first violated rule, scanning trigger bits low-to-high
-                # (same order as rule compilation relies on)
+                # first violated rule, visiting the trigger bits of
+                # ``scan`` low-to-high (same order as rule compilation
+                # relies on); the bits outside ``scan`` are known to
+                # have no partner in ``mono``
                 rule = None
-                if not truncated:
-                    hits = mono & trigger
-                    while hits:
-                        low = hits & -hits
-                        if mono & union_by_low[low]:
-                            for entry in by_low[low]:
-                                if mono & entry[0]:
-                                    rule = entry
-                                    break
-                            if rule is not None:
+                hits = mono & scan
+                while hits:
+                    low = hits & -hits
+                    if mono & union_by_low[low]:
+                        # the union guarantees one entry matches
+                        for rule in by_low[low]:
+                            if mono & rule[0]:
                                 break
-                        hits ^= low
-                if rule is None:
+                        break
+                    hits ^= low
+                if rule is None or depth > _MAX_REWRITE_DEPTH:
+                    if rule is not None:
+                        truncated += 1
                     value = out_get(mono, 0) + coeff
                     if mod is not None and (value >= mod or value < 0):
                         value %= mod
@@ -309,24 +422,32 @@ class VanishingRuleSet:
                     else:
                         out.pop(mono, None)
                     break
-                pair_mask = rule[1]
-                terms = rule[2]
+                terms = scan_terms_of.get(id(rule))
+                if terms is None:
+                    terms = self._scan_terms(rule)
                 if not terms:
                     removed += 1
                     break
                 rewritten += 1
+                rest = mono & ~rule[1]
+                # the bits below ``low`` had no partner in ``mono``, so
+                # only a right-hand term can give them one
+                scan &= -low
                 if len(terms) == 1 and terms[0][0] == 1:
                     # shrinking chain: iterate in place (depth unchanged,
                     # matching the classic single-rewrite semantics)
-                    mono = (mono & ~pair_mask) | terms[0][1]
+                    _one, extra, rescan = terms[0]
+                    mono = rest | extra
+                    scan |= rescan
                     continue
-                base = mono & ~pair_mask
-                next_depth = depth + 1
-                for term_coeff, extra in terms:
-                    push((base | extra, coeff * term_coeff, next_depth))
+                depth += 1
+                for term_coeff, extra, rescan in terms:
+                    push((rest | extra, coeff * term_coeff, depth,
+                          scan | rescan))
                 break
         self.removed += removed
         self.rewritten += rewritten
+        self.truncated += truncated
         if self._pulse is not None:
             self._pulse_acc += 1
             if self._pulse_acc >= self._pulse_every:
@@ -336,7 +457,8 @@ class VanishingRuleSet:
     def stats(self):
         return {"rules": self._count,
                 "removed": self.removed,
-                "rewritten": self.rewritten}
+                "rewritten": self.rewritten,
+                "truncated": self.truncated}
 
     @property
     def total_removed(self):

@@ -34,6 +34,11 @@ end-to-end — and attempts that exceed the growth threshold pay for an
 index that is then thrown away.  Above the churn threshold the kernel
 therefore drops the index and the engine resolves it once per *commit*
 from the old/new key sets (:meth:`PolyArena.inherit_occurrences`).
+Either way only the variables of the arena's ``tracked`` mask are
+decoded: the engine passes the union of the component outputs — the
+only variables it ever looks up — so the primary-input bits that make
+up most of a late monomial are never visited, and every derived arena
+inherits the mask.  Without a mask every variable is counted.
 
 An arena is a pair of parallel columns (``monos`` strictly ascending,
 ``coeffs`` canonical non-zero coefficients in ``ring``) plus a lazily
@@ -56,10 +61,10 @@ from repro.poly.polynomial import Polynomial
 from repro.poly.ring import EXACT
 
 
-def _occ_delta(occ, removed, cancelled, added):
+def _occ_delta(occ, removed, cancelled, added, tracked=-1):
     """New occurrence index from ``occ`` after the monomials in
     ``removed``/``cancelled`` left the polynomial and those in ``added``
-    entered it.
+    entered it, counting only the variables in the ``tracked`` mask.
 
     The accounting is multiset-exact even when the same monomial value
     appears on both sides (a replacement product recreating a removed
@@ -68,6 +73,7 @@ def _occ_delta(occ, removed, cancelled, added):
     counts = dict(occ)
     for group in (removed, cancelled):
         for mono in group:
+            mono &= tracked
             while mono:
                 low = mono & -mono
                 var = low.bit_length() - 1
@@ -79,6 +85,7 @@ def _occ_delta(occ, removed, cancelled, added):
                 mono ^= low
     get = counts.get
     for mono in added:
+        mono &= tracked
         while mono:
             low = mono & -mono
             var = low.bit_length() - 1
@@ -147,28 +154,32 @@ class PolyArena:
     holds the matching non-zero canonical coefficients, ``occ`` is the
     lazily built variable->occurrence-count column (``None`` until
     requested, carried through a low-churn :meth:`rebuild`, or resolved
-    by :meth:`inherit_occurrences` at commit time).  The raw constructor
-    trusts its arguments.
+    by :meth:`inherit_occurrences` at commit time).  ``tracked`` is the
+    bitmask of the variables ``occ`` counts (``-1``, the default, counts
+    every variable); arenas derived by the kernels inherit it.  The raw
+    constructor trusts its arguments.
     """
 
-    __slots__ = ("monos", "coeffs", "ring", "occ")
+    __slots__ = ("monos", "coeffs", "ring", "occ", "tracked")
 
-    def __init__(self, monos, coeffs, ring=None, occ=None):
+    def __init__(self, monos, coeffs, ring=None, occ=None, tracked=-1):
         self.monos = monos
         self.coeffs = coeffs
         self.ring = EXACT if ring is None else ring
         self.occ = occ
+        self.tracked = tracked
 
     # ------------------------------------------------------------------
     # Converters (Polynomial is the value type everywhere else)
     # ------------------------------------------------------------------
 
     @classmethod
-    def from_polynomial(cls, poly):
+    def from_polynomial(cls, poly, tracked=-1):
         """The sorted columns of ``poly`` (one sort)."""
         terms = poly._terms
         monos = sorted(terms)
-        return cls(monos, [terms[m] for m in monos], ring=poly.ring)
+        return cls(monos, [terms[m] for m in monos], ring=poly.ring,
+                   tracked=tracked)
 
     def to_polynomial(self):
         return Polynomial(dict(zip(self.monos, self.coeffs)), _trusted=True,
@@ -182,13 +193,16 @@ class PolyArena:
     # ------------------------------------------------------------------
 
     def occurrence_index(self):
-        """Variable -> number of monomials containing it (cached; the
-        returned dict is the live cache — callers must not mutate it)."""
+        """Tracked variable -> number of monomials containing it (cached;
+        the returned dict is the live cache — callers must not mutate
+        it)."""
         occ = self.occ
         if occ is None:
             occ = {}
             get = occ.get
+            tracked = self.tracked
             for mono in self.monos:
+                mono &= tracked
                 while mono:
                     low = mono & -mono
                     var = low.bit_length() - 1
@@ -214,7 +228,7 @@ class PolyArena:
         old = set(previous.monos)
         new = set(self.monos)
         self.occ = _occ_delta(previous.occurrence_index(), old - new, (),
-                              new - old)
+                              new - old, self.tracked)
 
     # ------------------------------------------------------------------
     # Partition kernels
@@ -227,8 +241,8 @@ class PolyArena:
         list of ``(monomial, coefficient)`` pairs and the keep columns
         stay sorted.  Monomials below ``2**var`` cannot contain the
         variable, so the prefix is slice-copied and only the tail is
-        walked; with an occurrence column the walk stops after the last
-        hit and bulk-copies the rest.
+        walked; with an occurrence column that tracks ``var`` the walk
+        stops after the last hit and bulk-copies the rest.
         """
         bit = 1 << var
         monos = self.monos
@@ -241,7 +255,9 @@ class PolyArena:
         keep_c = coeffs[:start]
         touched = []
         occ = self.occ
-        remaining = occ.get(var, 0) if occ is not None else None
+        remaining = (occ.get(var, 0)
+                     if occ is not None and self.tracked >> var & 1
+                     else None)
         if remaining == 0:
             return monos, coeffs, []
         i = start
@@ -283,8 +299,10 @@ class PolyArena:
         part_a = {}
         part_b = {}
         occ = self.occ
+        tracked = self.tracked
         remaining = (occ.get(var_a, 0) + occ.get(var_b, 0)
-                     if occ is not None else None)
+                     if occ is not None and tracked >> var_a & 1
+                     and tracked >> var_b & 1 else None)
         if remaining == 0:
             return monos, coeffs, part_a, part_b
         i = start
@@ -349,7 +367,7 @@ class PolyArena:
                     del terms[mono]
             monos = sorted(terms)
             return PolyArena(monos, [terms[m] for m in monos],
-                             ring=self.ring)
+                             ring=self.ring, tracked=self.tracked)
         monos, coeffs, added, cancelled = merge_sorted_columns(
             keep_m, keep_c, fresh, mod)
         occ = self.occ
@@ -358,5 +376,6 @@ class PolyArena:
             if churn * 4 <= len(monos):
                 return PolyArena(monos, coeffs, ring=self.ring,
                                  occ=_occ_delta(occ, removed, cancelled,
-                                                added))
-        return PolyArena(monos, coeffs, ring=self.ring)
+                                                added, self.tracked),
+                                 tracked=self.tracked)
+        return PolyArena(monos, coeffs, ring=self.ring, tracked=self.tracked)

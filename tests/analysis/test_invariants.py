@@ -99,6 +99,23 @@ class TestVanishingRuleTable:
         with pytest.raises(PipelineInvariantError):
             check_vanishing_rules(rules)
 
+    def test_stale_rescan_mask_detected(self):
+        _aig, _spec, _blocks, _components, rules = _pipeline()
+        if not len(rules):
+            pytest.skip("no rules for this design")
+        check_vanishing_rules(rules)  # compiles the scan tables
+        entry = next(entry for entries in rules._by_low.values()
+                     for entry in entries if entry[2])
+        scan_terms = rules._scan_terms(entry)
+        check_vanishing_rules(rules)
+        coeff, extra, rescan = scan_terms[0]
+        low_trigger = rules._trigger_mask & -rules._trigger_mask
+        rules._scan_terms_of[id(entry)] = (
+            (coeff, extra, rescan ^ low_trigger),) + scan_terms[1:]
+        with pytest.raises(PipelineInvariantError) as excinfo:
+            check_vanishing_rules(rules)
+        assert excinfo.value.code == "RP002"
+
     def test_add_rule_rejects_bad_rules_upfront(self):
         from repro.core.vanishing import VanishingRuleSet
         from repro.errors import RuleError

@@ -232,6 +232,57 @@ class TestResumableAttempts:
         assert result.stats["vanishing_removed"] <= 150_000
 
 
+def check_masked_attempts(engine):
+    """Attempt every candidate with the kernel's product masks and
+    without them; the arenas and the rule counters must agree.  Returns
+    the number of candidates compared."""
+    vanishing = engine.vanishing
+    for index in engine.candidates():
+        outcomes = []
+        for masked in (True, False):
+            if not masked:
+                vanishing.product_masks = lambda rep_items: None
+            removed, rewritten = vanishing.removed, vanishing.rewritten
+            try:
+                result = engine.attempt(index)
+                arena = (result.monos, result.coeffs)
+            except AttemptTooLarge:
+                arena = None
+            finally:
+                vars(vanishing).pop("product_masks", None)
+            outcomes.append((arena, vanishing.removed - removed,
+                             vanishing.rewritten - rewritten))
+        assert outcomes[0] == outcomes[1], index
+    return len(engine.candidates())
+
+
+class TestMaskedReduction:
+    @pytest.mark.parametrize("arch,width,every", [
+        ("SP-WT-CL", 8, 8),
+        ("BP-AR-RC", 4, 5),
+    ])
+    def test_masked_attempt_equals_unmasked_attempt(self, arch, width,
+                                                    every):
+        engine = make_engine(arch, width, monomial_budget=20_000)
+        commit = engine.commit
+        compared = []
+
+        def checked_commit(index, new_sp, threshold=None):
+            if engine.steps % every == 0:
+                compared.append(check_masked_attempts(engine))
+            commit(index, new_sp, threshold=threshold)
+
+        engine.commit = checked_commit
+        assert dynamic_backward_rewriting(engine).is_zero()
+        assert len(compared) > 3 and sum(compared) > 20
+        assert engine.vanishing.truncated == 0
+
+    def test_rule_work_on_wallace_carry_lookahead_is_unchanged(self):
+        result = verify_multiplier(generate_multiplier("SP-WT-CL", 8))
+        assert result.stats["steps"] == 137
+        assert result.stats["vanishing_removed"] == 75_800
+
+
 class TestBudgets:
     def test_monomial_budget_trips(self):
         engine = make_engine("SP-DT-LF", monomial_budget=10)

@@ -143,7 +143,29 @@ class TestRuleSetMechanics:
         rules = VanishingRuleSet([(VC, False, VS, False)])
         rules.apply(Polynomial.from_terms([(1, (VC, VS))]))
         stats = rules.stats()
-        assert stats == {"rules": 1, "removed": 1, "rewritten": 0}
+        assert stats == {"rules": 1, "removed": 1, "rewritten": 0,
+                         "truncated": 0}
+
+
+class TestDepthTruncation:
+    def test_truncation_is_counted_and_stops_the_masks(self):
+        """A chain of 26 two-term rules ``x_i*y_i = x_{i+1}*y_{i+1} + w``
+        recurses one level per rewrite; past the depth limit the 26th
+        pair is left unnormalized, counted, and the product masks (which
+        assume a normalized ``SP_i``) are no longer handed out."""
+        links = 26
+        w = 2 * links + 2
+        rules = VanishingRuleSet()
+        for i in range(links):
+            rules.add_rule(2 * i, 2 * i + 1,
+                           [(1, (2 * i + 2, 2 * i + 3)), (1, (w,))])
+        items = [(0b11, 1)]
+        assert rules.product_masks(items) is not None
+        out = rules.apply(Polynomial.from_terms([(1, (0, 1))]))
+        assert dict(out.terms()) == {(1 << 50) | (1 << 51): 1, 1 << w: 25}
+        assert rules.stats() == {"rules": links, "removed": 0,
+                                 "rewritten": 25, "truncated": 1}
+        assert rules.product_masks(items) is None
 
 
 class TestRulesFromBlocks:

@@ -20,12 +20,13 @@ from tests.poly.frozenset_oracle import OracleRuleSet, fs_to_mask, mask_to_fs
 
 
 def oracle_reduce_products_into(self, out, base, rep_items, coeff_base,
-                                depth=0):
+                                masks=None):
     """Drop-in replacement computing every normal form via frozensets.
 
     Mirrors the kernel's bookkeeping exactly: untriggered products keep
     zero entries (they count toward the attempt-size cap), reduced terms
-    pop on cancellation.
+    pop on cancellation.  The kernel's scan-skipping ``masks`` are
+    ignored: the oracle scans every product.
     """
     oracle = getattr(self, "_oracle", None)
     if oracle is None or getattr(self, "_oracle_count", -1) != self._count:
@@ -40,7 +41,7 @@ def oracle_reduce_products_into(self, out, base, rep_items, coeff_base,
             out[mono] = out.get(mono, 0) + coeff
             continue
         local = {}
-        oracle.reduce(mask_to_fs(mono), 1, local, depth)
+        oracle.reduce(mask_to_fs(mono), 1, local)
         for mono_fs, factor in local.items():
             mask = fs_to_mask(mono_fs)
             value = out.get(mask, 0) + coeff * factor

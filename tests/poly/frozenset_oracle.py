@@ -116,6 +116,9 @@ class OracleRuleSet:
     """
 
     def __init__(self, rules):
+        # rule firings, counted like the kernel's ``removed``/``rewritten``
+        self.removed = 0
+        self.rewritten = 0
         self.by_var = {}
         for var, entries in rules._by_var.items():
             self.by_var[var] = [
@@ -141,7 +144,9 @@ class OracleRuleSet:
             var, partner, terms = rule
             base = mono - {var, partner}
             if not terms:
+                self.removed += 1
                 return
+            self.rewritten += 1
             if len(terms) == 1 and terms[0][0] == 1:
                 mono = base | terms[0][1]
                 continue

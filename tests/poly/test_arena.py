@@ -221,6 +221,40 @@ def test_inherit_occurrences(pairs, ring):
 
 
 @pytest.mark.parametrize("ring", RINGS)
+def test_tracked_occurrences(pairs, ring):
+    """An arena built with a ``tracked`` mask counts only those
+    variables, the kernels hand the mask on, and partitioning on an
+    untracked variable still finds every monomial containing it."""
+    rng = random.Random(53)
+    for arena, oracle in _ring_pairs(pairs, ring):
+        tracked = 0
+        for var in rng.sample(range(N_VARS), 5):
+            tracked |= 1 << var
+
+        def counted(monos):
+            return {var: count
+                    for var, count in decoded_occurrences(monos).items()
+                    if tracked >> var & 1}
+
+        base = PolyArena(arena.monos, arena.coeffs, ring=ring,
+                         tracked=tracked)
+        assert base.occurrence_index() == counted(base.monos)
+        var = rng.randrange(N_VARS)
+        rep, orep = build_pair(random_terms(rng, max_terms=3, max_degree=2),
+                               ring)
+        result = _substitute(base, var, rep, ring)
+        assert dict(zip(result.monos, result.coeffs)) == oracle_terms(
+            oracle.substitute_many({var: orep}), ring), f"substitute v{var}"
+        assert result.tracked == tracked
+        if result.occ is not None:
+            assert result.occ == counted(result.monos)
+        fresh = PolyArena(result.monos, result.coeffs, ring=ring,
+                          tracked=tracked)
+        fresh.inherit_occurrences(base)
+        assert fresh.occ == counted(fresh.monos)
+
+
+@pytest.mark.parametrize("ring", RINGS)
 def test_substitute_untouched_returns_self(pairs, ring):
     """Partitioning on an absent variable must hand back the columns
     themselves: the engine returns ``SP_i`` unchanged on identity, so a

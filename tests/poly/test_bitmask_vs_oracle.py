@@ -14,6 +14,7 @@ import pytest
 
 from repro.core.vanishing import VanishingRuleSet
 from repro.poly import Polynomial, PolyArena
+from repro.poly.ring import EXACT, ModularRing
 from tests.poly.frozenset_oracle import (
     OraclePoly,
     OracleRuleSet,
@@ -174,3 +175,113 @@ def test_vanishing_reduce_into_matches_oracle_products():
                 want[mask] = want.get(mask, 0) + coeff * rep_coeff * factor
         want = {m: c for m, c in want.items() if c}
         assert got == want
+
+
+def layered_rules(rng, n_vars):
+    """Random rules with multi-term and chaining right-hand sides.
+
+    Every term holds only variables below the larger variable of its
+    pair, so a rewrite trades that variable for smaller ones and every
+    reduction ends; the terms still recreate other rules' pairs (a
+    chain).  Triggers sit above or below their partner, and deletions,
+    shrinking single terms and multi-term sums are mixed.
+    """
+    rules = VanishingRuleSet()
+    for _ in range(rng.randrange(3, 11)):
+        pair = rng.sample(range(1, n_vars), 2)
+        below = range(max(pair))
+
+        def term_vars():
+            return frozenset(rng.sample(below, rng.randrange(
+                min(3, len(below)) + 1)))
+
+        kind = rng.randrange(3)
+        if kind == 0:
+            terms = []
+        elif kind == 1:
+            terms = [(1, term_vars())]
+        else:
+            terms = [(rng.choice([-1, 1, 2]), term_vars())
+                     for _ in range(rng.randrange(2, 4))]
+        rules.add_rule(pair[0], pair[1], terms)
+    return rules
+
+
+def oracle_products_into(oracle_rules, trigger, out, base, rep_items,
+                         coeff_base, mod):
+    """The kernel's bookkeeping over oracle normal forms: products with
+    no trigger bit accumulate first and keep a zero sum, the reduced
+    ones follow and drop a key whose sum cancels."""
+    def fold(value):
+        return value if mod is None else value % mod
+
+    reduced = []
+    for rep_mono, rep_coeff in rep_items:
+        mono = base | rep_mono
+        if mono & trigger:
+            reduced.append((mono, coeff_base * rep_coeff))
+        else:
+            out[mono] = fold(out.get(mono, 0) + coeff_base * rep_coeff)
+    for mono, coeff in reduced:
+        local = {}
+        oracle_rules.reduce(mask_to_fs(mono), 1, local)
+        for mono_fs, factor in local.items():
+            key = fs_to_mask(mono_fs)
+            value = fold(out.get(key, 0) + coeff * factor)
+            if value:
+                out[key] = value
+            else:
+                out.pop(key, None)
+
+
+@pytest.mark.parametrize("modulus", [None, 10007])
+def test_vanishing_masked_products_match_unmasked_and_oracle(modulus):
+    """The engine's masked entry point (rule-normalized bases plus
+    ``product_masks``) leaves ``out`` — zero entries included — and the
+    rule counters exactly as the unmasked call and the oracle do, call
+    after call into one accumulator."""
+    ring = EXACT if modulus is None else ModularRing(modulus)
+    rng = random.Random(20261017)
+    n_vars = 12
+    clean_with_trigger = 0
+    for _ in range(300):
+        rules = layered_rules(rng, n_vars)
+        rules.set_ring(ring)
+        oracle_rules = OracleRuleSet(rules)
+        trigger = rules._trigger_mask
+        _kernel, oracle_poly = random_poly(rng, max_terms=8, max_degree=6,
+                                           n_vars=n_vars)
+        bases = [fs_to_mask(mono)
+                 for mono in oracle_rules.apply(oracle_poly).terms
+                 if oracle_rules.violated(mono) is None]
+        kernel_rep, _oracle_rep = random_poly(rng, max_terms=5,
+                                              max_degree=4, n_vars=n_vars)
+        rep_items = [(mono, coeff if modulus is None else coeff % modulus)
+                     for mono, coeff in kernel_rep.terms()]
+        masks = rules.product_masks(rep_items)
+        masked, unmasked, want = {}, {}, {}
+        for mono in bases:
+            base = mono & ~(1 << rng.randrange(n_vars))
+            coeff = rng.choice([-2, -1, 1, 2, 3])
+            for rep_mono, _rep_coeff in rep_items:
+                product = base | rep_mono
+                if (product & trigger and oracle_rules.violated(
+                        mask_to_fs(product)) is None):
+                    clean_with_trigger += 1
+            start = (rules.removed, rules.rewritten)
+            rules.reduce_products_into(masked, base, rep_items, coeff, masks)
+            middle = (rules.removed, rules.rewritten)
+            rules.reduce_products_into(unmasked, base, rep_items, coeff)
+            end = (rules.removed, rules.rewritten)
+            oracle_start = (oracle_rules.removed, oracle_rules.rewritten)
+            oracle_products_into(oracle_rules, trigger, want, base,
+                                 rep_items, coeff, modulus)
+            oracle_delta = (oracle_rules.removed - oracle_start[0],
+                            oracle_rules.rewritten - oracle_start[1])
+            assert masked == unmasked == want
+            assert (middle[0] - start[0], middle[1] - start[1]) == \
+                (end[0] - middle[0], end[1] - middle[1]) == oracle_delta
+        assert rules.truncated == 0
+    # the filter's interesting case: a clean product that carries a
+    # trigger bit (the unmasked call scans it, the masked one does not)
+    assert clean_with_trigger > 100
