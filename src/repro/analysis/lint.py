@@ -28,6 +28,7 @@ import random
 
 from repro.aig.aig import lit_var
 from repro.analysis.diagnostics import DiagnosticReport
+from repro.core.spec import MULTIPLIER
 
 
 # ----------------------------------------------------------------------
@@ -198,10 +199,14 @@ def _is_word_bit(name, prefix):
             and name[len(prefix):].isdigit())
 
 
-def check_multiplier_interface(aig, width_a=None, report=None):
+def check_multiplier_interface(aig, width_a=None, report=None,
+                               spec=MULTIPLIER):
     """Port-width / ordering sanity for an AIG claimed to be a
-    multiplier.  Returns ``(report, width_a, width_b)`` with the widths
-    ``None`` when no consistent interface could be established."""
+    multiplier — or whatever ``spec`` (a
+    :class:`~repro.core.spec.Specification`, default the multiplier)
+    claims, which sets the outputs the design must expose.  Returns
+    ``(report, width_a, width_b)`` with the widths ``None`` when no
+    consistent interface could be established."""
     if report is None:
         report = DiagnosticReport(subject=aig.name or "aig")
     if aig.num_inputs == 0:
@@ -227,11 +232,10 @@ def check_multiplier_interface(aig, width_a=None, report=None):
             report.add("RA031", "input ports are named a*/b* but not "
                                 "declared operand-A-first, LSB-first",
                        expected=expected[:4])
-    if aig.num_outputs < wa + wb:
-        report.add("RA030", f"a {wa}x{wb} multiplier must expose all "
-                            f"{wa + wb} product bits; design has "
-                            f"{aig.num_outputs} outputs",
-                   outputs=aig.num_outputs, width_a=wa, width_b=wb)
+    message = spec.missing_outputs(aig.num_outputs, wa, wb)
+    if message is not None:
+        report.add("RA030", message, outputs=aig.num_outputs, width_a=wa,
+                   width_b=wb)
         return report, None, None
     return report, wa, wb
 
@@ -311,13 +315,14 @@ def _signed(value, width):
 # Entry points
 # ----------------------------------------------------------------------
 
-def preflight(aig, width_a=None, recorder=None):
+def preflight(aig, width_a=None, recorder=None, spec=MULTIPLIER):
     """The structural + interface tiers only — the cheap (O(nodes))
-    gate run before verification.  Returns the report; findings are
-    streamed to ``recorder`` (when enabled) as ``diagnostic`` events."""
+    gate run before verification; ``spec`` as for
+    :func:`check_multiplier_interface`.  Returns the report; findings
+    are streamed to ``recorder`` (when enabled) as ``diagnostic``
+    events."""
     report = lint_aig(aig)
-    iface_report, _wa, _wb = check_multiplier_interface(aig, width_a,
-                                                       report=report)
+    check_multiplier_interface(aig, width_a, report=report, spec=spec)
     _record(recorder, report)
     return report
 

@@ -17,11 +17,9 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
                             "node_tail_polynomial"),
     "repro.core.result": ("VerificationResult", "Trace", "TraceStep"),
     "repro.core.rewriting": ("RewritingEngine",),
-    "repro.core.spec": ("multiplier_specification", "adder_specification",
+    "repro.core.spec": ("multiplier_specification",
                         "operand_word_polynomial", "output_word_polynomial"),
     "repro.core.vanishing": ("VanishingRuleSet", "rules_from_blocks"),
     "repro.core.verifier": ("verify_multiplier",),
     "repro.core.pipeline": ("Pipeline", "VerifyConfig"),
-    "repro.core.wordlevel": ("reduce_specification", "verify_adder",
-                             "is_boolean_valued"),
 })

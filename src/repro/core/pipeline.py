@@ -4,7 +4,8 @@ The historical ``verify_multiplier`` monolith threaded seventeen keyword
 arguments through one 200-line function.  This module splits it into
 
 * :class:`VerifyConfig` — a frozen, validated, picklable description of
-  *what* to verify (method, ring, budgets, ablation switches).  Invalid
+  *what* to verify (specification, method, ring, budgets, ablation
+  switches).  Invalid
   configurations raise :class:`~repro.errors.ConfigError` at
   construction time, before any pipeline work;
 * :class:`Pipeline` — the *how*: named stages ``preflight → spec →
@@ -47,11 +48,11 @@ import time
 from repro.aig.ops import cleanup
 from repro.core.atomic import detect_atomic_blocks
 from repro.core.cones import build_components
-from repro.core.counterexample import counterexample_for
+from repro.core.counterexample import counterexample_for, reduce_mod
 from repro.core.dynamic import dynamic_backward_rewriting
 from repro.core.result import Trace, VerificationResult
 from repro.core.rewriting import RewritingEngine
-from repro.core.spec import multiplier_specification
+from repro.core.spec import SPECIFICATIONS
 from repro.core.vanishing import VanishingRuleSet, rules_from_blocks
 from repro.errors import (BudgetExceeded, ConfigError, DesignLintError,
                           VerificationError)
@@ -94,6 +95,12 @@ class VerifyConfig:
     escalation may try before falling back to one exact-ring run;
     ``prime_schedule`` overrides the built-in schedule entirely (a test
     hook — small primes make escalation reachable on small designs).
+
+    ``spec`` names the claimed function (:data:`~repro.core.spec.
+    SPECIFICATIONS`): ``"multiplier"`` (the paper's use case) or
+    ``"adder"``, ``(A + B) mod 2**W`` over the design's ``W`` outputs.
+    An adder is decided by the divisibility of its exact remainder, so
+    it runs in the exact ring only.
     """
 
     width_a: int | None = None
@@ -121,13 +128,24 @@ class VerifyConfig:
     ring: object = "exact"
     primes: int = 4
     prime_schedule: tuple = ()
+    spec: str = "multiplier"
 
     def __post_init__(self):
         if self.method not in _METHODS:
             raise ConfigError(
                 f"unknown method {self.method!r} (know 'dyposub', "
                 f"'static')", method=repr(self.method))
-        get_ring(self.ring)  # raises ConfigError on an unknown ring
+        ring = get_ring(self.ring)  # raises ConfigError on an unknown ring
+        if self.spec not in SPECIFICATIONS:
+            raise ConfigError(
+                f"unknown spec {self.spec!r} (know "
+                f"{', '.join(map(repr, SPECIFICATIONS))})",
+                spec=repr(self.spec))
+        if SPECIFICATIONS[self.spec].wraps and ring.modulus is not None:
+            # a remainder non-zero mod p may still be a multiple of 2**W
+            raise ConfigError(
+                f"spec {self.spec!r} needs the exact ring, got "
+                f"{self.ring!r}", spec=self.spec, ring=repr(self.ring))
         if not isinstance(self.primes, int) or isinstance(self.primes, bool) \
                 or self.primes < 1:
             raise ConfigError(
@@ -195,12 +213,14 @@ class Pipeline:
     # Stages
     # ------------------------------------------------------------------
 
-    def stage_preflight(self, aig, width_a, rec):
-        """O(nodes) structural + interface lint before polynomial work."""
+    def stage_preflight(self, aig, width_a, rec, spec):
+        """O(nodes) structural + interface lint before polynomial work;
+        ``spec`` (a :class:`~repro.core.spec.Specification`) sets the
+        output count the interface must expose."""
         from repro.analysis.lint import preflight as run_preflight
 
         with rec.span("preflight"):
-            report = run_preflight(aig, width_a, recorder=rec)
+            report = run_preflight(aig, width_a, recorder=rec, spec=spec)
         if report.errors:
             raise DesignLintError(
                 f"design failed pre-flight lint with "
@@ -253,8 +273,8 @@ class Pipeline:
         config = config if config is not None else self.config
         aig = cleanup(aig)
         with rec.span("spec"):
-            spec = multiplier_specification(aig, width_a, width_b,
-                                            signed=config.signed)
+            spec = SPECIFICATIONS[config.spec].polynomial(
+                aig, width_a, width_b, signed=config.signed)
         uses_blocks = config.use_atomic_blocks or config.use_vanishing
         with rec.span("atomic"):
             blocks = detect_atomic_blocks(aig) if uses_blocks else []
@@ -491,16 +511,16 @@ class Pipeline:
                       width_a=width_a, width_b=width_b, signed=config.signed)
         fingerprint = None
         if store is not None:
-            from repro.service.fingerprint import design_fingerprint
+            from repro.service.fingerprint import config_fingerprint
 
-            fingerprint = design_fingerprint(aig, width_a, width_b,
-                                             signed=config.signed)
+            fingerprint = config_fingerprint(aig, config)
             if use_cache:
                 cached = self._cache_stage(store, fingerprint, rec, start)
                 if cached is not None:
                     return cached
         if config.preflight:
-            self.stage_preflight(aig, width_a, rec)
+            self.stage_preflight(aig, width_a, rec,
+                                 SPECIFICATIONS[config.spec])
         art, config = self.stage_prepare(aig, width_a, width_b, rec,
                                          config=config)
         if rec.enabled:
@@ -688,7 +708,11 @@ class Pipeline:
     def stage_decide(self, art, engine, remainder, ring, rec, start,
                      monitor=None, primes_tried=0, escalations=0,
                      modular=False, config=None):
-        """Map the final remainder to a verdict + result record."""
+        """Map the final remainder to a verdict + result record.
+
+        The design is correct iff the remainder vanishes — modulo
+        ``2**W`` for a wrapping specification, whose counterexample
+        descent then runs mod ``2**W`` as well."""
         config = config if config is not None else self.config
         seconds = time.monotonic() - start
         stats = dict(art.stats)
@@ -709,14 +733,17 @@ class Pipeline:
                 code="RP005", context={"variables": sorted(leftover)[:8]})
         if monitor is not None:
             stats["invariants"] = monitor.summary()
-        status = "correct" if remainder.is_zero() else "buggy"
+        modulus = SPECIFICATIONS[config.spec].modulus(art.aig)
+        residue = remainder if modulus is None else reduce_mod(remainder,
+                                                               modulus)
+        status = "correct" if residue.is_zero() else "buggy"
         if rec.enabled:
             rec.event("run_end", status=status, seconds=round(seconds, 6),
                       steps=engine.steps, max_poly_size=engine.max_size)
         log.info("%s: %s in %.2fs (%d steps, peak %d monomials, "
                  "%d backtracks)", config.method, status, seconds,
                  engine.steps, engine.max_size, engine.backtracks)
-        if remainder.is_zero():
+        if residue.is_zero():
             return VerificationResult(status="correct", method=config.method,
                                       remainder=remainder, seconds=seconds,
                                       stats=stats, trace=engine.trace)
@@ -726,7 +753,7 @@ class Pipeline:
             # remainder value non-zero mod p, so the exact remainder —
             # and with it the circuit/spec mismatch — is non-zero there
             counterexample, a_value, b_value = counterexample_for(
-                art.aig, remainder, art.width_a)
+                art.aig, remainder, art.width_a, modulus=modulus)
             stats["counterexample_a"] = a_value
             stats["counterexample_b"] = b_value
         return VerificationResult(status="buggy", method=config.method,

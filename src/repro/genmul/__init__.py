@@ -14,12 +14,6 @@ from repro.genmul.names import (
     format_architecture,
     parse_architecture,
 )
-from repro.genmul.datapath import (
-    generate_mac,
-    generate_squarer,
-    verify_mac,
-    verify_squarer,
-)
 from repro.genmul.faults import FAULT_KINDS, inject_fault, inject_visible_fault
 
 __all__ = [
@@ -27,5 +21,4 @@ __all__ = [
     "parse_architecture", "format_architecture", "describe_architecture",
     "all_architectures", "PPG_CODES", "PPA_CODES", "FSA_CODES",
     "inject_fault", "inject_visible_fault", "FAULT_KINDS",
-    "generate_mac", "verify_mac", "generate_squarer", "verify_squarer",
 ]

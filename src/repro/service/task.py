@@ -151,13 +151,11 @@ def cached_record(store, aig_or_source, config):
     worker is dispatched; None on a miss or for a design that cannot be
     parsed or fingerprinted (the worker then reports it)."""
     from repro.errors import ReproError
-    from repro.service.fingerprint import design_fingerprint
+    from repro.service.fingerprint import config_fingerprint
     from repro.service.persistence import cache_lookup
 
     try:
-        fingerprint = design_fingerprint(_read(aig_or_source),
-                                         config.width_a, config.width_b,
-                                         signed=config.signed)
+        fingerprint = config_fingerprint(_read(aig_or_source), config)
     except (ReproError, ValueError):
         return None
     return cache_lookup(store, fingerprint)

@@ -43,6 +43,11 @@ class TestVerifyConfig:
             verify_multiplier(None, primes=-1)
         with pytest.raises(ConfigError):
             verify_multiplier(None, prime_schedule=(4,))
+        # a remainder non-zero mod p may still be divisible by 2**W
+        with pytest.raises(ConfigError):
+            verify_multiplier(None, spec="adder", ring="modular")
+        with pytest.raises(ConfigError):
+            verify_multiplier(None, spec="subtractor")
 
     def test_frozen_and_picklable(self):
         config = VerifyConfig(ring="modular", primes=2)

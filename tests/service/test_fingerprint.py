@@ -21,7 +21,8 @@ from repro.aig.aig import Aig, lit_neg, lit_var
 from repro.aig.simulate import exhaustive_equal
 from repro.genmul.faults import FAULT_KINDS, inject_visible_fault
 from repro.genmul.multiplier import generate_multiplier
-from repro.service.fingerprint import design_fingerprint, resolve_widths
+from repro.service.fingerprint import (config_fingerprint,
+                                       design_fingerprint, resolve_widths)
 
 
 def shuffled_copy(aig, seed=0):
@@ -98,6 +99,22 @@ class TestInvalidation:
     def test_signedness_distinguishes(self, mult):
         assert design_fingerprint(mult, signed=True) != \
             design_fingerprint(mult, signed=False)
+
+    def test_spec_distinguishes(self, mult):
+        assert design_fingerprint(mult, spec="adder") != \
+            design_fingerprint(mult)
+
+    def test_config_key_keeps_multiplier_fingerprints(self):
+        from repro.core.pipeline import VerifyConfig
+
+        aig = generate_multiplier("SP-AR-RC", 4)
+        # the key every release before the spec field computed
+        pinned = ("f81f07f832f301b08563f33324cf6bf6"
+                  "07c1c00288d6829996980aef537da78a")
+        assert design_fingerprint(aig) == pinned
+        assert config_fingerprint(aig, VerifyConfig()) == pinned
+        assert config_fingerprint(aig, VerifyConfig(spec="adder")) == \
+            design_fingerprint(aig, spec="adder")
 
     def test_output_negation_misses(self, mult):
         other = shuffled_copy(mult, seed=0)

@@ -106,6 +106,21 @@ class TestCacheSemantics:
             hit = cache_lookup(store, fingerprint)
             assert hit["cache_hits"] == 1
 
+    def test_adder_verdict_is_not_replayed_for_a_multiplier(self):
+        from repro.service.task import cached_record
+
+        # as an adder the product bits are a wrong sum
+        aig = generate_multiplier("SP-AR-RC", 3)
+        adder = VerifyConfig(spec="adder")
+        with RunStore() as store:
+            first = Pipeline(adder).run(aig, store=store)
+            assert first.status == "buggy"
+            assert cached_record(store, aig, adder)["status"] == "buggy"
+            assert cached_record(store, aig, VerifyConfig()) is None
+            second = Pipeline(VerifyConfig()).run(aig, store=store)
+            assert second.status == "correct"
+            assert not second.stats["cache_hit"]
+
 
 class TestIngest:
     def test_cache_hits_are_not_reingested(self, verified, tmp_path):
