@@ -35,8 +35,7 @@ from repro.aig.simulate import (
     exhaustive_truth_tables,
     outputs_as_int,
 )
-from repro.aig.cuts import (cached_cuts, clear_cut_memo,
-                            enumerate_cuts, nontrivial_cuts)
+from repro.aig.cuts import cut_functions, enumerate_cuts, nontrivial_cuts
 from repro.aig.truth import cone_truth_table
 from repro.aig.aiger import read_aag, write_aag
 
@@ -48,7 +47,6 @@ __all__ = [
     "transitive_fanin_support",
     "simulate", "simulate_words", "evaluate_single", "functionally_equal",
     "exhaustive_equal", "exhaustive_truth_tables", "outputs_as_int",
-    "cached_cuts", "clear_cut_memo",
-    "enumerate_cuts", "nontrivial_cuts", "cone_truth_table",
+    "cut_functions", "enumerate_cuts", "nontrivial_cuts", "cone_truth_table",
     "read_aag", "write_aag",
 ]

@@ -70,11 +70,12 @@ def fanout_map(aig):
     outputs driven by variable ``v``.
     """
     consumers = {v: [] for v in range(aig.num_vars)}
+    fanin0 = aig._fanin0
+    fanin1 = aig._fanin1
     for v in aig.and_vars():
-        f0, f1 = aig.fanins(v)
-        consumers[lit_var(f0)].append(v)
-        consumers[lit_var(f1)].append(v)
-    po_refs = {v: 0 for v in range(aig.num_vars)}
+        consumers[fanin0[v] >> 1].append(v)
+        consumers[fanin1[v] >> 1].append(v)
+    po_refs = dict.fromkeys(range(aig.num_vars), 0)
     for out in aig.outputs:
         po_refs[lit_var(out)] += 1
     return consumers, po_refs

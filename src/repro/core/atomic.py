@@ -21,7 +21,7 @@ import logging
 
 from dataclasses import dataclass, field
 
-from repro.aig.cuts import cached_cuts
+from repro.aig.cuts import cut_functions
 from repro.aig.ops import cone_vars, fanout_map
 from repro.aig.truth import (
     AND2,
@@ -32,35 +32,37 @@ from repro.aig.truth import (
     XOR3,
     cofactor,
     tt_mask,
+    var_pattern,
 )
 
 log = logging.getLogger("repro.core.atomic")
 
 
-def _polarity_table(base_tt, num_vars):
-    """Map every input/output-flip variant of ``base_tt`` to a
-    ``(input_negations, output_negated)`` tuple."""
+def _role_table(carry_tt, sum_tts, num_vars):
+    """Map a cut function to ``(0, (input_negations, output_negated))``
+    for every input/output-flip variant of the carry, or to
+    ``(1, output_negated)`` for the sum and its complement."""
     table = {}
     mask = tt_mask(num_vars)
     for flips in range(1 << num_vars):
-        tt = base_tt
+        tt = carry_tt
         for pos in range(num_vars):
             if (flips >> pos) & 1:
                 c0 = cofactor(tt, pos, num_vars, 0)
                 c1 = cofactor(tt, pos, num_vars, 1)
-                from repro.aig.truth import var_pattern
                 pattern = var_pattern(pos, num_vars)
                 tt = (c1 & ~pattern & mask) | (c0 & pattern)
         polarity = tuple(bool((flips >> pos) & 1) for pos in range(num_vars))
-        table.setdefault(tt & mask, (polarity, False))
-        table.setdefault((tt ^ mask) & mask, (polarity, True))
+        table.setdefault(tt & mask, (0, (polarity, False)))
+        table.setdefault((tt ^ mask) & mask, (0, (polarity, True)))
+    for negated, tt in enumerate(sum_tts):
+        table[tt] = (1, bool(negated))
     return table
 
 
-_CARRY2_TABLE = _polarity_table(AND2, 2)
-_CARRY3_TABLE = _polarity_table(MAJ3, 3)
-_SUM2 = {XOR2: False, XNOR2: True}
-_SUM3 = {XOR3: False, XNOR3: True}
+# indexed by cut size; 0- and 1-leaf cuts have no role
+_ROLES = [{}, {}, _role_table(AND2, (XOR2, XNOR2), 2),
+          _role_table(MAJ3, (XOR3, XNOR3), 3)]
 
 
 @dataclass
@@ -95,7 +97,7 @@ class AtomicBlock:
         return f"{self.kind}({ins} -> C={c}, S={s})"
 
 
-def detect_atomic_blocks(aig, cuts=None, max_cuts=24):
+def detect_atomic_blocks(aig, max_cuts=24, fanout=None):
     """Find a maximal non-overlapping set of HA/FA blocks.
 
     Returns the chosen blocks (full adders preferred over half adders,
@@ -103,115 +105,92 @@ def detect_atomic_blocks(aig, cuts=None, max_cuts=24):
     block's strictly-internal nodes must not be referenced from outside
     the block, and both outputs must be used outside it (otherwise the
     "block" is just an XOR cone with an incidental AND inside).
+    ``fanout`` is ``fanout_map(aig)`` when the caller already has it.
+
+    Each 2- or 3-leaf cut is classified by its function as cut
+    enumeration keeps it (:func:`repro.aig.cuts.cut_functions`).
     """
-    from repro.aig.truth import cone_truth_table
+    fanouts, po_refs = fanout if fanout is not None else fanout_map(aig)
 
-    if cuts is None:
-        cuts = cached_cuts(aig, k=3, limit=max_cuts)
-    fanouts, po_refs = fanout_map(aig)
-
-    # Classify every (node, cut) pair by role.
+    # Classify every (node, cut) pair by role: per cut, in order of
+    # first appearance, the carry roots and the sum roots.
     by_cut = {}
-    for v in aig.and_vars():
-        for cut in cuts.get(v, ()):
-            if cut == (v,) or len(cut) < 2:
-                continue
-            tt = cone_truth_table(aig, v, cut)
-            if len(cut) == 2:
-                carry_hit = _CARRY2_TABLE.get(tt)
-                sum_hit = _SUM2.get(tt)
-            else:
-                carry_hit = _CARRY3_TABLE.get(tt)
-                sum_hit = _SUM3.get(tt)
-            if carry_hit is not None:
-                by_cut.setdefault(cut, {}).setdefault("carry", []).append(
-                    (v, carry_hit))
-            if sum_hit is not None:
-                by_cut.setdefault(cut, {}).setdefault("sum", []).append(
-                    (v, sum_hit))
+    for v, cut, tt in cut_functions(aig, limit=max_cuts):
+        hit = _ROLES[len(cut)].get(tt)
+        if hit is not None:
+            by_cut.setdefault(cut, ([], []))[hit[0]].append((v, hit[1]))
 
-    # Collect block candidates: carry fixes the input polarity; the sum
-    # output polarity is the observed parity polarity corrected by the
-    # parity of the input flips.  The same (root, cut) cone appears in
-    # many carry/sum pairings, so its variable set is computed once.
+    # Candidates in selection order (FAs first, then earlier roots; the
+    # sort is stable): carry fixes the input polarity; the sum output
+    # polarity is the observed parity polarity corrected by the parity
+    # of the input flips.
+    candidates = []
+    for cut, (carries, sums) in by_cut.items():
+        is_ha = len(cut) == 2
+        for carry_var, (polarity, carry_neg) in carries:
+            flip_parity = sum(polarity) % 2 == 1
+            for sum_var, tt_neg in sums:
+                if carry_var != sum_var:
+                    candidates.append((
+                        is_ha, max(carry_var, sum_var), carry_var, sum_var,
+                        cut, polarity, carry_neg, tt_neg != flip_parity))
+    candidates.sort(key=lambda candidate: candidate[:4])
+
+    # Select greedily.  A candidate's cone is computed, and the block
+    # validated, only once neither of its roots is taken.  The same
+    # (root, cut) cone appears in many pairings, so it is cached.
     cone_cache = {}
 
     def cached_cone(root, cut):
-        key = (root, cut)
-        cone = cone_cache.get(key)
+        cone = cone_cache.get((root, cut))
         if cone is None:
-            cone = cone_vars(aig, root, cut)
-            cone_cache[key] = cone
+            cone = cone_cache[root, cut] = cone_vars(aig, root, cut)
         return cone
 
-    candidates = []
-    for cut, roles in by_cut.items():
-        for carry_var, (polarity, carry_neg) in roles.get("carry", []):
-            flip_parity = sum(polarity) % 2 == 1
-            for sum_var, tt_neg in roles.get("sum", []):
-                if carry_var == sum_var:
-                    continue
-                sum_neg = tt_neg != flip_parity
-                kind = "HA" if len(cut) == 2 else "FA"
-                internal = frozenset(cached_cone(carry_var, cut)
-                                     | cached_cone(sum_var, cut))
-                candidates.append(AtomicBlock(
-                    kind=kind, inputs=tuple(cut),
-                    input_negations=tuple(polarity),
-                    carry_var=carry_var, carry_negated=carry_neg,
-                    sum_var=sum_var, sum_negated=sum_neg,
-                    internal=internal))
-
-    # Validate and select greedily: FAs first.
-    valid = [blk for blk in candidates
-             if _internals_contained(aig, blk, fanouts, po_refs)
-             and _outputs_used_externally(blk, fanouts, po_refs)]
-    valid.sort(key=lambda blk: (blk.kind != "FA", max(blk.output_vars),
-                                blk.carry_var, blk.sum_var))
     chosen = []
     claimed = set()
     roots_used = set()
-    for blk in valid:
-        if blk.internal & claimed:
+    for (is_ha, _top, carry_var, sum_var, cut, polarity, carry_neg,
+         sum_neg) in candidates:
+        if carry_var in roots_used or sum_var in roots_used:
             continue
-        if blk.carry_var in roots_used or blk.sum_var in roots_used:
+        internal = frozenset(cached_cone(carry_var, cut)
+                             | cached_cone(sum_var, cut))
+        if not internal.isdisjoint(claimed):
             continue
-        chosen.append(blk)
-        claimed |= blk.internal
-        roots_used.update(blk.output_vars)
-    log.debug("atomic blocks: %d candidates, %d valid, chose %d FA + %d HA "
+        roots = (carry_var, sum_var)
+        if not (_internals_contained(internal, roots, fanouts, po_refs)
+                and _outputs_used_externally(internal, roots, fanouts,
+                                             po_refs)):
+            continue
+        chosen.append(AtomicBlock(
+            kind="HA" if is_ha else "FA", inputs=cut,
+            input_negations=polarity,
+            carry_var=carry_var, carry_negated=carry_neg,
+            sum_var=sum_var, sum_negated=sum_neg, internal=internal))
+        claimed |= internal
+        roots_used.update(roots)
+    log.debug("atomic blocks: %d candidates, chose %d FA + %d HA "
               "covering %d/%d AND nodes",
-              len(candidates), len(valid),
+              len(candidates),
               sum(1 for blk in chosen if blk.kind == "FA"),
               sum(1 for blk in chosen if blk.kind == "HA"),
               len(claimed), aig.num_ands)
     return chosen
 
 
-def _make_block(aig, kind, cut, polarity, carry_var, carry_neg,
-                sum_var, sum_neg):
-    internal = (cone_vars(aig, carry_var, cut)
-                | cone_vars(aig, sum_var, cut))
-    return AtomicBlock(kind=kind, inputs=tuple(cut),
-                       input_negations=tuple(polarity),
-                       carry_var=carry_var, carry_negated=carry_neg,
-                       sum_var=sum_var, sum_negated=sum_neg,
-                       internal=frozenset(internal))
-
-
-def _internals_contained(aig, blk, fanouts, po_refs):
+def _internals_contained(internal, roots, fanouts, po_refs):
     """Strictly-internal nodes must only be referenced inside the block."""
-    strict = blk.internal - set(blk.output_vars)
-    for v in strict:
+    for v in internal.difference(roots):
         if po_refs.get(v, 0):
             return False
         for consumer in fanouts[v]:
-            if consumer not in blk.internal:
+            if consumer not in internal:
                 return False
     return True
 
 
-def _outputs_used_externally(blk, fanouts, po_refs):
+def _outputs_used_externally(internal, roots, fanouts, po_refs):
     """Both roots must be referenced outside the block.
 
     Rejects *phantom* blocks: e.g. in the AOI-style XOR structure
@@ -221,10 +200,10 @@ def _outputs_used_externally(blk, fanouts, po_refs):
     variable that never occurs in ``SP_i`` and spoil the compact
     word-level substitution.
     """
-    for root in blk.output_vars:
+    for root in roots:
         if po_refs.get(root, 0):
             continue
-        if any(consumer not in blk.internal for consumer in fanouts[root]):
+        if any(consumer not in internal for consumer in fanouts[root]):
             continue
         return False
     return True

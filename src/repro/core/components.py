@@ -14,6 +14,7 @@ carries
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from repro.poly.polynomial import Polynomial
@@ -48,24 +49,24 @@ class Component:
         return f"{self.kind}#{self.index}({ins} -> {outs})"
 
 
-def _literal_poly(var, negated):
-    return Polynomial.literal(var, negated)
+#: Placeholder variables of a block template: inputs 0..2, carry 3.
+_CARRY_SLOT = 3
 
 
-def atomic_block_component(index, block):
-    """Build the component of a detected HA/FA.
+@functools.cache
+def _block_template(kind, negations, carry_negated, sum_negated):
+    """The sum and carry replacements and the compact right-hand side
+    of a block, over placeholder variables, as ``(monomial, coeff)``
+    tuples in term order.
 
-    Handles polarity on both sides: negated inputs enter the word-level
-    relation as ``X' = 1 - x`` and a negated output means the AIG
-    variable carries the complement of the true carry/sum.
+    Substituting distinct variables for the placeholders maps equal
+    monomials to equal monomials, so an instance has the same terms in
+    the same order as the arithmetic below run on the real variables.
     """
-    negations = getattr(block, "input_negations", None)
-    if negations is None:
-        negations = (False,) * len(block.inputs)
-    literals = [Polynomial.literal(var, neg)
-                for var, neg in zip(block.inputs, negations)]
+    literals = [Polynomial.literal(slot, neg)
+                for slot, neg in enumerate(negations)]
     x, y = literals[0], literals[1]
-    if block.kind == "HA":
+    if kind == "HA":
         carry_true = x * y
         rhs = x + y
     else:
@@ -82,25 +83,47 @@ def atomic_block_component(index, block):
     # substitution (when the compact pattern is absent from SP_i) from
     # blowing up SP_i with parity products.  The engine substitutes the
     # sum first, then eliminates the carry variable it introduced.
-    carry_sub = (1 - carry_true) if block.carry_negated else carry_true
-    carry_literal = Polynomial.literal(block.carry_var, block.carry_negated)
-    sum_linear = rhs - 2 * carry_literal
-    sum_sub = (1 - sum_linear) if block.sum_negated else sum_linear
+    carry_sub = (1 - carry_true) if carry_negated else carry_true
+    sum_linear = rhs - 2 * Polynomial.literal(_CARRY_SLOT, carry_negated)
+    sum_sub = (1 - sum_linear) if sum_negated else sum_linear
 
     # Compact relation 2C + S = rhs (eq. (6)), polarity folded:
     #   C = vc or (1 - vc);  S = vs or (1 - vs)
-    g_coeffs = {}
     f_poly = rhs
-    if block.carry_negated:
-        g_coeffs[block.carry_var] = -2
+    if carry_negated:
         f_poly = f_poly - 2
-    else:
-        g_coeffs[block.carry_var] = 2
-    if block.sum_negated:
-        g_coeffs[block.sum_var] = g_coeffs.get(block.sum_var, 0) - 1
+    if sum_negated:
         f_poly = f_poly - 1
-    else:
-        g_coeffs[block.sum_var] = g_coeffs.get(block.sum_var, 0) + 1
+    return tuple(tuple(poly.terms()) for poly in (sum_sub, carry_sub, f_poly))
+
+
+def atomic_block_component(index, block):
+    """Build the component of a detected HA/FA.
+
+    Handles polarity on both sides: negated inputs enter the word-level
+    relation as ``X' = 1 - x`` and a negated output means the AIG
+    variable carries the complement of the true carry/sum.  The
+    polynomials are instances of the block's polarity template.
+    """
+    negations = getattr(block, "input_negations", None)
+    if negations is None:
+        negations = (False,) * len(block.inputs)
+    sum_terms, carry_terms, f_terms = _block_template(
+        block.kind, tuple(negations), block.carry_negated,
+        block.sum_negated)
+    bits = [1 << var for var in block.inputs]
+    bits += [0] * (_CARRY_SLOT - len(bits)) + [1 << block.carry_var]
+    masks = [0]
+    for slot_mask in range(1, 1 << len(bits)):
+        low = slot_mask & -slot_mask
+        masks.append(masks[slot_mask ^ low] | bits[low.bit_length() - 1])
+
+    def instance(terms):
+        return Polynomial({masks[mono]: coeff for mono, coeff in terms},
+                          _trusted=True)
+
+    g_coeffs = {block.carry_var: -2 if block.carry_negated else 2,
+                block.sum_var: -1 if block.sum_negated else 1}
 
     # Substitution order matters: the sum's linear form references the
     # carry variable, so the sum must be eliminated first (the engine
@@ -110,8 +133,9 @@ def atomic_block_component(index, block):
         kind=block.kind,
         output_vars=(block.carry_var, block.sum_var),
         input_vars=tuple(block.inputs),
-        substitutions={block.sum_var: sum_sub, block.carry_var: carry_sub},
-        compact=(g_coeffs, f_poly),
+        substitutions={block.sum_var: instance(sum_terms),
+                       block.carry_var: instance(carry_terms)},
+        compact=(g_coeffs, instance(f_terms)),
         internal=block.internal,
     )
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import logging
 
-from repro.aig.aig import lit_var
 from repro.aig.ops import fanout_map
 from repro.core.components import atomic_block_component, cone_component
 from repro.core.gatepoly import cone_polynomial
@@ -28,33 +27,32 @@ from repro.core.vanishing import rules_from_blocks
 log = logging.getLogger("repro.core.cones")
 
 
-def build_components(aig, blocks, vanishing=None):
+def build_components(aig, blocks, vanishing=None, fanout=None):
     """Partition the AIG into components (Definition 1).
 
     Returns ``(components, vanishing_rules)``.  ``blocks`` comes from
     :func:`repro.core.atomic.detect_atomic_blocks`; pass an empty list to
-    model verifiers without reverse engineering.
+    model verifiers without reverse engineering.  ``fanout`` is
+    ``fanout_map(aig)`` when the caller already has it.
     """
     if vanishing is None:
         vanishing = rules_from_blocks(blocks)
-    fanouts, po_refs = fanout_map(aig)
+    fanouts, po_refs = fanout if fanout is not None else fanout_map(aig)
 
     block_internal = set()
-    block_outputs = set()
     for blk in blocks:
         block_internal |= blk.internal
-        block_outputs.update(blk.output_vars)
 
     remaining = [v for v in aig.and_vars() if v not in block_internal]
     remaining_set = set(remaining)
 
     # Reference counts seen by the cone partition: consumers among the
     # remaining nodes, atomic-block cut inputs, and primary outputs.
-    refs = {v: 0 for v in remaining}
+    fanin0 = aig._fanin0
+    fanin1 = aig._fanin1
+    refs = dict.fromkeys(remaining, 0)
     for v in remaining:
-        f0, f1 = aig.fanins(v)
-        for literal in (f0, f1):
-            w = lit_var(literal)
+        for w in (fanin0[v] >> 1, fanin1[v] >> 1):
             if w in refs:
                 refs[w] += 1
     for blk in blocks:
@@ -117,26 +115,26 @@ def build_components(aig, blocks, vanishing=None):
 
 def _collect_cone(aig, root, root_set, remaining_set):
     """The root plus every single-reference remaining node absorbed by it."""
+    fanin0 = aig._fanin0
+    fanin1 = aig._fanin1
     cone = {root}
     stack = [root]
     while stack:
         v = stack.pop()
-        f0, f1 = aig.fanins(v)
-        for literal in (f0, f1):
-            w = lit_var(literal)
-            if (w in remaining_set and w not in root_set and w not in cone
-                    and aig.is_and(w)):
+        for w in (fanin0[v] >> 1, fanin1[v] >> 1):
+            if (w in remaining_set and w not in root_set
+                    and w not in cone):
                 cone.add(w)
                 stack.append(w)
     return cone
 
 
 def _cone_leaves(aig, cone, root):
+    fanin0 = aig._fanin0
+    fanin1 = aig._fanin1
     leaves = set()
     for v in cone:
-        f0, f1 = aig.fanins(v)
-        for literal in (f0, f1):
-            w = lit_var(literal)
+        for w in (fanin0[v] >> 1, fanin1[v] >> 1):
             if w not in cone and w != 0:
                 leaves.add(w)
     return tuple(sorted(leaves))

@@ -28,8 +28,6 @@ the ``G * P`` rules that keep backward rewriting from exploding.
 
 from __future__ import annotations
 
-from repro.aig.aig import lit_is_negated, lit_var
-
 
 def _lit(var, negated):
     return 2 * var + (1 if negated else 0)
@@ -46,9 +44,6 @@ def derive_zero_pairs(aig, blocks, interesting_vars, cap=128,
     """
     interesting = set(interesting_vars)
     conflicts = {}
-
-    def conf(literal):
-        return conflicts.get(literal, _EMPTY)
 
     def add_conflict(a, b):
         changed = False
@@ -68,14 +63,29 @@ def derive_zero_pairs(aig, blocks, interesting_vars, cap=128,
         add_conflict(_lit(blk.carry_var, blk.carry_negated),
                      _lit(blk.sum_var, blk.sum_negated))
 
-    and_nodes = [(v,) + aig.fanins(v) for v in aig.and_vars()]
+    fanin0 = aig._fanin0
+    fanin1 = aig._fanin1
+    and_nodes = [(v, fanin0[v], fanin1[v]) for v in aig.and_vars()]
     conflicts_get = conflicts.get
     conflicts_setdefault = conflicts.setdefault
+    # Conflict sets only grow, so a set's length is its version.  A
+    # node whose four source sets (f0, f1, !f0, !f1) kept their lengths
+    # since its last visit is skipped: every insert that visit would try
+    # is already present or blocked by the cap (the visit itself only
+    # adds the node's own literals to the sources, and those are never
+    # targets).
+    versions = {}
     for _sweep in range(max_passes):
         changed = False
         for v, f0, f1 in and_nodes:
             nf0 = f0 ^ 1
             nf1 = f1 ^ 1
+            cf0 = conflicts_get(f0, _EMPTY)
+            cf1 = conflicts_get(f1, _EMPTY)
+            if versions.get(v) == (len(cf0), len(cf1),
+                                   len(conflicts_get(nf0, _EMPTY)),
+                                   len(conflicts_get(nf1, _EMPTY))):
+                continue
             w_pos = 2 * v
             w_neg = w_pos + 1
             # w = f0 & f1: conflicts with the branch complements and
@@ -93,8 +103,6 @@ def derive_zero_pairs(aig, blocks, interesting_vars, cap=128,
             # stable majority of pairs in later sweeps into a single
             # membership test.
             set_w = conflicts_setdefault(w_pos, set())
-            cf0 = conflicts_get(f0, _EMPTY)
-            cf1 = conflicts_get(f1, _EMPTY)
             for target in (nf0, nf1):
                 if target in set_w:
                     continue
@@ -130,22 +138,25 @@ def derive_zero_pairs(aig, blocks, interesting_vars, cap=128,
                     if w_neg not in set_t and len(set_t) < cap:
                         set_t.add(w_neg)
                         changed = True
+            versions[v] = (len(conflicts_get(f0, _EMPTY)),
+                           len(conflicts_get(f1, _EMPTY)),
+                           len(conflicts_get(nf0, _EMPTY)),
+                           len(conflicts_get(nf1, _EMPTY)))
         if not changed:
             break
 
     pairs = set()
     for literal, partners in conflicts.items():
-        u = lit_var(literal)
+        u = literal >> 1
         if u not in interesting:
             continue
-        pu = 1 if lit_is_negated(literal) else 0
+        pu = literal & 1
         for partner in partners:
-            v = lit_var(partner)
+            v = partner >> 1
             if v == u or v not in interesting:
                 continue
-            pv = 1 if lit_is_negated(partner) else 0
-            key = (((u, pu), (v, pv)) if u < v else ((v, pv), (u, pu)))
-            pairs.add(key)
+            pv = partner & 1
+            pairs.add(((u, pu), (v, pv)) if u < v else ((v, pv), (u, pu)))
     return pairs
 
 

@@ -45,7 +45,7 @@ import dataclasses
 import logging
 import time
 
-from repro.aig.ops import cleanup
+from repro.aig.ops import cleanup, fanout_map
 from repro.core.atomic import detect_atomic_blocks
 from repro.core.cones import build_components
 from repro.core.counterexample import counterexample_for, reduce_mod
@@ -277,15 +277,17 @@ class Pipeline:
                 aig, width_a, width_b, signed=config.signed)
         uses_blocks = config.use_atomic_blocks or config.use_vanishing
         with rec.span("atomic"):
-            blocks = detect_atomic_blocks(aig) if uses_blocks else []
+            fanout = fanout_map(aig)
+            blocks = (detect_atomic_blocks(aig, fanout=fanout)
+                      if uses_blocks else [])
         arch = advisory = None
         if rec.enabled or config.auto_tune:
             from repro.analysis.structure import analyze_aig
 
             with rec.span("stage_map"):
-                arch = analyze_aig(
-                    aig, blocks if uses_blocks else detect_atomic_blocks(aig),
-                    width_a=width_a)
+                arch = analyze_aig(aig, blocks if uses_blocks else
+                                   detect_atomic_blocks(aig, fanout=fanout),
+                                   width_a=width_a)
             if config.auto_tune:
                 advisory, config = self.stage_autotune(arch, rec, config)
         with rec.span("vanishing"):
@@ -297,7 +299,7 @@ class Pipeline:
         component_blocks = blocks if config.use_atomic_blocks else []
         with rec.span("components"):
             components, vanishing = build_components(aig, component_blocks,
-                                                     vanishing)
+                                                     vanishing, fanout)
         if not config.use_compact:
             for comp in components:
                 comp.compact = None

@@ -1,15 +1,10 @@
 """Tests for cut enumeration and cone truth tables."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.aig.aig import Aig, lit_var
-from repro.aig.cuts import (
-    _CUT_MEMO_LIMIT,
-    cached_cuts,
-    clear_cut_memo,
-    enumerate_cuts,
-    nontrivial_cuts,
-)
+from repro.aig.cuts import cut_functions, enumerate_cuts, nontrivial_cuts
 from repro.aig.truth import (
     AND2,
     MAJ3,
@@ -204,51 +199,42 @@ class TestCutEdgeCases:
             not in cuts[lit_var(deeper)]
 
 
-class TestCachedCuts:
-    def setup_method(self):
-        clear_cut_memo()
+@st.composite
+def raw_aigs(draw, max_inputs=5, max_nodes=20):
+    """Random AIGs built without structural hashing or simplification:
+    complemented edges, fan-ins shared between nodes, a node's two
+    fan-ins on the same variable, and the constant as a fan-in."""
+    aig = Aig("raw")
+    aig.add_inputs(draw(st.integers(1, max_inputs)))
+    for _ in range(draw(st.integers(1, max_nodes))):
+        num_vars = aig.num_vars
+        a = draw(st.integers(0, num_vars - 1))
+        b = draw(st.one_of(st.just(a), st.integers(0, num_vars - 1)))
+        aig._fanin0.append(2 * a + draw(st.integers(0, 1)))
+        aig._fanin1.append(2 * b + draw(st.integers(0, 1)))
+    aig.add_output(2 * (aig.num_vars - 1))
+    return aig
 
-    def teardown_method(self):
-        clear_cut_memo()
 
-    def _pair(self):
+class TestCutFunctions:
+    @given(raw_aigs(), st.sampled_from([1, 2, 3, 24]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_cones_and_enumeration(self, aig, limit):
+        expected = enumerate_cuts(aig, k=3, limit=limit)
+        cut_lists = {}
+        for var, leaves, tt in cut_functions(aig, limit=limit):
+            cut_lists.setdefault(var, []).append(leaves)
+            assert tt == cone_truth_table(aig, var, leaves), (var, leaves)
+        assert cut_lists == expected
+
+    def test_full_adder_cut_functions(self):
         aig = Aig()
-        a, b, c = aig.add_inputs(3)
-        ab = aig.add_and(a, b)
-        aig.add_output(aig.add_and(ab, c))
-        return aig
-
-    def test_hit_returns_same_object(self):
-        aig = self._pair()
-        first = cached_cuts(aig, k=3, limit=8)
-        assert cached_cuts(aig, k=3, limit=8) is first
-
-    def test_structural_twin_shares_entry(self):
-        first = cached_cuts(self._pair(), k=3, limit=8)
-        assert cached_cuts(self._pair(), k=3, limit=8) is first
-
-    def test_parameters_key_the_memo(self):
-        aig = self._pair()
-        assert cached_cuts(aig, k=2, limit=8) is not \
-            cached_cuts(aig, k=3, limit=8)
-        assert cached_cuts(aig, k=3, limit=4) is not \
-            cached_cuts(aig, k=3, limit=8)
-
-    def test_matches_direct_enumeration(self):
-        aig = self._pair()
-        assert cached_cuts(aig, k=3, limit=8) == \
-            enumerate_cuts(aig, k=3, limit=8)
-
-    def test_clear_forces_recompute(self):
-        aig = self._pair()
-        first = cached_cuts(aig, k=3, limit=8)
-        clear_cut_memo()
-        assert cached_cuts(aig, k=3, limit=8) is not first
-
-    def test_lru_eviction(self):
-        aig = self._pair()
-        first = cached_cuts(aig, k=3, limit=3)
-        for limit in range(4, 4 + _CUT_MEMO_LIMIT):
-            cached_cuts(aig, k=3, limit=limit)
-        # the original key fell off the LRU and is recomputed
-        assert cached_cuts(aig, k=3, limit=3) is not first
+        x, y, z = aig.add_inputs(3)
+        s, c = aig.full_adder(x, y, z)
+        boundary = tuple(sorted(lit_var(v) for v in (x, y, z)))
+        functions = {(var, leaves): tt
+                     for var, leaves, tt in cut_functions(aig)}
+        s_tt = functions[lit_var(s), boundary]
+        c_tt = functions[lit_var(c), boundary]
+        assert (negate_tt(s_tt, 3) if s & 1 else s_tt) == XOR3
+        assert (negate_tt(c_tt, 3) if c & 1 else c_tt) == MAJ3
