@@ -341,12 +341,11 @@ def collect_schema_events():
                       "--profile-sample"])
         events += read_events(trace_path)
 
-        # Single-design --explain run: stage_map + rewrite_begin from
-        # the pipeline and the trailing "attribution" aggregate event.
+        # Single-design run: stage_map + rewrite_begin from the
+        # pipeline.
         explain_path = os.path.join(tmp, "explain.jsonl")
         with contextlib.redirect_stdout(io.StringIO()):
-            cli.main(["verify", paths[0], "--trace-out", explain_path,
-                      "--explain"])
+            cli.main(["verify", paths[0], "--trace-out", explain_path])
         events += read_events(explain_path)
     return events
 

@@ -13,7 +13,9 @@ flow:
    ``buggy`` with a concrete counterexample;
 4. submit a design with an odd number of inputs — the job must end
    ``done`` with an ``invalid`` RA030 verdict, and no run row;
-5. ``POST /shutdown`` — the server must drain and exit 0.
+5. ``GET /metrics`` — the Prometheus text must count the stored runs
+   and the one cache hit;
+6. ``POST /shutdown`` — the server must drain and exit 0.
 
 Run from the repo root: ``PYTHONPATH=src python scripts/service_smoke.py``
 """
@@ -133,6 +135,15 @@ def main():
         check(stats["certificates"] == 2,
               "two certificates stored (clean + buggy)")
         check(stats["jobs"]["failed"] == 0, "no failed jobs")
+
+        content_type, metrics = client.metrics()
+        check(content_type.startswith("text/plain"),
+              f"GET /metrics answers 200 with text ({content_type})")
+        runs = re.search(r"^repro_runs_total (\d+)$", metrics, re.M)
+        check(runs is not None and int(runs.group(1)) >= 2,
+              "metrics count the stored runs")
+        check("\nrepro_service_cache_hits 1\n" in metrics,
+              "metrics count one cache hit")
 
         client.shutdown()
         code = server.wait(timeout=120)

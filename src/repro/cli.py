@@ -8,20 +8,18 @@ observability layer::
     python -m repro optimize mult.aag --script resyn3 -o mult_opt.aag
     python -m repro verify mult_opt.aag --width-a 16
     python -m repro verify mult.aag --method static --budget 100000
-    python -m repro verify mult.aag --trace-out run.jsonl --profile -v
+    python -m repro verify mult.aag --trace-out run.jsonl -v
     python -m repro verify mult.aag --live --stall-budget 5
     python -m repro verify mult.aag --check-invariants
     python -m repro lint mult.aag --json findings.json
     python -m repro analyze mult.aag --json arch.json
     python -m repro verify mult.aag --auto-tune
-    python -m repro verify mult.aag --trace-out run.jsonl --explain
     python -m repro report run.jsonl
     python -m repro explain run.jsonl
     python -m repro explain run:12 --db runs.db --calibration
     python -m repro obs ingest --db runs.db run.jsonl bench.json
     python -m repro obs trends --db runs.db --check
     python -m repro obs diff static.jsonl dynamic.jsonl
-    python -m repro obs dashboard --db runs.db -o report.html
     python -m repro serve --port 8642 --jobs 2 --db runs.db
     python -m repro submit mult.aag --port 8642
     python -m repro status --port 8642
@@ -44,7 +42,8 @@ A closed stdout (``| head``) ends any command quietly with exit 0.
 
 The run-history database path defaults to ``$REPRO_OBS_DB`` (or
 ``runs.db``); batch ``verify`` auto-ingests its records whenever a
-database is configured.
+database is configured.  A running ``repro serve`` answers ``GET
+/metrics`` with the Prometheus text exposition of that store.
 
 ``-v``/``-q`` tune the stdlib logging level of the ``repro.*`` logger
 namespace (default WARNING; ``-v`` INFO, ``-vv`` DEBUG, ``-q`` ERROR).
@@ -149,9 +148,6 @@ def build_parser():
     ver.add_argument("--trace-out", default=None, metavar="PATH",
                      help="stream a JSONL event trace to PATH "
                           "(replay it with `repro report PATH`)")
-    ver.add_argument("--profile", action="store_true",
-                     help="print a per-phase time breakdown after the "
-                          "verdict")
     ver.add_argument("--resources", action="store_true",
                      help="track per-phase peak RSS, tracemalloc deltas "
                           "and GC counts (printed after the verdict and "
@@ -160,12 +156,6 @@ def build_parser():
                      help="run the stdlib sampling profiler and print a "
                           "hotspot table attributed to pipeline phases "
                           "and rewrite commits")
-    ver.add_argument("--profile-interval", type=float, default=0.005,
-                     metavar="SECONDS",
-                     help="--profile-sample period (default 0.005)")
-    ver.add_argument("--collapsed-out", default=None, metavar="PATH",
-                     help="--profile-sample: also write the samples as "
-                          "collapsed-stack text (flamegraph input)")
     ver.add_argument("--jobs", type=int, default=1, metavar="N",
                      help="batch mode: verify inputs in N parallel "
                           "worker processes")
@@ -192,10 +182,6 @@ def build_parser():
                      metavar="SECONDS",
                      help="--live watchdog: flag a stall after this "
                           "many seconds without a commit (default 10)")
-    ver.add_argument("--explain", action="store_true",
-                     help="print the commit/rule/stage cost-attribution "
-                          "report after the verdict (see `repro "
-                          "explain`)")
     ver.add_argument("--db", default=os.environ.get("REPRO_OBS_DB"),
                      metavar="PATH",
                      help="also ingest the per-input records into this "
@@ -247,8 +233,6 @@ def build_parser():
                          parents=[verbosity])
     rep.add_argument("trace", help="JSONL trace file written by "
                                    "`verify --trace-out`")
-    rep.add_argument("--plot-width", type=int, default=72)
-    rep.add_argument("--plot-height", type=int, default=14)
     rep.add_argument("--hotspots", action="store_true",
                      help="append the sampling-profiler hotspot table "
                           "(traces recorded with --profile-sample)")
@@ -266,9 +250,6 @@ def build_parser():
                      metavar="PATH",
                      help="run-history store for run:ID references and "
                           "--calibration")
-    exp.add_argument("--top", type=int, default=10, metavar="N",
-                     help="commits shown in the top-commits table "
-                          "(default 10; 0 hides it)")
     exp.add_argument("--json", default=None, metavar="PATH",
                      help="write the report as JSON ('-' for stdout "
                           "instead of the text rendering)")
@@ -281,7 +262,7 @@ def build_parser():
 
     obs = sub.add_parser("obs",
                          help="cross-run observability: run-history "
-                              "store, trends, diffs, dashboards",
+                              "store, trends, diffs",
                          parents=[verbosity])
     obs_sub = obs.add_subparsers(dest="obs_command", required=True)
     default_db = os.environ.get("REPRO_OBS_DB", "runs.db")
@@ -309,8 +290,6 @@ def build_parser():
                      help="exit 1 on any regression verdict (CI gate)")
     trd.add_argument("--tolerance", type=float, default=0.25,
                      help="allowed relative regression (0.25 = 25%%)")
-    trd.add_argument("--alpha", type=float, default=0.3,
-                     help="EWMA smoothing weight of newer history")
     trd.add_argument("--metric", action="append", default=None,
                      help="restrict to this metric (repeatable); e.g. "
                           "seconds, max_poly_size, phase:rewrite")
@@ -339,19 +318,6 @@ def build_parser():
     prn.add_argument("--before", default=None, metavar="DATE",
                      help="also drop runs created before this ISO "
                           "date/datetime (e.g. 2026-01-01)")
-    prn.add_argument("--no-vacuum", action="store_true",
-                     help="skip the VACUUM pass (faster, file does not "
-                          "shrink)")
-
-    dash = obs_sub.add_parser("dashboard", parents=[verbosity],
-                              help="self-contained HTML report + "
-                                   "Prometheus metrics export")
-    dash.add_argument("--db", default=default_db, metavar="PATH")
-    dash.add_argument("-o", "--output", default="obs_dashboard.html",
-                      metavar="PATH", help="HTML output path")
-    dash.add_argument("--prometheus", default=None, metavar="PATH",
-                      help="also write a Prometheus text-format "
-                           "metrics snapshot")
 
     srv = sub.add_parser("serve",
                          help="run the verification service: an HTTP/"
@@ -493,16 +459,6 @@ def _cmd_verify_batch(args):
     from repro.service.task import (Task, cached_record, open_store,
                                     task_worker)
 
-    if args.profile:
-        print("verify: --profile needs a single input "
-              "(per-phase timings land in --json records)",
-              file=sys.stderr)
-        return 2
-    if args.explain:
-        print("verify: --explain needs a single input (ingest the "
-              "merged trace and use `repro explain run:ID` instead)",
-              file=sys.stderr)
-        return 2
     try:
         config = VerifyConfig.from_args(args)
     except ConfigError as exc:
@@ -658,9 +614,8 @@ def _cmd_verify(args):
     monitor = None
     tracker = None
     profiler = None
-    if (args.trace_out or args.profile or args.json or args.live
-            or args.db or args.resources or args.profile_sample
-            or args.explain):
+    if (args.trace_out or args.json or args.live or args.db
+            or args.resources or args.profile_sample):
         sink = JsonlSink(args.trace_out) if args.trace_out else None
         recorder = Recorder(sink=sink)
     if args.resources:
@@ -694,8 +649,7 @@ def _cmd_verify(args):
     if args.profile_sample:
         from repro.obs.resources import SamplingProfiler
 
-        profiler = SamplingProfiler(recorder,
-                                    interval=args.profile_interval)
+        profiler = SamplingProfiler(recorder)
         profiler.start()
     store = open_store(args.db)
     try:
@@ -714,30 +668,9 @@ def _cmd_verify(args):
         if monitor.anomalies:
             print(f"live: {len(monitor.anomalies)} commit anomaly(ies) "
                   f"flagged (RP012/RP013)", file=sys.stderr)
-    profile_summary = None
-    if profiler is not None:
-        profile_summary = profiler.stop()
-        if args.collapsed_out:
-            with open(args.collapsed_out, "w", encoding="utf-8") as handle:
-                handle.write(profiler.collapsed())
-            log.info("wrote %d collapsed stacks to %s",
-                     len(profiler.by_stack), args.collapsed_out)
+    profile_summary = profiler.stop() if profiler is not None else None
     if tracker is not None:
         tracker.stop()
-    view = explain_report = None
-    if result is not None and (args.explain or args.profile):
-        from repro.obs.view import fold_events
-
-        view = fold_events(recorder.events)
-    if view is not None and args.explain:
-        from repro.obs.attribution import (attribute_view,
-                                           attribution_event_fields)
-
-        explain_report = attribute_view(view)
-        # record the aggregates in the trace so downstream consumers
-        # (report, ingest) see them without recomputing
-        recorder.event("attribution",
-                       **attribution_event_fields(explain_report))
     if result is None:
         print(f"{args.inputs[0]}: {record['summary']}", file=sys.stderr)
         _print_diagnostics(record, file=sys.stderr)
@@ -763,19 +696,6 @@ def _cmd_verify(args):
         if args.trace_out:
             log.info("wrote %d events to %s",
                      len(recorder.events), args.trace_out)
-    if view is not None and args.profile:
-        from repro.obs.report import render_phase_table
-
-        print()
-        print("Per-phase breakdown")
-        print("-------------------")
-        print(render_phase_table(view.phases))
-        sizes = view.sizes
-        if sizes:
-            print(f"SP_i: peak {max(sizes)} monomials over "
-                  f"{len(sizes)} steps, "
-                  f"{view.backtracks} backtracks, "
-                  f"{view.threshold_doublings} threshold doublings")
     if tracker is not None:
         from repro.obs.resources import render_resource_table
 
@@ -791,13 +711,6 @@ def _cmd_verify(args):
         print("Sampling profiler")
         print("-----------------")
         print(render_hotspot_table(profile_summary))
-    if explain_report is not None:
-        from repro.obs.attribution import render_attribution
-
-        print()
-        print("Cost attribution")
-        print("----------------")
-        print(render_attribution(explain_report))
     if result is None:
         return 3
     if result.status == "buggy":
@@ -1119,7 +1032,7 @@ def _cmd_explain(args):
             log.info("wrote %s", args.json)
     if args.json != "-":
         if report is not None:
-            print(render_attribution(report, top=args.top))
+            print(render_attribution(report))
         if calibration is not None:
             if report is not None:
                 print()
@@ -1202,13 +1115,13 @@ def _cmd_obs(args):
         from repro.obs.trends import (TrendConfig, detect_trends,
                                       regressions, render_trends)
 
-        config = TrendConfig(tolerance=args.tolerance, alpha=args.alpha)
+        config = TrendConfig(tolerance=args.tolerance)
         with RunStore(args.db) as store:
             verdicts = detect_trends(store, config, metrics=args.metric)
         print(render_trends(verdicts))
         if args.json:
             payload = {"command": "obs-trends", "db": args.db,
-                       "tolerance": args.tolerance, "alpha": args.alpha,
+                       "tolerance": args.tolerance, "alpha": config.alpha,
                        "verdicts": verdicts}
             with open(args.json, "w", encoding="utf-8") as handle:
                 json.dump(payload, handle, indent=2)
@@ -1255,31 +1168,12 @@ def _cmd_obs(args):
                       "ISO date/datetime", file=sys.stderr)
                 return 2
         with RunStore(args.db) as store:
-            summary = store.prune(keep_last=args.keep_last, before=before,
-                                  vacuum=not args.no_vacuum)
+            summary = store.prune(keep_last=args.keep_last, before=before)
         counts = ", ".join(f"{table} {count}" for table, count
                            in summary["tables"].items())
         print(f"{args.db}: pruned {summary['deleted']} run(s), "
-              f"{summary['remaining']} remaining"
-              + ("" if args.no_vacuum else " (vacuumed)"))
+              f"{summary['remaining']} remaining (vacuumed)")
         print(f"rows: {counts}")
-        return 0
-
-    if args.obs_command == "dashboard":
-        from repro.obs.dashboard import render_dashboard, render_prometheus
-        from repro.obs.trends import detect_trends
-
-        with RunStore(args.db) as store:
-            trends = detect_trends(store)
-            html = render_dashboard(store, trends=trends)
-            prom = (render_prometheus(store) if args.prometheus else None)
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(html)
-        print(f"wrote {args.output}")
-        if args.prometheus:
-            with open(args.prometheus, "w", encoding="utf-8") as handle:
-                handle.write(prom)
-            print(f"wrote {args.prometheus}")
         return 0
     raise AssertionError("unreachable")
 
@@ -1342,9 +1236,7 @@ def _run_command(args):
         view = _load_trace("report", args.trace)
         if view is None:
             return 2
-        print(render_report(view, plot_width=args.plot_width,
-                            plot_height=args.plot_height,
-                            hotspots=args.hotspots))
+        print(render_report(view, hotspots=args.hotspots))
         return 0
     if args.command == "inject":
         from repro.genmul.faults import inject_visible_fault

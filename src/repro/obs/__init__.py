@@ -11,7 +11,8 @@ fold of a recorded event stream into a :class:`RunView`,
 :mod:`repro.obs.live` for the heartbeat/stall watchdog,
 :mod:`repro.obs.attribution` for commit/rule/stage cost attribution and
 anomaly detection (``repro explain``), and
-:mod:`repro.obs.dashboard` for HTML / Prometheus exports.
+:mod:`repro.obs.prometheus` for the text exposition ``repro serve``
+answers ``GET /metrics`` with.
 
 The re-exports resolve on first use (:mod:`repro._lazy`): the verify
 path needs only the recorder, not ``sqlite3`` or ``multiprocessing``.
@@ -32,7 +33,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.obs.store": ("RunStore", "current_git_rev"),
     "repro.obs.attribution": ("AnomalyConfig", "CommitAnomalyDetector",
                               "attribute_store_run", "attribute_view",
-                              "attribution_event_fields",
                               "calibration_from_store", "design_baseline",
                               "render_attribution", "render_calibration",
                               "stage_cost_metrics"),

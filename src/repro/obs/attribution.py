@@ -37,8 +37,7 @@ On top of attribution:
   predicted-risk vs observed-cost agreement over the stored runs, so
   the PR 8 Spearman check is continuously measured.
 
-Entry points: ``repro explain <trace-or-run:ID>`` and
-``verify --explain`` (see :mod:`repro.cli`).
+Entry point: ``repro explain <trace-or-run:ID>`` (see :mod:`repro.cli`).
 """
 
 from __future__ import annotations
@@ -650,22 +649,3 @@ def render_calibration(calibration):
         rows, title="Predicted risk vs observed cost"))
     return "\n".join(lines)
 
-
-def attribution_event_fields(report):
-    """Compact ``attribution`` event body for the trace (aggregates
-    only — the full report is recomputable from the stream)."""
-    return {
-        "architecture": report.get("architecture"),
-        "rewrite_runs": report["rewrite_runs"],
-        "wall": report["wall"],
-        "growth": report["growth"],
-        "stages": {stage: {"seconds": agg["seconds"],
-                           "growth": agg["growth"],
-                           "commits": agg["commits"]}
-                   for stage, agg in report["by_stage"].items()},
-        "rules": {rule: {"seconds": agg["seconds"],
-                         "growth": agg["growth"],
-                         "commits": agg["commits"]}
-                  for rule, agg in report["by_rule"].items()},
-        "anomalies": len(report.get("anomalies") or ()),
-    }

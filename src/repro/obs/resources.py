@@ -21,17 +21,15 @@ Two independent tools live here:
 
 :class:`SamplingProfiler`
     A timer-driven statistical profiler: a thread wakes every
-    ``interval`` seconds, captures the target thread's Python stack via
-    ``sys._current_frames()``, and attributes the sample to (a) the
-    innermost open recorder span (the pipeline phase) and (b) the
-    rewriting commit being *constructed* — the step after the most
-    recently committed one (``Recorder.last_step + 1``).  Results
-    are exported as a ``profile`` event (hotspot table, per-phase and
-    per-commit sample counts) and as collapsed-stack text
-    (:meth:`SamplingProfiler.collapsed`) for flamegraph tooling.
-    Overhead is bounded by the sampling rate, not the workload — at the
-    default 5 ms interval the stack walk costs well under 5% of one
-    core.
+    ``interval`` seconds, reads the target thread's innermost Python
+    frame via ``sys._current_frames()``, and attributes the sample to
+    (a) the innermost open recorder span (the pipeline phase) and (b)
+    the rewriting commit being *constructed* — the step after the most
+    recently committed one (``Recorder.last_step + 1``).  Results are
+    exported as a ``profile`` event (hotspot table, per-phase and
+    per-commit sample counts).  Overhead is bounded by the sampling
+    rate, not the workload — at the default 5 ms interval a sample
+    costs well under 5% of one core.
 """
 
 from __future__ import annotations
@@ -296,16 +294,14 @@ class SamplingProfiler:
     """
 
     def __init__(self, recorder=None, interval=DEFAULT_PROFILE_INTERVAL,
-                 max_depth=48, top=20):
+                 top=20):
         self.recorder = recorder
         self.interval = interval
-        self.max_depth = max_depth
         self.top = top
         self.samples = 0
         self.attributed = 0
         self.by_phase = {}
         self.by_func = {}
-        self.by_stack = {}
         self.by_commit = {}
         self._target = None
         self._stop = threading.Event()
@@ -332,17 +328,7 @@ class SamplingProfiler:
         frame = sys._current_frames().get(self._target)
         if frame is None:
             return
-        stack = []
-        depth = 0
-        while frame is not None and depth < self.max_depth:
-            stack.append(self._frame_label(frame))
-            frame = frame.f_back
-            depth += 1
-        if not stack:
-            return
-        leaf = stack[0]
-        stack.reverse()
-        collapsed = ";".join(stack)
+        leaf = self._frame_label(frame)
         phase = current_phase(self.recorder) if self.recorder else ""
         # bin to the top-level phase: sub-spans roll up to their parent
         phase = phase.split(".", 1)[0] if phase else ""
@@ -352,7 +338,6 @@ class SamplingProfiler:
         key = phase or "(outside spans)"
         self.by_phase[key] = self.by_phase.get(key, 0) + 1
         self.by_func[leaf] = self.by_func.get(leaf, 0) + 1
-        self.by_stack[collapsed] = self.by_stack.get(collapsed, 0) + 1
         base = _base_recorder(self.recorder)
         step = base.last_step if base is not None else None
         if phase == "rewrite":
@@ -404,14 +389,6 @@ class SamplingProfiler:
             self.recorder.event("profile", **summary)
         self._stopped = True
         return summary
-
-    def collapsed(self):
-        """Collapsed-stack text (``stack;frames count`` per line) for
-        flamegraph tooling."""
-        lines = [f"{stack} {count}"
-                 for stack, count in sorted(self.by_stack.items(),
-                                            key=lambda kv: (-kv[1], kv[0]))]
-        return "\n".join(lines) + ("\n" if lines else "")
 
 
 def render_hotspot_table(profile):

@@ -34,7 +34,7 @@ being silently corrupted.
 
 File-backed stores run in **WAL journal mode with a busy timeout**:
 the verification service's worker processes, batch ``--jobs`` ingest
-and a dashboard reader all share one database, and WAL gives
+and the ``/metrics`` reader all share one database, and WAL gives
 single-writer/many-reader concurrency without "database is locked"
 failures (writers queue on the busy handler instead).
 Unbounded growth is handled by :meth:`RunStore.prune` (``repro obs
@@ -52,8 +52,8 @@ Everything the telemetry layer already writes can be ingested:
 
 and :meth:`ingest_file` sniffs the shape and dispatches.  On top of the
 store, :mod:`repro.obs.trends` detects regressions,
-:mod:`repro.obs.diff` compares runs, and :mod:`repro.obs.dashboard`
-renders HTML / Prometheus exports.
+:mod:`repro.obs.diff` compares runs, and :mod:`repro.obs.prometheus`
+renders the Prometheus exposition of ``GET /metrics``.
 """
 
 from __future__ import annotations
@@ -749,7 +749,7 @@ class RunStore:
 
     def certificates(self, status=None, limit=None):
         """Cached certificate rows (newest first), without the record
-        payloads — the ``repro status``/dashboard listing."""
+        payloads — the ``repro status`` listing."""
         sql = ("SELECT fingerprint, design, status, method, ring, "
                "width_a, width_b, signed, nodes, seconds, created_at, "
                "run_id, hits, last_hit_at FROM certificates")

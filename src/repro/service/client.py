@@ -35,6 +35,11 @@ class ServiceClient:
         """One request; returns the decoded JSON body.  Raises
         :class:`ServiceError` on a non-2xx status (with the server's
         ``error`` detail) and ``OSError`` when the service is down."""
+        return json.loads(self._exchange(method, path, payload)[1] or "{}")
+
+    def _exchange(self, method, path, payload=None):
+        """One request; returns ``(content type, body text)`` of a 2xx
+        response and raises like :meth:`request` otherwise."""
         body = None
         headers = {}
         if payload is not None:
@@ -48,14 +53,13 @@ class ServiceClient:
             text = response.read().decode("utf-8")
         finally:
             conn.close()
-        try:
-            decoded = json.loads(text) if text else {}
-        except ValueError:
-            decoded = {"error": text}
         if response.status >= 300:
-            raise ServiceError(response.status,
-                               decoded.get("error", text))
-        return decoded
+            try:
+                detail = json.loads(text).get("error", text)
+            except (ValueError, AttributeError):
+                detail = text
+            raise ServiceError(response.status, detail)
+        return response.getheader("Content-Type", ""), text
 
     # -- API surface ---------------------------------------------------
 
@@ -64,6 +68,10 @@ class ServiceClient:
 
     def stats(self):
         return self.request("GET", "/stats")
+
+    def metrics(self):
+        """``GET /metrics``: ``(content type, Prometheus text)``."""
+        return self._exchange("GET", "/metrics")
 
     def jobs(self):
         return self.request("GET", "/jobs")["jobs"]

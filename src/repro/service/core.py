@@ -292,3 +292,31 @@ class VerificationService:
                 certificates = self._store.certificates()
             info["certificates"] = len(certificates)
         return info
+
+    def metrics(self):
+        """The ``/metrics`` surface: the store's Prometheus exposition
+        followed by the :meth:`stats` counters as gauges."""
+        from repro.obs.prometheus import render_prometheus
+
+        stats = self.stats()
+        text = ""
+        if self._store is not None:
+            with self._lock:          # one sqlite connection, many threads
+                text = render_prometheus(self._store)
+        lines = ["# HELP repro_service_queued Jobs waiting in the queue.",
+                 "# TYPE repro_service_queued gauge",
+                 f"repro_service_queued {stats['queued']}",
+                 "# HELP repro_service_jobs Jobs per state.",
+                 "# TYPE repro_service_jobs gauge"]
+        lines.extend(f'repro_service_jobs{{state="{state}"}} {count}'
+                     for state, count in sorted(stats["jobs"].items()))
+        lines += ["# HELP repro_service_cache_hits Submissions answered "
+                  "from the certificate cache.",
+                  "# TYPE repro_service_cache_hits gauge",
+                  f"repro_service_cache_hits {stats['cache_hits']}"]
+        if "certificates" in stats:
+            lines += ["# HELP repro_service_certificates Verdicts in the "
+                      "certificate cache.",
+                      "# TYPE repro_service_certificates gauge",
+                      f"repro_service_certificates {stats['certificates']}"]
+        return text + "\n".join(lines) + "\n"

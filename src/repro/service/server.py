@@ -3,11 +3,15 @@
 Stdlib only: ``asyncio.start_server`` plus a hand-rolled HTTP/1.1
 request parser (the few hundred bytes of HTTP the service needs — no
 ``http.server`` thread-per-connection, no frameworks).  Every response
-is JSON with ``Connection: close``; the API surface:
+carries ``Connection: close`` and is JSON, except the Prometheus text
+of ``/metrics``; the API surface:
 
 ===========================  ==========================================
 ``GET  /health``             liveness probe (``{"ok": true}``)
 ``GET  /stats``              queue depth, job state counts, cache hits
+``GET  /metrics``            Prometheus text exposition: the latest run
+                             of every stored series plus the ``/stats``
+                             counters as ``repro_service_*`` gauges
 ``GET  /jobs``               job listing (no records)
 ``GET  /jobs/<id>``          one job with its verdict record
 ``GET  /jobs/<id>/events``   the job's obs event stream
@@ -29,6 +33,7 @@ import json
 import logging
 
 from repro.service.core import SubmitError
+from repro.service.jobs import DEFAULT_PRIORITY
 
 log = logging.getLogger("repro.service.server")
 
@@ -39,6 +44,9 @@ MAX_BODY_BYTES = 64 * 1024 * 1024
 _REASONS = {200: "OK", 202: "Accepted", 400: "Bad Request",
             404: "Not Found", 405: "Method Not Allowed",
             413: "Payload Too Large", 500: "Internal Server Error"}
+
+#: Content type of the Prometheus text exposition format.
+PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4"
 
 
 class ServiceServer:
@@ -115,17 +123,30 @@ class ServiceServer:
                 try:
                     length = int(value.strip())
                 except ValueError:
-                    raise _HttpError(400, "bad Content-Length") from None
+                    length = -1
+                if length < 0:
+                    raise _HttpError(400, "bad Content-Length")
         if length > MAX_BODY_BYTES:
             raise _HttpError(413, f"body over {MAX_BODY_BYTES} bytes")
-        body = await reader.readexactly(length) if length else b""
+        try:
+            body = await reader.readexactly(length) if length else b""
+        except asyncio.IncompleteReadError:
+            raise _HttpError(400, "body shorter than Content-Length") \
+                from None
         return method, path, body
 
     async def _respond(self, writer, status, payload):
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
+        """Write one response: a ``str`` payload is the Prometheus text
+        of ``/metrics``, anything else is sent as JSON."""
+        if isinstance(payload, str):
+            body = payload.encode("utf-8")
+            content_type = PROMETHEUS_CONTENT_TYPE
+        else:
+            body = json.dumps(payload, sort_keys=True).encode("utf-8")
+            content_type = "application/json"
         reason = _REASONS.get(status, "?")
         head = (f"HTTP/1.1 {status} {reason}\r\n"
-                f"Content-Type: application/json\r\n"
+                f"Content-Type: {content_type}\r\n"
                 f"Content-Length: {len(body)}\r\n"
                 f"Connection: close\r\n\r\n").encode("latin-1")
         writer.write(head + body)
@@ -147,6 +168,8 @@ class ServiceServer:
             return 200, {"ok": True, "service": "repro-verify"}
         if path == "/stats":
             return 200, service.stats()
+        if path == "/metrics":
+            return 200, service.metrics()
         if path == "/jobs":
             return 200, {"jobs": service.list_jobs()}
         if path.startswith("/jobs/"):
@@ -172,14 +195,23 @@ class ServiceServer:
             payload = json.loads(body.decode("utf-8"))
         except (UnicodeDecodeError, ValueError):
             raise _HttpError(400, "body is not valid JSON") from None
-        if not isinstance(payload, dict) or not payload.get("aag"):
+        if (not isinstance(payload, dict)
+                or not isinstance(payload.get("aag"), str)
+                or not payload["aag"]):
             raise _HttpError(400, 'submission needs {"aag": "<AAG text>"}')
+        design = payload.get("design") or "submitted"
+        if not isinstance(design, str):
+            raise _HttpError(400, '"design" must be a string')
+        options = payload.get("options") or {}
+        if not isinstance(options, dict):
+            raise _HttpError(400, '"options" must be an object')
+        try:
+            priority = int(payload.get("priority", DEFAULT_PRIORITY))
+        except (TypeError, ValueError, OverflowError):   # OverflowError: inf
+            raise _HttpError(400, '"priority" must be an integer') from None
         try:
             job = self.service.submit(
-                payload.get("design") or "submitted",
-                payload["aag"],
-                priority=int(payload.get("priority", 5)),
-                options=payload.get("options") or {},
+                design, payload["aag"], priority=priority, options=options,
                 use_cache=bool(payload.get("use_cache", True)))
         except SubmitError as exc:
             raise _HttpError(400, str(exc)) from None

@@ -12,7 +12,6 @@ from repro.obs.attribution import (
     CommitAnomalyDetector,
     attribute_store_run,
     attribute_view,
-    attribution_event_fields,
     calibration_from_store,
     design_baseline,
     render_attribution,
@@ -356,11 +355,3 @@ class TestRendering:
         with RunStore() as store:
             text = render_calibration(calibration_from_store(store))
         assert "need at least 2 series" in text
-
-    def test_event_fields_are_compact_aggregates(self):
-        fields = attribution_event_fields(_attribute(_stream()))
-        assert fields["architecture"] == "ripple"
-        assert fields["rewrite_runs"] == 1
-        assert fields["stages"]["fsa"]["growth"] == 10
-        assert fields["rules"]["FA/expand"]["commits"] == 2
-        assert "commits" not in fields  # no per-commit payload

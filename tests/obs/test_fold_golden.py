@@ -9,7 +9,10 @@ folded shows up here as a byte difference.
 
 * ``single.jsonl`` — ``repro verify SP-DT-LF-4.aag --resources
   --profile-sample --profile-interval 0.001 --explain --trace-out ...``
-  on a generated 4x4 Dadda multiplier;
+  on a generated 4x4 Dadda multiplier.  ``--profile-interval`` and
+  ``--explain`` have since been removed; the trace keeps the
+  ``attribution`` event ``--explain`` wrote, which ``repro report``
+  still renders, so traces recorded before then read the same;
 * ``escalated.jsonl`` — a :class:`~repro.obs.resources.ResourceTracker`
   over ``verify_multiplier(sextuple_output_multiplier(),
   ring="modular", prime_schedule=(3, 5))`` (the design from

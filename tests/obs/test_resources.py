@@ -190,12 +190,6 @@ class TestSamplingProfiler:
         summary = profiler.stop()
         assert summary["commits"].get("1", 0) >= 1
 
-    def test_collapsed_stack_format(self):
-        profiler = SamplingProfiler(None, interval=0.002)
-        profiler.by_stack = {"a.main;a.inner": 3, "a.main": 1}
-        text = profiler.collapsed()
-        assert text.splitlines() == ["a.main;a.inner 3", "a.main 1"]
-
     def test_no_samples_is_not_an_error(self):
         profiler = SamplingProfiler(Recorder(), interval=0.002)
         summary = profiler.stop()  # never started

@@ -5,6 +5,10 @@ test; the final test shuts it down through the API and asserts the
 thread exits — which is the clean-shutdown check itself.
 """
 
+import contextlib
+import logging
+import re
+import socket
 import threading
 
 import pytest
@@ -28,9 +32,10 @@ def buggy_text():
     return write_aag(inject_visible_fault(aig, kind="wrong-wire", seed=1))
 
 
-@pytest.fixture(scope="module")
-def served(tmp_path_factory):
-    db = str(tmp_path_factory.mktemp("server") / "runs.db")
+@contextlib.contextmanager
+def _serving(db):
+    """An inline service on an ephemeral port, shut down on exit unless
+    a test already did; yields ``(client, server thread)``."""
     service = VerificationService(db=db, workers=1, use_processes=False)
     box = {}
     ready = threading.Event()
@@ -45,10 +50,42 @@ def served(tmp_path_factory):
     thread.start()
     assert ready.wait(timeout=30), "server did not come up"
     client = ServiceClient(port=box["port"])
-    yield client, thread
-    if thread.is_alive():
-        client.shutdown()
-        thread.join(timeout=30)
+    try:
+        yield client, thread
+    finally:
+        if thread.is_alive():
+            client.shutdown()
+            thread.join(timeout=30)
+
+
+@pytest.fixture(scope="module")
+def served(tmp_path_factory):
+    with _serving(str(tmp_path_factory.mktemp("server") / "runs.db")) as box:
+        yield box
+
+
+@pytest.fixture
+def server_errors():
+    """ERROR records (tracebacks) the server logs during one test."""
+    records = []
+    handler = logging.Handler(logging.ERROR)
+    handler.emit = records.append
+    logger = logging.getLogger("repro.service.server")
+    logger.addHandler(handler)
+    yield records
+    logger.removeHandler(handler)
+
+
+def _raw_status(port, data):
+    """Send raw request bytes, close the write side, and return the
+    response's status code."""
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        sock.sendall(data)
+        sock.shutdown(socket.SHUT_WR)
+        reply = b""
+        while chunk := sock.recv(4096):
+            reply += chunk
+    return int(reply.split(b" ", 2)[1])
 
 
 def test_health(served):
@@ -97,7 +134,7 @@ def test_stats_counts_cache_hits(served):
     assert stats["jobs"]["failed"] == 0
 
 
-def test_error_statuses(served):
+def test_error_statuses(served, aag_text, server_errors):
     client, _ = served
     with pytest.raises(ServiceError) as exc:
         client.submit("not an aag at all", design="junk")
@@ -114,6 +151,42 @@ def test_error_statuses(served):
     with pytest.raises(ServiceError) as exc:
         client.request("POST", "/jobs", {"design": "no-aag-field"})
     assert exc.value.status == 400
+    for bad in ({"priority": "x"}, {"priority": float("inf")},
+                {"options": [1]}, {"design": ["x"]}):
+        with pytest.raises(ServiceError) as exc:
+            client.request("POST", "/jobs", {"aag": aag_text, **bad})
+        assert exc.value.status == 400, bad
+    assert server_errors == []
+
+
+@pytest.mark.parametrize("head, body", [
+    (b"Content-Length: -5", b""),               # negative length
+    (b"Content-Length: 100", b"{}"),            # body cut short
+])
+def test_bad_content_length_is_400(served, server_errors, head, body):
+    client, _ = served
+    request = b"POST /jobs HTTP/1.1\r\n" + head + b"\r\n\r\n" + body
+    assert _raw_status(client.port, request) == 400
+    assert server_errors == []
+
+
+def test_metrics_exposition(tmp_path, aag_text):
+    with _serving(str(tmp_path / "runs.db")) as (client, _):
+        client.wait(client.submit(aag_text, design="m.aag")["id"],
+                    timeout=120)
+        assert client.submit(aag_text, design="again.aag")["state"] == \
+            "done"
+        content_type, text = client.metrics()
+    assert content_type == "text/plain; version=0.0.4"
+    typed = {line.split(" ")[2] for line in text.splitlines()
+             if line.startswith("# TYPE ")}
+    samples = [line for line in text.splitlines()
+               if not line.startswith("#")]
+    assert {re.split(r"[{ ]", line, 1)[0] for line in samples} <= typed
+    assert "repro_runs_total 1" in samples
+    assert any(re.match(r'repro_run_seconds\{design="m",.*\} [0-9.]+$',
+                        line) for line in samples)
+    assert "repro_service_cache_hits 1" in samples
 
 
 def test_zz_shutdown_is_clean(served):
