@@ -271,8 +271,7 @@ def build_parser():
                              help="ingest traces / bench JSON into the "
                                   "run-history store")
     ing.add_argument("files", nargs="+", metavar="file",
-                     help="JSONL traces, verify/bench --json payloads, "
-                          "or perf_bench baselines")
+                     help="JSONL traces or verify/bench --json payloads")
     ing.add_argument("--db", default=default_db, metavar="PATH")
     ing.add_argument("--design", default=None,
                      help="design label for JSONL traces (default: "

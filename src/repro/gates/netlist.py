@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from repro.aig.aig import Aig
 from repro.errors import NetlistError
 from repro.gates.library import cell_name_for, cell_truth_table
-from repro.opt.decompose import synthesize_best
 
 
 @dataclass(frozen=True)
@@ -125,6 +124,9 @@ class Netlist:
     def to_aig(self):
         """Decompose every cell into AND/INV logic — a fresh AIG whose
         structure reflects cell boundaries, not the original circuit."""
+        # repro.opt maps AIGs back to netlists, so it imports this module
+        from repro.opt.decompose import synthesize_best
+
         aig = Aig(self.name)
         net2lit = {0: 0}
         for net, name in zip(self.input_nets, self.input_names):

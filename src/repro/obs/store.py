@@ -11,8 +11,8 @@ tables:
 * ``phases``  — per-phase wall-clock seconds (the span totals);
 * ``commits`` — the per-step ``SP_i``-size trajectory (Fig. 5 data),
   including the substituted component and the Algorithm 2 threshold;
-* ``metrics`` — free-form named scalars (e.g. the perf microbench's
-  machine-normalized phase costs);
+* ``metrics`` — free-form named scalars (e.g. ``counter:*`` totals and
+  the ``attr:*`` cost-attribution slices);
 * ``workers``   — (schema v2) per-worker relay accounting of parallel
   ``--jobs`` runs: pool slot, pid, event count, active window;
 * ``resources`` — (schema v2) per-phase resource telemetry from
@@ -47,8 +47,6 @@ Everything the telemetry layer already writes can be ingested:
 * merged ``verify --json`` payloads (:meth:`ingest_verify_payload`),
 * ``table1``/``table2``/``fig5`` ``--json`` payloads
   (:meth:`ingest_bench_payload`),
-* ``scripts/perf_bench.py`` baselines like ``BENCH_rewriting.json``
-  (:meth:`ingest_perf_bench`),
 
 and :meth:`ingest_file` sniffs the shape and dispatches.  On top of the
 store, :mod:`repro.obs.trends` detects regressions,
@@ -437,7 +435,8 @@ class RunStore:
     def ingest_trace_file(self, path, design=None, optimization="none",
                           method=None, *, git_rev=None, source=None):
         """Ingest a ``verify --trace-out`` JSONL file; tolerates
-        truncated traces.  Returns ``(run_id, skipped_lines)``.
+        truncated traces but raises ``ValueError`` on a file without a
+        single event.  Returns ``(run_id, skipped_lines)``.
 
         A relay-merged ``verify --jobs N`` trace is ingested as one run
         per ``task_begin`` segment, labelled by the design the relay
@@ -448,6 +447,8 @@ class RunStore:
         from repro.obs.view import fold_events
 
         events, skipped = read_events_tolerant(path)
+        if not events:
+            raise ValueError("no trace events")
         if skipped:
             log.warning("%s: skipped %d unparseable line(s)", path, skipped)
         design = design or pathlib.Path(path).stem
@@ -496,56 +497,39 @@ class RunStore:
                     git_rev=git_rev, source=source))
         return run_ids
 
-    def ingest_perf_bench(self, payload, *, git_rev=None, source=None):
-        """Ingest a ``scripts/perf_bench.py`` payload
-        (``BENCH_rewriting.json``): one run per measured scale, with the
-        raw phase seconds in ``phases`` and the machine-normalized costs
-        in ``metrics`` (``normalized:<phase>``)."""
-        run_ids = []
-        for scale, record in sorted((payload.get("scales") or {}).items()):
-            phases = {}
-            metrics = {}
-            for phase, data in sorted((record.get("phases") or {}).items()):
-                phases[phase] = data.get("seconds", 0.0)
-                if data.get("normalized") is not None:
-                    metrics[f"normalized:{phase}"] = data["normalized"]
-            run_ids.append(self.add_run(
-                design=f"microbench-{scale}", method="perf_bench",
-                status="measured",
-                seconds=sum(phases.values()) or None,
-                phases=phases, metrics=metrics, git_rev=git_rev,
-                source=source,
-                meta={"budget": record.get("budget"),
-                      "calibration_seconds":
-                          payload.get("calibration_seconds")}))
-        return run_ids
-
     def ingest_file(self, path, *, design=None, optimization="none",
                     method=None, git_rev=None, source=None):
         """Sniff a file's shape and ingest it; returns the new run ids.
 
-        JSONL traces, ``verify --json``, bench ``--json`` and perf-bench
-        payloads are recognized; anything else raises ``ValueError``.
+        JSONL traces, ``verify --json`` and bench ``--json`` payloads are
+        recognized; anything else, or a payload whose fields have the
+        wrong types, raises ``ValueError`` and adds no run.
         """
         source = source or str(path)
         text = pathlib.Path(path).read_text(encoding="utf-8")
-        payload = None
         try:
             payload = json.loads(text)
         except ValueError:
             payload = None
-        if isinstance(payload, dict):
+        if payload is not None and not isinstance(payload, dict):
+            raise ValueError(f"a JSON {type(payload).__name__} is not a "
+                             "run payload")
+        if payload is not None and "ev" not in payload:
             if payload.get("command") == "verify":
-                return self.ingest_verify_payload(payload, git_rev=git_rev,
-                                                  source=source)
-            if payload.get("bench") == "rewriting-microbench":
-                return self.ingest_perf_bench(payload, git_rev=git_rev,
-                                              source=source)
-            if "cases" in payload:
-                return self.ingest_bench_payload(payload, git_rev=git_rev,
-                                                 source=source)
-            if "ev" not in payload:
-                raise ValueError(f"{path}: unrecognized JSON payload shape")
+                ingest = RunStore.ingest_verify_payload
+            elif "cases" in payload:
+                ingest = RunStore.ingest_bench_payload
+            else:
+                raise ValueError("unrecognized JSON payload shape")
+            # a dry run into a scratch store, so that a payload which
+            # fails half-way leaves no partial runs in this one
+            try:
+                with RunStore() as scratch:
+                    ingest(scratch, payload)
+            except (AttributeError, TypeError, ValueError,
+                    sqlite3.Error) as exc:
+                raise ValueError(f"malformed payload: {exc}") from None
+            return ingest(self, payload, git_rev=git_rev, source=source)
         # fall through: treat as a JSONL event stream
         run_id, _skipped = self.ingest_trace_file(
             path, design=design, optimization=optimization, method=method,

@@ -3,7 +3,7 @@
 For every (design, optimization, method) series in a
 :class:`~repro.obs.store.RunStore` and every gateable metric — total
 seconds, per-phase wall-clock, peak ``SP_i`` size, and free-form
-metrics such as the perf microbench's normalized costs — the newest
+metrics such as the cost-attribution slices — the newest
 value is compared against an *EWMA baseline* of the older history:
 
 ``baseline = ewma(history[:-1], alpha)``, newest first weighted, so a
@@ -15,14 +15,12 @@ verdict is machine-readable (one dict per series x metric):
 * ``no-history`` — fewer than ``min_history + 1`` points;
 * ``noise-floor`` — time-valued metrics whose baseline *seconds* sit
   under ``floor`` (timer/allocator noise, reported but not gated).
-  Normalized microbench metrics (``metric:normalized:<phase>``) borrow
-  the floor decision from their ``phase:<phase>`` twin in the same
-  series; attribution wall-time slices (``metric:attr:*:seconds``)
-  borrow ``phase:rewrite``, the phase they are fractions of.
+  Attribution wall-time slices (``metric:attr:*:seconds``) borrow the
+  floor decision from ``phase:rewrite``, the phase they are fractions
+  of.
 
-``repro obs trends --check`` and ``scripts/perf_bench.py --check`` both
-fail on any ``regression`` verdict — this is the CI perf gate, with
-history instead of a single-file baseline.
+``repro obs trends --check`` fails on any ``regression`` verdict, so a
+store of past runs gates the newest run against its own history.
 """
 
 from __future__ import annotations
@@ -70,12 +68,6 @@ def _floor_baseline(store, design, optimization, method, metric, config):
         history = [v for _, v in store.history(design, optimization,
                                                method, metric)]
         return ewma(history[:-1], config.alpha)
-    if metric.startswith("metric:normalized:"):
-        twin = "phase:" + metric[len("metric:normalized:"):]
-        history = [v for _, v in store.history(design, optimization,
-                                               method, twin)]
-        if history:
-            return ewma(history[:-1] or history, config.alpha)
     if metric.startswith("metric:attr:") and metric.endswith(":seconds"):
         # attribution wall-time slices are fractions of the rewrite
         # phase; borrow its history as the noise-floor twin so a

@@ -188,6 +188,15 @@ class TestObsCli:
         assert "Run-history trends" in out
         assert "run" in out  # design label from the trace stem
 
+    def test_ingest_malformed_payload_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"command": "verify", "records": [1]}',
+                       encoding="utf-8")
+        assert main(["obs", "ingest", "--db", str(tmp_path / "runs.db"),
+                     str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert f"obs ingest: {bad}: malformed payload" in err
+
     def test_trends_check_fails_on_regression(self, tmp_path, capsys):
         import json
 

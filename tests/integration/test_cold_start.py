@@ -6,6 +6,7 @@ Each check verifies a small design in a fresh interpreter and inspects
 
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import types
@@ -82,6 +83,18 @@ def test_verify_output_flags_load_no_bench_layer(design, tmp_path, flag,
                     for layer in NOT_ON_VERIFY_OUTPUT_PATH
                     if name == layer or name.startswith(layer + "."))
     assert loaded == []
+
+
+@pytest.mark.parametrize("package", sorted(
+    f"repro.{info.name}" for info in pkgutil.iter_modules(repro.__path__)
+    if info.ispkg))
+def test_subpackage_imports_first(package):
+    # a subpackage imported before any other part of repro must not
+    # trip over an import cycle
+    proc = subprocess.run([sys.executable, "-c", f"import {package}"],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=SRC), timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_lazy_exports_resolve_to_objects():

@@ -98,24 +98,24 @@ class TestAddRun:
                           phases={"rewrite": 0.5})
             store.add_run("a", "dyposub", seconds=2.0,
                           phases={"rewrite": 0.7},
-                          metrics={"normalized:rewrite": 3.0})
+                          metrics={"attr:sp0:size": 3.0})
             history = store.history("a", "none", "dyposub", "seconds")
             assert [value for _, value in history] == [1.0, 2.0]
             phase = store.history("a", "none", "dyposub", "phase:rewrite")
             assert [value for _, value in phase] == [0.5, 0.7]
             metric = store.history("a", "none", "dyposub",
-                                   "metric:normalized:rewrite")
+                                   "metric:attr:sp0:size")
             assert [value for _, value in metric] == [3.0]
 
     def test_metric_names_skip_counters(self):
         with RunStore() as store:
             store.add_run("a", "dyposub", seconds=1.0, max_poly_size=9,
                           phases={"rewrite": 0.5},
-                          metrics={"normalized:rewrite": 3.0,
+                          metrics={"attr:sp0:size": 3.0,
                                    "counter:rewrite.commits": 12})
             names = store.metric_names("a", "none", "dyposub")
             assert names == ["seconds", "max_poly_size", "phase:rewrite",
-                             "metric:normalized:rewrite"]
+                             "metric:attr:sp0:size"]
 
 
 class TestIngestEvents:
@@ -202,24 +202,6 @@ class TestIngestPayloads:
             assert run["design"] == "SP-DT-LF 8x8"
             assert run["optimization"] == "dc2"
 
-    def test_perf_bench_payload(self):
-        payload = {"bench": "rewriting-microbench",
-                   "calibration_seconds": 0.05,
-                   "scales": {"small": {"budget": 50_000, "phases": {
-                       "spec_build": {"seconds": 0.01, "normalized": 0.2},
-                       "dynamic_rewrite": {"seconds": 2.0,
-                                           "normalized": 40.0},
-                   }}}}
-        with RunStore() as store:
-            run_ids = store.ingest_perf_bench(payload)
-            run = store.run(run_ids[0])
-            assert run["design"] == "microbench-small"
-            assert run["method"] == "perf_bench"
-            assert run["phases"] == {"spec_build": 0.01,
-                                     "dynamic_rewrite": 2.0}
-            assert run["metrics"] == {"normalized:spec_build": 0.2,
-                                      "normalized:dynamic_rewrite": 40.0}
-
     def test_ingest_file_sniffs_shapes(self, tmp_path):
         trace = tmp_path / "run.jsonl"
         trace.write_text("\n".join(json.dumps(e) for e in _events()),
@@ -238,6 +220,28 @@ class TestIngestPayloads:
             bogus.write_text('{"what": "ever"}', encoding="utf-8")
             with pytest.raises(ValueError):
                 store.ingest_file(bogus)
+
+    @pytest.mark.parametrize("text", ["", "not a trace\n"] + [
+        json.dumps(payload) for payload in (
+            [1, 2],
+            {"cases": 5},
+            {"cases": [{"methods": {"x": 3}}]},
+            {"command": "verify", "records": [1]},
+            # a good record ahead of a bad one must not be stored either
+            {"command": "verify",
+             "records": [{"input": "m.aag"}, {"stats": 1}]},
+            # the baseline format of the deleted kernel microbenchmark
+            {"bench": "rewriting-" "microbench", "calibration_seconds": 0.05,
+             "scales": {"small": {"budget": 50_000, "phases": {
+                 "dynamic_rewrite": {"seconds": 2.0, "normalized": 40.0}}}}},
+        )])
+    def test_ingest_file_rejects_malformed_input(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text, encoding="utf-8")
+        with RunStore() as store:
+            with pytest.raises(ValueError):
+                store.ingest_file(path)
+            assert len(store) == 0
 
 
 class TestSchemaV2:

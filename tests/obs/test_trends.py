@@ -77,29 +77,6 @@ class TestTrendFor:
                                 "max_poly_size")
             assert verdict["verdict"] == "regression"
 
-    def test_normalized_metric_borrows_phase_floor(self):
-        # normalized costs are unitless; the noise-floor decision must
-        # come from the wall clock of the matching phase
-        with RunStore() as store:
-            for seconds in (0.001, 0.001, 0.001):
-                store.add_run("microbench-small", "perf_bench",
-                              phases={"spec_build": seconds},
-                              metrics={"normalized:spec_build": seconds * 100})
-            verdict = trend_for(store, "microbench-small", "none",
-                                "perf_bench", "metric:normalized:spec_build")
-            assert verdict["verdict"] == "noise-floor"
-
-    def test_normalized_metric_gated_above_floor(self):
-        with RunStore() as store:
-            for seconds, cost in ((1.0, 10.0), (1.0, 10.0), (2.2, 22.0)):
-                store.add_run("microbench-small", "perf_bench",
-                              phases={"dynamic_rewrite": seconds},
-                              metrics={"normalized:dynamic_rewrite": cost})
-            verdict = trend_for(store, "microbench-small", "none",
-                                "perf_bench",
-                                "metric:normalized:dynamic_rewrite")
-            assert verdict["verdict"] == "regression"
-
     def test_attr_seconds_borrows_rewrite_phase_floor(self):
         # attribution wall-time slices are fractions of the rewrite
         # phase; when that phase sits under the noise floor, a jittery
