@@ -15,18 +15,16 @@
    run-history store, trend gate and diff tool all consume these
    events, so a silently changed field is a cross-run data corruption.
    After an intentional change, regenerate with ``--update-schema``.
-4. **Batch relay** — a ``--jobs 2`` batch verify must (a) produce the
-   same verdicts and records as the serial path, (b) lose zero worker
-   events over the relay queue, and (c) keep the cost of streaming the
-   trace plus the sampling profiler within ``--telemetry-tolerance``
+4. **Batch telemetry** — a batch verify must keep the cost of streaming
+   its trace plus the sampling profiler within ``--telemetry-tolerance``
    of an uninstrumented batch.
 
 Run from the repository root::
 
     PYTHONPATH=src python scripts/obs_overhead_check.py
 
-Exit code 0 on success, 1 on a parity mismatch, overhead regression,
-schema drift, or a relay guarantee violation.
+Exit code 0 on success, 1 on a parity mismatch, overhead regression or
+schema drift.
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ import contextlib
 import io
 import json
 import os
-import re
 import sys
 import tempfile
 import time
@@ -117,18 +114,6 @@ def _write_benchmark_designs(tmp, cases=CASES):
     return paths
 
 
-def _strip_batch_record(record):
-    """Drop the fields that legitimately differ between the serial and
-    pooled batch paths (timings and worker attribution)."""
-    clean = dict(record)
-    for key in ("seconds", "phases", "worker_id", "jobs", "profile",
-                "resources"):
-        clean.pop(key, None)
-    clean["summary"] = re.sub(r" in \d+\.\d+s", " in <t>",
-                              clean["summary"])
-    return clean
-
-
 def _run_batch_verify(paths, tmp, name, extra):
     """One CLI batch verify; returns (seconds, exit_code, payload)."""
     from repro import cli
@@ -143,71 +128,27 @@ def _run_batch_verify(paths, tmp, name, extra):
         return seconds, code, json.load(handle)
 
 
-def check_batch_relay(repeats, telemetry_tolerance):
-    """The three ``--jobs`` guarantees: parity, zero loss, bounded
-    telemetry overhead."""
-    from repro.obs import read_events
-
-    failures = []
+def check_batch_telemetry(repeats, telemetry_tolerance):
+    """Tracing + sampling profiler overhead on a batch verify, min-of-N
+    on both sides."""
     with tempfile.TemporaryDirectory() as tmp:
         paths = _write_benchmark_designs(tmp)
-
-        # (a) + (b): one telemetry-on pooled run against the serial path
-        _, serial_code, serial = _run_batch_verify(
-            paths, tmp, "serial", ["--jobs", "1"])
-        trace_path = os.path.join(tmp, "merged.jsonl")
-        _, pooled_code, pooled = _run_batch_verify(
-            paths, tmp, "pooled",
-            ["--jobs", "2", "--trace-out", trace_path])
-        if serial_code != pooled_code:
-            failures.append(f"batch: exit codes differ (serial "
-                            f"{serial_code}, jobs=2 {pooled_code})")
-        serial_records = [_strip_batch_record(r)
-                          for r in serial["records"]]
-        pooled_records = [_strip_batch_record(r)
-                          for r in pooled["records"]]
-        if serial_records != pooled_records:
-            failures.append("batch: jobs=2 records differ from the "
-                            "serial path (verdict/remainder parity)")
-        loss = pooled.get("event_loss")
-        if loss != 0:
-            failures.append(f"batch: relay lost {loss} worker event(s)")
-        events = read_events(trace_path)
-        untagged = [e for e in events
-                    if "worker_id" not in e or "seq" not in e]
-        if untagged:
-            failures.append(f"batch: {len(untagged)} merged event(s) "
-                            f"missing worker tags")
-        for worker in sorted({e.get("worker_id") for e in events}):
-            seqs = [e["seq"] for e in events
-                    if e.get("worker_id") == worker]
-            if seqs != sorted(seqs):
-                failures.append(f"batch: worker {worker} causal order "
-                                f"broken in the merged trace")
-        print(f"batch jobs=2: {len(events)} merged events, "
-              f"{len(pooled.get('workers', []))} workers, loss {loss} "
-              f"({'ok' if not failures else 'FAIL'})")
-
-        # (c): tracing + sampling profiler overhead, min-of-N both sides
-        plain = min(_run_batch_verify(paths, tmp, f"plain{i}",
-                                      ["--jobs", "2"])[0]
+        plain = min(_run_batch_verify(paths, tmp, f"plain{i}", [])[0]
                     for i in range(repeats))
         traced = min(_run_batch_verify(
             paths, tmp, f"traced{i}",
-            ["--jobs", "2", "--trace-out",
-             os.path.join(tmp, f"t{i}.jsonl"), "--profile-sample"])[0]
+            ["--trace-out", os.path.join(tmp, f"t{i}.jsonl"),
+             "--profile-sample"])[0]
             for i in range(repeats))
-        ratio = traced / plain if plain else 1.0
-        verdict = ("ok" if ratio <= 1.0 + telemetry_tolerance
-                   else "REGRESSION")
-        print(f"batch telemetry: plain {plain * 1e3:.1f}ms, "
-              f"trace+sampler {traced * 1e3:.1f}ms, "
-              f"ratio {ratio:.3f} ({verdict})")
-        if verdict != "ok":
-            failures.append(
-                f"batch: trace+sampler overhead {ratio:.3f} exceeds "
-                f"1+{telemetry_tolerance}")
-    return failures
+    ratio = traced / plain if plain else 1.0
+    verdict = "ok" if ratio <= 1.0 + telemetry_tolerance else "REGRESSION"
+    print(f"batch telemetry: plain {plain * 1e3:.1f}ms, "
+          f"trace+sampler {traced * 1e3:.1f}ms, "
+          f"ratio {ratio:.3f} ({verdict})")
+    if verdict != "ok":
+        return [f"batch: trace+sampler overhead {ratio:.3f} exceeds "
+                f"1+{telemetry_tolerance}"]
+    return []
 
 
 def collect_schema_events():
@@ -298,16 +239,6 @@ def collect_schema_events():
     monitor.pulse()
     events += monitor.events
 
-    # Batch mode: a per-worker stall carries the worker dimension.
-    times = [0.0]
-    monitor = LiveMonitor(Recorder(), stall_budget=1.0,
-                          clock=lambda: times[0])
-    monitor.worker_event({"ev": "task_begin", "worker_id": 1,
-                          "design": "a.aag"})
-    times[0] = 10.0
-    monitor.tick()
-    events += monitor.events
-
     # Commit-level anomaly detection: a detector-armed monitor over an
     # injected size spike fires RP012 (run-local EWMA outlier) and
     # RP013 (stored per-design baseline crossed), each as an "anomaly"
@@ -323,11 +254,9 @@ def collect_schema_events():
         monitor.event("step", i=i, comp=i, kind="FA", size=size)
     events += monitor.events
 
-    # Relay batch with resources and the sampling profiler: every
-    # worker event gains worker_id/pid/seq tags, plus task_begin /
+    # Batch with resources and the sampling profiler: task_begin /
     # task_end bookkeeping, resource_sample / phase_resources /
-    # resources_summary and the profile event.  The serial --jobs 1
-    # path is used so the sweep stays deterministic and in-process.
+    # resources_summary and the profile event.
     from repro import cli
     from repro.obs import read_events
 
@@ -336,9 +265,8 @@ def collect_schema_events():
             tmp, cases=(("SP-AR-RC", 4, "none"), ("SP-WT-CL", 4, "none")))
         trace_path = os.path.join(tmp, "batch.jsonl")
         with contextlib.redirect_stdout(io.StringIO()):
-            cli.main(["verify", *paths, "--jobs", "1",
-                      "--trace-out", trace_path, "--resources",
-                      "--profile-sample"])
+            cli.main(["verify", *paths, "--trace-out", trace_path,
+                      "--resources", "--profile-sample"])
         events += read_events(trace_path)
 
         # Single-design run: stage_map + rewrite_begin from the
@@ -418,12 +346,12 @@ def main(argv=None):
                         metavar="R",
                         help="allowed relative overhead of trace "
                              "streaming + the sampling profiler on a "
-                             "--jobs 2 batch (0.25 = 25%%)")
+                             "batch verify (0.25 = 25%%)")
     parser.add_argument("--batch-repeats", type=int, default=3,
                         help="batch runs per side of the telemetry "
                              "overhead comparison (min is compared)")
     parser.add_argument("--skip-batch", action="store_true",
-                        help="skip the --jobs 2 relay checks")
+                        help="skip the batch telemetry overhead check")
     args = parser.parse_args(argv)
 
     if args.update_schema:
@@ -435,15 +363,16 @@ def main(argv=None):
         failures += check_case(architecture, width, optimization,
                                args.repeats, args.tolerance)
     if not args.skip_batch:
-        failures += check_batch_relay(args.batch_repeats,
-                                      args.telemetry_tolerance)
+        failures += check_batch_telemetry(args.batch_repeats,
+                                          args.telemetry_tolerance)
     if not args.skip_schema:
         failures += check_schema(args.schema)
     if failures:
         for failure in failures:
             print(f"FAIL: {failure}", file=sys.stderr)
         return 1
-    print("observability parity + overhead + relay + schema check passed")
+    print("observability parity + overhead + batch telemetry + schema "
+          "check passed")
     return 0
 
 

@@ -1,9 +1,9 @@
 #!/usr/bin/env python
 """CI smoke test of the verification service, over real processes.
 
-Starts an actual ``repro serve`` child (HTTP listener + worker process
-pool + certificate cache on disk), then drives the documented client
-flow:
+Starts an actual ``repro serve --jobs 2`` child (HTTP listener, two
+dispatcher threads, certificate cache on disk), then drives the
+documented client flow:
 
 1. submit a clean 4x4 multiplier — verifies fresh (``cache_hit`` false);
 2. submit an *isomorphic rewrite* of the same design (renumbered
@@ -13,9 +13,11 @@ flow:
    ``buggy`` with a concrete counterexample;
 4. submit a design with an odd number of inputs — the job must end
    ``done`` with an ``invalid`` RA030 verdict, and no run row;
-5. ``GET /metrics`` — the Prometheus text must count the stored runs
+5. submit a slower design and read its event stream while it runs —
+   the stream must already carry the job's pipeline events;
+6. ``GET /metrics`` — the Prometheus text must count the stored runs
    and the one cache hit;
-6. ``POST /shutdown`` — the server must drain and exit 0.
+7. ``POST /shutdown`` — the server must drain and exit 0.
 
 Run from the repo root: ``PYTHONPATH=src python scripts/service_smoke.py``
 """
@@ -130,10 +132,27 @@ def main():
         codes = [d.get("code") for d in odd["record"]["diagnostics"]]
         check(codes == ["RA030"], f"invalid verdict carries RA030 ({codes})")
 
+        slow = client.submit(write_aag(generate_multiplier("SP-WT-CL", 8)),
+                             design="slow.aag")
+        # read the stream, then the state: a job still running after
+        # the read had emitted those events while it ran
+        while True:
+            events = [event["ev"] for event in client.events(slow["id"])]
+            state = client.job(slow["id"])["state"]
+            if state in ("done", "failed") \
+                    or (state == "running" and len(events) > 1):
+                break
+            time.sleep(0.01)
+        check(state == "running" and "task_begin" in events,
+              f"a running job's event stream is non-empty "
+              f"({len(events)} event(s), job {state})")
+        check(client.wait(slow["id"], timeout=300)["record"]["status"]
+              == "correct", "the slower design verifies")
+
         stats = client.stats()
         check(stats["cache_hits"] == 1, "service counted one cache hit")
-        check(stats["certificates"] == 2,
-              "two certificates stored (clean + buggy)")
+        check(stats["certificates"] == 3,
+              "three certificates stored (clean + buggy + slow)")
         check(stats["jobs"]["failed"] == 0, "no failed jobs")
 
         content_type, metrics = client.metrics()

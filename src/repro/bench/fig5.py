@@ -21,7 +21,6 @@ import sys
 from repro.bench.harness import (
     bench_config,
     benchmark_multiplier,
-    parallel_map,
     run_method,
 )
 from repro.bench.render import render_table, render_trace_plot
@@ -63,31 +62,11 @@ def trace_case(optimization, width=None, config=None, telemetry=False):
     return case
 
 
-def _panel_worker(job):
-    """Module-level (picklable) worker: one Fig. 5 panel -> plain data
-    (traces, peaks, statuses and optional telemetry records)."""
-    optimization, config, telemetry = job
-    case = trace_case(optimization, config=config, telemetry=telemetry)
-    return {
-        "optimization": optimization,
-        "width": case["width"],
-        "nodes": case["aig"].num_ands,
-        "traces": case["traces"],
-        "peaks": case["peaks"],
-        "status": case["status"],
-        "records": case.get("records"),
-    }
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(prog="repro.bench.fig5")
     parser.add_argument("--json", default=None, metavar="PATH",
                         help="also write per-panel traces with per-phase "
                              "timings as JSON (e.g. BENCH_FIG5.json)")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="trace panels in N parallel worker processes "
-                             "(per-case seconds then contend for cores; "
-                             "use 1 for timing-faithful runs)")
     parser.add_argument("--db", default=os.environ.get("REPRO_OBS_DB"),
                         metavar="PATH",
                         help="also ingest the per-panel records into this "
@@ -99,23 +78,17 @@ def main(argv=None):
     telemetry = args.json is not None or args.db is not None
     print(f"# Fig. 5 reproduction: {ARCHITECTURE} {width}x{width} "
           f"(scale={config['scale']})", flush=True)
-    jobs_args = [(optimization, config, telemetry)
-                 for optimization in VARIANTS]
-    cases = parallel_map(
-        _panel_worker, jobs_args, jobs=args.jobs,
-        progress=lambda s: print(f"  tracing {s}...", file=sys.stderr,
-                                 flush=True),
-        labels=list(VARIANTS))
     summary = []
     panels = []
-    for case in cases:
-        optimization = case["optimization"]
+    for optimization in VARIANTS:
+        print(f"  tracing {optimization}...", file=sys.stderr, flush=True)
+        case = trace_case(optimization, config=config, telemetry=telemetry)
         if telemetry:
             panels.append({
                 "architecture": ARCHITECTURE,
                 "size": f"{case['width']}x{case['width']}",
                 "optimization": optimization,
-                "nodes": case["nodes"],
+                "nodes": case["aig"].num_ands,
                 "methods": case["records"],
             })
         label = "-" if optimization == "none" else optimization

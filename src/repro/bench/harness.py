@@ -68,9 +68,9 @@ def cache_dir():
 def cached_aig(key, builder):
     """Fetch an AIG from the cache, building and storing it on a miss.
 
-    The store is a temp-file + atomic rename, so parallel benchmark
-    workers racing on the same key never observe a partially written
-    AIGER file.
+    The store is a temp-file + atomic rename, so concurrent processes
+    racing on the same key never observe a partially written AIGER
+    file.
     """
     path = cache_dir() / f"{key}.aag"
     if path.exists():
@@ -81,76 +81,6 @@ def cached_aig(key, builder):
         handle.write(write_aag(aig))
     os.replace(tmp, path)
     return aig
-
-
-def _progress_arity(progress):
-    """How many positional args ``progress`` accepts (1 = legacy
-    label-only callbacks, 2+ = label plus worker id)."""
-    import inspect
-
-    try:
-        return len(inspect.signature(progress).parameters)
-    except (TypeError, ValueError):
-        return 1
-
-
-def parallel_map(worker, items, jobs=1, progress=None, labels=None,
-                 initializer=None, initargs=()):
-    """Map ``worker`` over ``items``, returning results in item order.
-
-    With ``jobs > 1`` the items are fanned out to a pool of worker
-    processes (items and results must be picklable; ``worker`` must be
-    a module-level function).  ``progress``, when given with ``labels``,
-    is called with ``labels[i]`` as item ``i`` starts (serial) or
-    completes (parallel — completion is the only ordered event a pool
-    can report); a two-argument callback additionally receives the pool
-    slot that produced the item (recovered from a ``worker_id`` key on
-    dict results; 0 on the serial path).
-
-    ``initializer``/``initargs`` run once in every spawned worker
-    process (e.g. :func:`repro.obs.relay.child_init` binding the relay
-    queue).  The pool is always **closed and joined** — never
-    terminated — on the success path, so worker queue feeder threads
-    flush completely and relay event-loss accounting stays at zero.
-    """
-    arity = (_progress_arity(progress)
-             if progress is not None and labels is not None else 0)
-
-    def notify(index, result=None):
-        if not arity:
-            return
-        if arity >= 2:
-            worker_id = (result.get("worker_id", 0)
-                         if isinstance(result, dict) else 0)
-            progress(labels[index], worker_id)
-        else:
-            progress(labels[index])
-
-    if jobs <= 1 or len(items) <= 1:
-        if initializer is not None:
-            initializer(*initargs)
-        out = []
-        for index, item in enumerate(items):
-            notify(index)
-            out.append(worker(item))
-        return out
-    import multiprocessing
-
-    results = []
-    pool = multiprocessing.Pool(processes=min(jobs, len(items)),
-                                initializer=initializer,
-                                initargs=initargs)
-    try:
-        for index, result in enumerate(pool.imap(worker, items)):
-            notify(index, result)
-            results.append(result)
-        pool.close()
-    except BaseException:
-        pool.terminate()
-        raise
-    finally:
-        pool.join()
-    return results
 
 
 def benchmark_multiplier(architecture, width, optimization="none"):

@@ -28,7 +28,6 @@ import sys
 from repro.bench.harness import (
     bench_config,
     benchmark_multiplier,
-    parallel_map,
     run_method,
     runtime_cell,
 )
@@ -99,11 +98,9 @@ def run_case(architecture, width, optimization, config=None,
     return case
 
 
-def _case_worker(job):
-    """Module-level (hence picklable) worker: one Table I cell in, its
-    printable row and optional JSON record out — only plain data crosses
-    the process boundary."""
-    architecture, width, optimization, config, telemetry = job
+def _case_row(architecture, width, optimization, config, telemetry):
+    """One Table I cell: its printable row and, with ``telemetry``, its
+    JSON record (else None)."""
     case = run_case(architecture, width, optimization, config,
                     telemetry=telemetry)
     record = None
@@ -131,23 +128,19 @@ def _case_worker(job):
     return row, record
 
 
-def build_rows(config=None, progress=None, records=None, jobs=1):
+def build_rows(config=None, progress=None, records=None):
     """Build the printable rows; with ``records`` (a list), also append
-    one JSON-serializable record per case.  ``jobs > 1`` fans the
-    independent cases out to worker processes."""
+    one JSON-serializable record per case.  ``progress`` is called with
+    each case's label before it runs."""
     config = config or bench_config()
-    cases = table1_cases(config)
-    jobs_args = [(architecture, width, optimization, config,
-                  records is not None)
-                 for architecture, width, optimization in cases]
-    labels = [f"{architecture} {width}x{width} {optimization}"
-              for architecture, width, optimization in cases]
-    pairs = parallel_map(_case_worker, jobs_args, jobs=jobs,
-                         progress=progress, labels=labels)
     rows = []
-    for row, record in pairs:
+    for architecture, width, optimization in table1_cases(config):
+        if progress is not None:
+            progress(f"{architecture} {width}x{width} {optimization}")
+        row, record = _case_row(architecture, width, optimization, config,
+                                records is not None)
         rows.append(row)
-        if records is not None and record is not None:
+        if record is not None:
             records.append(record)
     return rows
 
@@ -162,10 +155,6 @@ def main(argv=None):
     parser.add_argument("--json", default=None, metavar="PATH",
                         help="also write per-case results with per-phase "
                              "timings as JSON (e.g. BENCH_TABLE1.json)")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="run cases in N parallel worker processes "
-                             "(per-case seconds then contend for cores; "
-                             "use 1 for timing-faithful runs)")
     parser.add_argument("--db", default=os.environ.get("REPRO_OBS_DB"),
                         metavar="PATH",
                         help="also ingest the per-case records into this "
@@ -175,11 +164,9 @@ def main(argv=None):
     config = bench_config()
     print(f"# Table I reproduction (scale={config['scale']}, "
           f"budget={config['budget']} monomials, "
-          f"time={config['time']:.0f}s per case"
-          + (f", jobs={args.jobs}" if args.jobs > 1 else "") + ")",
-          flush=True)
+          f"time={config['time']:.0f}s per case)", flush=True)
     records = [] if (args.json or args.db) else None
-    rows = build_rows(config, records=records, jobs=args.jobs,
+    rows = build_rows(config, records=records,
                       progress=lambda s: print(f"  running {s}...",
                                                file=sys.stderr,
                                                flush=True))

@@ -17,7 +17,6 @@ import sys
 from repro.bench.harness import (
     bench_config,
     cached_aig,
-    parallel_map,
     run_method,
     runtime_cell,
 )
@@ -66,10 +65,9 @@ def run_case(source, width, config=None, methods=None, telemetry=False):
     return case
 
 
-def _case_worker(job):
-    """Module-level (picklable) worker: one Table II cell -> (row,
-    record) of plain data."""
-    source, width, config, telemetry = job
+def _case_row(source, width, config, telemetry):
+    """One Table II cell: its printable row and, with ``telemetry``, its
+    JSON record (else None)."""
     case = run_case(source, width, config, telemetry=telemetry)
     record = None
     if telemetry:
@@ -87,18 +85,15 @@ def _case_worker(job):
     return row, record
 
 
-def build_rows(config=None, progress=None, records=None, jobs=1):
+def build_rows(config=None, progress=None, records=None):
     config = config or bench_config()
-    cases = table2_cases(config)
-    jobs_args = [(source, width, config, records is not None)
-                 for source, width in cases]
-    labels = [f"{source} {width}x{width}" for source, width in cases]
-    pairs = parallel_map(_case_worker, jobs_args, jobs=jobs,
-                         progress=progress, labels=labels)
     rows = []
-    for row, record in pairs:
+    for source, width in table2_cases(config):
+        if progress is not None:
+            progress(f"{source} {width}x{width}")
+        row, record = _case_row(source, width, config, records is not None)
         rows.append(row)
-        if records is not None and record is not None:
+        if record is not None:
             records.append(record)
     return rows
 
@@ -112,10 +107,6 @@ def main(argv=None):
     parser.add_argument("--json", default=None, metavar="PATH",
                         help="also write per-case results with per-phase "
                              "timings as JSON (e.g. BENCH_TABLE2.json)")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="run cases in N parallel worker processes "
-                             "(per-case seconds then contend for cores; "
-                             "use 1 for timing-faithful runs)")
     parser.add_argument("--db", default=os.environ.get("REPRO_OBS_DB"),
                         metavar="PATH",
                         help="also ingest the per-case records into this "
@@ -125,11 +116,9 @@ def main(argv=None):
     config = bench_config()
     print(f"# Table II reproduction (scale={config['scale']}, "
           f"budget={config['budget']} monomials, "
-          f"time={config['time']:.0f}s per case"
-          + (f", jobs={args.jobs}" if args.jobs > 1 else "") + ")",
-          flush=True)
+          f"time={config['time']:.0f}s per case)", flush=True)
     records = [] if (args.json or args.db) else None
-    rows = build_rows(config, records=records, jobs=args.jobs,
+    rows = build_rows(config, records=records,
                       progress=lambda s: print(f"  running {s}...",
                                                file=sys.stderr,
                                                flush=True))

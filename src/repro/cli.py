@@ -36,8 +36,10 @@ when attribution coverage falls below 95% of the measured rewrite
 wall-time or SP_i growth, and 2 when the trace / run reference cannot
 be read or carries no rewriting instrumentation.  ``report``,
 ``explain`` and ``obs diff`` exit 2 on an unreadable trace;
-``explain`` and ``obs diff`` also refuse a merged ``verify --jobs N``
-trace (exit 2), whose runs are compared per run after ``obs ingest``.
+``report``, ``explain`` and ``obs diff`` also refuse a batch
+``verify`` trace (exit 2), whose runs are read per run after ``obs
+ingest``; ``report`` still renders a relay-merged trace of an older
+``verify --jobs N`` build, split by its worker table.
 A closed stdout (``| head``) ends any command quietly with exit 0.
 
 The run-history database path defaults to ``$REPRO_OBS_DB`` (or
@@ -156,9 +158,6 @@ def build_parser():
                      help="run the stdlib sampling profiler and print a "
                           "hotspot table attributed to pipeline phases "
                           "and rewrite commits")
-    ver.add_argument("--jobs", type=int, default=1, metavar="N",
-                     help="batch mode: verify inputs in N parallel "
-                          "worker processes")
     ver.add_argument("--json", default=None, metavar="PATH",
                      help="write per-input records (verdict, stats, "
                           "per-phase timings) as one merged JSON file")
@@ -320,23 +319,21 @@ def build_parser():
 
     srv = sub.add_parser("serve",
                          help="run the verification service: an HTTP/"
-                              "JSON job server with a priority queue, "
-                              "a worker pool and the certificate cache",
+                              "JSON job server with a priority queue "
+                              "and the certificate cache",
                          parents=[verbosity])
     srv.add_argument("--host", default="127.0.0.1")
     srv.add_argument("--port", type=int, default=8642,
                      help="listening port (default 8642; 0 picks an "
                           "ephemeral port and prints it)")
     srv.add_argument("--jobs", type=int, default=1, metavar="N",
-                     help="worker pool size (default 1)")
+                     help="jobs verified at once, each on its own "
+                          "dispatcher thread (default 1)")
     srv.add_argument("--db", default=os.environ.get("REPRO_OBS_DB",
                                                     "runs.db"),
                      metavar="PATH",
                      help="run-history store backing the certificate "
                           "cache (default: $REPRO_OBS_DB or runs.db)")
-    srv.add_argument("--inline", action="store_true",
-                     help="run jobs on dispatcher threads instead of a "
-                          "worker process pool (debugging)")
 
     sbm = sub.add_parser("submit",
                          help="submit AIGs to a running `repro serve` "
@@ -446,12 +443,10 @@ def _emit(aig, output):
 
 
 def _cmd_verify_batch(args):
-    """Several inputs: one verdict line each, optional merged JSON,
-    optional process-parallel fan-out with one relay-merged trace."""
-    import contextlib
+    """Several inputs, verified one after another: one verdict line
+    each, optional merged JSON, one trace of every task."""
     import json
 
-    from repro.bench.harness import parallel_map
     from repro.core.pipeline import VerifyConfig
     from repro.errors import ConfigError
     from repro.service.persistence import ingest_verify_records
@@ -464,7 +459,7 @@ def _cmd_verify_batch(args):
         print(f"verify: {exc}", file=sys.stderr)
         return 2
     # certificate cache first: already-certified designs are answered
-    # here in O(hash) and never reach the worker pool
+    # here in O(hash) and never run
     use_cache = not args.no_cache
     cached = {}
     store = open_store(args.db) if use_cache else None
@@ -473,89 +468,45 @@ def _cmd_verify_batch(args):
             for path in args.inputs:
                 record = cached_record(store, path, config)
                 if record is not None:
-                    record.update(input=path, worker_id=0)
+                    record["input"] = path
                     cached[path] = record
         if cached:
             log.info("answered %d of %d input(s) from the certificate "
                      "cache", len(cached), len(args.inputs))
-    pending = [path for path in args.inputs if path not in cached]
-    tasks = [Task(path, path, path, config, args.db, use_cache,
-                  args.resources, args.profile_sample) for path in pending]
 
-    # parent telemetry: a relay merges the workers' tagged events into
-    # one trace whenever anything downstream consumes events
-    relay = None
-    recorder = None
-    monitor = None
-    sink = None
-    progress = None
-    if (args.trace_out or args.live or args.resources
-            or args.profile_sample):
-        from repro.obs.recorder import JsonlSink, Recorder
-        from repro.obs.relay import EventRelay
+    # a trace or a live monitor reads one recorder that carries every
+    # task (each task_begin restarts its aggregates and the monitor's
+    # fold); otherwise each task's events live only while it runs
+    from repro.obs.recorder import JsonlSink, Recorder
 
-        sink = JsonlSink(args.trace_out) if args.trace_out else None
+    sink = JsonlSink(args.trace_out) if args.trace_out else None
+    recorder = monitor = None
+    if sink is not None or args.live:
         recorder = Recorder(sink=sink)
-        on_event = on_tick = None
-        if args.live:
-            from repro.obs.live import LiveMonitor
+    if args.live:
+        from repro.obs.live import LiveMonitor
 
-            monitor = LiveMonitor(recorder,
-                                  stall_budget=args.stall_budget,
-                                  stream=sys.stderr)
-            on_event = monitor.worker_event
-            on_tick = monitor.tick
-        relay = EventRelay(recorder=monitor or recorder,
-                           on_event=on_event, on_tick=on_tick)
-
-    # a serial batch streams in-process only under a live monitor;
-    # otherwise its events ride back on the records
-    pooled = args.jobs > 1 and len(tasks) > 1
-    initializer = initargs = None
-    streaming = contextlib.nullcontext()
-    if relay is not None and pooled:
-        initializer, initargs = relay.pool_initializer()
-        relay.start()
-    elif monitor is not None:
-        streaming = relay.in_process()
+        monitor = LiveMonitor(recorder, stall_budget=args.stall_budget,
+                              stream=sys.stderr)
+    records = []
+    for path in args.inputs:
+        if path in cached:
+            records.append(cached[path])
+            continue
+        records.append(task_worker(
+            Task(path, path, path, config, args.db, use_cache,
+                 args.resources, args.profile_sample),
+            monitor or recorder or Recorder()))
     if monitor is not None:
-        def progress(label, worker_id):
-            log.info("worker %d picked up %s", worker_id, label)
-
-    with streaming:
-        records = parallel_map(task_worker, tasks, jobs=args.jobs,
-                               progress=progress, labels=pending,
-                               initializer=initializer,
-                               initargs=initargs or ())
-    for record in records:
-        record["jobs"] = args.jobs
-        events = record.pop("_relay_events", None)
-        if relay is not None and events:
-            relay.collect(events)
-    # merge cache answers back in input order
-    if cached:
-        fresh = {record["input"]: record for record in records}
-        records = [cached.get(path) or fresh[path] for path in args.inputs]
-    merged = []
-    event_loss = 0
-    worker_rows = []
-    if relay is not None:
-        merged = relay.finish()
-        event_loss = relay.event_loss
-        worker_rows = relay.worker_rows()
-        if monitor is not None:
-            monitor.finish()
-            if monitor.stalls:
-                print(f"live: {len(monitor.stalls)} stall(s) flagged "
-                      f"(RP011, budget {args.stall_budget:g}s)",
-                      file=sys.stderr)
-        if sink is not None:
-            sink.close()
-            log.info("wrote %d merged events to %s",
-                     len(merged), args.trace_out)
-        if event_loss:
-            print(f"verify: relay lost {event_loss} worker event(s)",
+        monitor.finish()
+        if monitor.stalls:
+            print(f"live: {len(monitor.stalls)} stall(s) flagged "
+                  f"(RP011, budget {args.stall_budget:g}s)",
                   file=sys.stderr)
+    if sink is not None:
+        sink.close()
+        log.info("wrote %d events to %s", len(recorder.events),
+                 args.trace_out)
     exit_code = 0
     for record in records:
         marker = " [cache hit]" if record.get("cache_hit") else ""
@@ -571,10 +522,7 @@ def _cmd_verify_batch(args):
             exit_code = max(exit_code, 3)
     if args.json:
         payload = {"command": "verify", "inputs": args.inputs,
-                   "jobs": args.jobs, "records": records}
-        if relay is not None:
-            payload["workers"] = worker_rows
-            payload["event_loss"] = event_loss
+                   "records": records}
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2)
         log.info("wrote %d records to %s", len(records), args.json)
@@ -724,19 +672,23 @@ def _cmd_verify(args):
 
 def _cmd_serve(args):
     """Run the verification service until ``POST /shutdown``."""
+    from repro.errors import ObsDataError
     from repro.service.core import VerificationService
     from repro.service.server import run_server
 
-    service = VerificationService(db=args.db, workers=args.jobs,
-                                  use_processes=not args.inline)
+    service = VerificationService(db=args.db, workers=args.jobs)
 
     def ready(server):
         print(f"repro serve: listening on "
               f"http://{server.host}:{server.port} "
-              f"(db={args.db or 'none'}, {args.jobs} worker(s), "
-              f"{'inline' if args.inline else 'pool'})", flush=True)
+              f"(db={args.db or 'none'}, {args.jobs} dispatcher "
+              f"thread(s))", flush=True)
 
-    run_server(service, host=args.host, port=args.port, ready=ready)
+    try:
+        run_server(service, host=args.host, port=args.port, ready=ready)
+    except ObsDataError as exc:
+        print(f"serve: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 
@@ -850,9 +802,8 @@ def _cmd_status(args):
         if args.json:
             print(json.dumps(stats, indent=2, sort_keys=True))
             return 0
-        print(f"service: {stats['workers']} worker(s) "
-              f"({stats['mode']}), up {stats['uptime']:.1f}s, "
-              f"db {stats['db'] or 'none'}")
+        print(f"service: {stats['workers']} dispatcher thread(s), "
+              f"up {stats['uptime']:.1f}s, db {stats['db'] or 'none'}")
         jobs = stats["jobs"]
         print(f"jobs: {jobs.get('done', 0)} done, "
               f"{jobs.get('running', 0)} running, "
@@ -1047,13 +998,16 @@ def _cmd_explain(args):
     return 0
 
 
-def _load_trace(command, path, per_run=None):
+def _load_trace(command, path, per_run, *, split_by_workers=False):
     """Fold a trace file for ``command``: the :class:`RunView`, or None
     after printing ``<command>: <error>`` (the caller exits 2).
 
-    ``per_run`` names the per-run command that replaces ``command`` on a
-    relay-merged ``--jobs N`` trace, whose runs must not be blended.
+    A batch ``verify`` trace (one run per task) is refused: ``per_run``
+    names the per-run command to use after ``obs ingest`` splits it.
+    With ``split_by_workers`` a relay-merged trace of an older ``verify
+    --jobs N`` build is accepted, since its worker table splits the runs.
     """
+    from repro.errors import ObsDataError
     from repro.obs.recorder import read_events_tolerant
     from repro.obs.view import fold_events
 
@@ -1064,10 +1018,14 @@ def _load_trace(command, path, per_run=None):
         return None
     if skipped:
         log.warning("%s: skipped %d unparseable line(s)", path, skipped)
-    view = fold_events(events, label=path)
-    if per_run and view.tasks:
-        print(f"{command}: {path} is a merged --jobs trace of {view.runs} "
-              f"runs; split it with `repro obs ingest --db DB {path}`, then "
+    try:
+        view = fold_events(events, label=path)
+    except ObsDataError as exc:
+        print(f"{command}: {path}: {exc}", file=sys.stderr)
+        return None
+    if view.tasks and not (split_by_workers and view.workers):
+        print(f"{command}: {path} is a batch trace of {view.runs} runs; "
+              f"split it with `repro obs ingest --db DB {path}`, then "
               f"run `{per_run}` on the ingested run ids", file=sys.stderr)
         return None
     return view
@@ -1087,6 +1045,18 @@ def _obs_view(ref, db):
 
 
 def _cmd_obs(args):
+    """``repro obs``: a store file that is not a SQLite database exits
+    2 with one line."""
+    from repro.errors import ObsDataError
+
+    try:
+        return _obs_subcommand(args)
+    except ObsDataError as exc:
+        print(f"obs {args.obs_command}: {exc}", file=sys.stderr)
+        return 2
+
+
+def _obs_subcommand(args):
     import json
 
     from repro.obs.store import RunStore, current_git_rev
@@ -1232,7 +1202,9 @@ def _run_command(args):
     if args.command == "report":
         from repro.obs.report import render_report
 
-        view = _load_trace("report", args.trace)
+        view = _load_trace("report", args.trace,
+                           per_run="repro explain run:ID --db DB",
+                           split_by_workers=True)
         if view is None:
             return 2
         print(render_report(view, hotspots=args.hotspots))

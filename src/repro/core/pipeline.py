@@ -71,9 +71,8 @@ log = logging.getLogger("repro.core.pipeline")
 class VerifyConfig:
     """Frozen, validated description of one verification task.
 
-    Everything here is plain data (picklable — batch workers ship a
-    config per process); runtime objects like the recorder are passed to
-    :meth:`Pipeline.run` instead.  Validation happens in
+    Everything here is plain data; runtime objects like the recorder are
+    passed to :meth:`Pipeline.run` instead.  Validation happens in
     ``__post_init__`` so a bad ``method``/``ring``/``primes`` raises
     :class:`~repro.errors.ConfigError` *before* any pipeline work.
 
@@ -482,7 +481,7 @@ class Pipeline:
         exhaustion (``status="timeout"``).
 
         Reentrant: all per-run state (including auto-tune overrides) is
-        local, so one :class:`Pipeline` can serve the CLI, batch workers
+        local, so one :class:`Pipeline` can serve the CLI, batch verify
         and overlapping service jobs.  The runtime collaborators are
         injectable — ``recorder`` receives the obs event stream and
         ``store`` (a :class:`repro.obs.store.RunStore`) plugs in the

@@ -92,6 +92,17 @@ class ConfigError(ReproError, ValueError):
     code = "RA040"
 
 
+class ObsDataError(ReproError, ValueError):
+    """Raised for observability data that cannot be read: a trace event
+    or run value whose field has the wrong type, or a run-history store
+    file that is not a SQLite database.
+
+    Carries no diagnostic code: it describes a recorded run, not a
+    design or a verification.  Also a ``ValueError``, which is what the
+    ``obs``, ``report`` and ``explain`` commands turn into exit 2.
+    """
+
+
 class PolynomialError(ReproError):
     """Raised for invalid polynomial operations."""
 

@@ -15,7 +15,7 @@ anomaly detection (``repro explain``), and
 answers ``GET /metrics`` with.
 
 The re-exports resolve on first use (:mod:`repro._lazy`): the verify
-path needs only the recorder, not ``sqlite3`` or ``multiprocessing``.
+path needs only the recorder, not ``sqlite3``.
 """
 
 from repro._lazy import lazy_exports
@@ -28,9 +28,8 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.obs.report": ("render_report", "render_phase_table",
                          "report_from_file"),
     "repro.obs.live": ("LiveMonitor",),
-    "repro.obs.relay": ("ChildRecorder", "EventRelay", "split_worker_runs"),
     "repro.obs.resources": ("ResourceTracker", "SamplingProfiler"),
-    "repro.obs.store": ("RunStore", "current_git_rev"),
+    "repro.obs.store": ("RunStore", "current_git_rev", "split_worker_runs"),
     "repro.obs.attribution": ("AnomalyConfig", "CommitAnomalyDetector",
                               "attribute_store_run", "attribute_view",
                               "calibration_from_store", "design_baseline",

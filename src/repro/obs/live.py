@@ -21,10 +21,9 @@ Rendering uses carriage-return in-place updates only when stderr is an
 interactive tty (and ``NO_COLOR``/``TERM=dumb`` are not set); otherwise
 it prints plain line-per-update output so logs stay readable.
 
-In batch ``--jobs N`` mode the relay feeds worker-tagged events to
-:meth:`LiveMonitor.worker_event` (and ticks :meth:`LiveMonitor.tick`
-while workers are silent); each worker's current task gets its own
-fold, and RP011 names the *specific* stalled worker.
+A batch ``verify`` runs its tasks one after another under one monitor:
+each ``task_begin`` starts a fresh fold labelled with the task's design,
+so the status line and RP011 name the design that is running.
 
 Observation only: the monitor never raises and never changes the run's
 outcome.
@@ -71,23 +70,21 @@ def _position(view):
 
 
 class _Watch:
-    """One fold under a stall clock: the single run, or a batch
-    worker's current task."""
+    """One fold under a stall clock: the run, or a batch's current
+    task."""
 
-    __slots__ = ("fold", "commits", "last_commit", "stall_open",
-                 "task_status")
+    __slots__ = ("fold", "commits", "last_commit", "stall_open")
 
     def __init__(self, now, label=None, detector=None):
         self.fold = RunFold(label, detector)
         self.commits = 0
         self.last_commit = now
         self.stall_open = False
-        self.task_status = None
 
     @property
     def status(self):
-        """The verdict once the run (or the worker's task) has ended."""
-        return self.task_status or self.fold.view.status
+        """The verdict once the run has ended."""
+        return self.fold.view.status
 
     def feed(self, event, now):
         """Fold ``event``; a new commit restarts the stall clock.
@@ -110,8 +107,8 @@ class LiveMonitor:
     ``clock`` is injectable so stalls can be tested without sleeping.
     ``interactive`` forces the in-place ``\\r`` rendering mode on or
     off (default: auto-detected from the stream).  ``detector`` is the
-    single run's :class:`~repro.obs.attribution.CommitAnomalyDetector`
-    (None screens nothing); fired diagnostics accumulate in
+    run's :class:`~repro.obs.attribution.CommitAnomalyDetector` (None
+    screens nothing); fired diagnostics accumulate in
     ``self.anomalies``.
     """
 
@@ -127,16 +124,17 @@ class LiveMonitor:
         self.interactive = (detect_interactive(stream)
                             if interactive is None else interactive)
         self.stalls = []
-        self.workers = {}
         self._clock = clock
         self._start = clock()
+        self._detector = detector
         self._run = _Watch(self._start, detector=detector)
         self._last_render = 0.0
         self._rendered = False
 
     @property
     def view(self):
-        """The single run folded so far (a :class:`RunView`)."""
+        """The run (a batch's current task) folded so far (a
+        :class:`RunView`)."""
         return self._run.fold.view
 
     @property
@@ -155,6 +153,8 @@ class LiveMonitor:
     def event(self, kind, /, **fields):
         self.inner.event(kind, **fields)
         now = self._clock()
+        if kind == "task_begin":
+            self._run = _Watch(now, fields.get("design"), self._detector)
         fields["ev"] = kind
         for diag in self._run.feed(fields, now):
             context = diag.context or {}
@@ -165,7 +165,7 @@ class LiveMonitor:
         if self._run.status is not None:
             self.finish()
             return
-        self._check_stall(self._run, now)
+        self._check_stall(now)
         self._maybe_render(now)
 
     def span(self, name, /, **fields):
@@ -177,11 +177,6 @@ class LiveMonitor:
     def observe(self, name, value, /):
         self.inner.observe(name, value)
 
-    def replay(self, record, /):
-        replay = getattr(self.inner, "replay", None)
-        if replay is not None:
-            replay(record)
-
     def close(self):
         self.finish()
         self.inner.close()
@@ -192,40 +187,13 @@ class LiveMonitor:
         """Heartbeat from inside a long computation (the vanishing
         reducer); checks the stall clock without emitting an event."""
         now = self._clock()
-        self._check_stall(self._run, now)
+        self._check_stall(now)
         self._maybe_render(now)
 
-    # -- batch mode: per-worker heartbeats over the relay ---------------
-
-    def worker_event(self, record):
-        """Observe one worker-tagged relay record as it arrives (wire
-        this as ``EventRelay(on_event=monitor.worker_event)``); each
-        ``task_begin`` starts a fresh fold for its worker."""
-        worker = record.get("worker_id", 0)
-        now = self._clock()
-        kind = record.get("ev")
-        if kind == "task_begin" or worker not in self.workers:
-            self.workers[worker] = _Watch(
-                now, record.get("design") or record.get("input"))
-        watch = self.workers[worker]
-        watch.feed(record, now)
-        if kind == "task_end":
-            watch.task_status = record.get("status")
-        self.tick()
-
-    def tick(self):
-        """Periodic heartbeat for batch mode (the relay's idle
-        ``on_tick``): check every worker's stall clock and refresh the
-        status rendering even while all workers are silent."""
-        now = self._clock()
-        for worker, watch in sorted(self.workers.items()):
-            self._check_stall(watch, now, worker)
-        if self.workers:
-            self._maybe_render(now)
-
-    def _check_stall(self, watch, now, worker=None):
-        """Flag RP011 once per silent gap of one fold (re-armed by its
-        next commit); a fold whose run has ended may stay silent."""
+    def _check_stall(self, now):
+        """Flag RP011 once per silent gap of the run (re-armed by its
+        next commit); a run that has ended may stay silent."""
+        watch = self._run
         gap = now - watch.last_commit
         if (gap <= self.stall_budget or watch.stall_open
                 or watch.status is not None):
@@ -235,27 +203,19 @@ class LiveMonitor:
 
         view = watch.fold.view
         step, size, total = _position(view)
-        where = (f"{gap:.1f}s (stall budget {self.stall_budget:g}s) "
-                 f"at step {step}")
-        if worker is None:
-            tags = {}
-            extra = {"candidates": view.candidates,
-                     "backtracks": view.backtracks}
-            message = (f"no rewriting commit for {where}"
-                       + (f"/{total}" if total else "")
-                       + (f", SP_i size {size}" if size is not None
-                          else ""))
-        else:
-            tags = {"worker_id": worker}
-            extra = {**tags, "design": view.label}
-            message = (f"worker {worker} ({view.label or '?'}): no "
-                       f"progress for {where}")
+        message = (f"no rewriting commit for {gap:.1f}s (stall budget "
+                   f"{self.stall_budget:g}s) at step {step}"
+                   + (f"/{total}" if total else "")
+                   + (f", SP_i size {size}" if size is not None else ""))
+        if view.label is not None:
+            message = f"{view.label}: {message}"
         diag = Diagnostic(code="RP011", message=message, context={
             "seconds_since_commit": round(gap, 3),
             "stall_budget": self.stall_budget, "step": step, "size": size,
-            **extra})
+            "candidates": view.candidates, "backtracks": view.backtracks,
+            "design": view.label})
         self.stalls.append(diag)
-        self.inner.event("stall", **tags, step=step, size=size,
+        self.inner.event("stall", step=step, size=size,
                          seconds_since_commit=round(gap, 3),
                          budget=self.stall_budget)
         self._warn(diag)
@@ -273,28 +233,14 @@ class LiveMonitor:
         step, size, total = _position(view)
         parts = [f"[live] {current_phase(self.inner) or '-'}",
                  f"step {step}" + (f"/{total}" if total else "")]
+        if view.label is not None:
+            parts.insert(1, str(view.label).rsplit("/", 1)[-1])
         if size is not None:
             parts.append(f"SP_i {size}")
         if view.candidates is not None:
             parts.append(f"cand {view.candidates}")
         parts += [f"bt {view.backtracks}", f"att {view.attempts}",
                   f"{now - self._start:.1f}s"]
-        return " | ".join(parts)
-
-    def _worker_status_line(self, now):
-        parts = [f"[live workers={len(self.workers)}]"]
-        for worker, watch in sorted(self.workers.items()):
-            view = watch.fold.view
-            if watch.status is None and view.label is not None:
-                step, size, _ = _position(view)
-                label = str(view.label).rsplit("/", 1)[-1]
-                cell = f"w{worker} {label} step {step}"
-                if size is not None:
-                    cell += f" SP_i {size}"
-            else:
-                cell = f"w{worker} {watch.status or 'idle'}"
-            parts.append(cell)
-        parts.append(f"{now - self._start:.1f}s")
         return " | ".join(parts)
 
     def _maybe_render(self, now):
@@ -307,8 +253,7 @@ class LiveMonitor:
         if now - self._last_render < refresh:
             return
         self._last_render = now
-        line = (self._worker_status_line(now) if self.workers
-                else self._status_line(now))
+        line = self._status_line(now)
         if self.interactive:
             self.stream.write("\r" + line[:118].ljust(118))
             self._rendered = True

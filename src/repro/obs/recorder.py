@@ -136,17 +136,26 @@ class Recorder:
 
     ``sink`` is any object with ``write(record: dict)`` and ``close()``
     (see :class:`JsonlSink`); events always also accumulate in
-    ``self.events``.
+    ``self.events``, the list passed as ``events`` (a service job's
+    stream) or a fresh one.
+
+    One recorder may carry a whole batch: a ``task_begin`` event starts
+    the next task, and the span totals, counters and histograms restart
+    from zero (the events, the sink and the clock carry on), so each
+    task's verdict record and ``summary`` event count that task alone.
     """
 
     enabled = True
 
-    def __init__(self, sink=None):
+    def __init__(self, sink=None, events=None):
         self._clock = time.perf_counter
         self._t0 = self._clock()
         self._sink = sink
         self._stack = []
-        self.events = []
+        self.events = [] if events is None else events
+        self._restart()
+
+    def _restart(self):
         self.span_totals = {}
         self.span_counts = {}
         self.counters = {}
@@ -169,14 +178,9 @@ class Recorder:
     def event(self, kind, /, **fields):
         if kind == "step":
             self.last_step = fields.get("i")
+        elif kind == "task_begin":
+            self._restart()
         self._emit({"ev": kind, "t": round(self._now(), 6), **fields})
-
-    def replay(self, record, /):
-        """Append an already-timestamped record as-is (event streams
-        merged from relay workers keep their rebased ``t`` values)."""
-        self.events.append(record)
-        if self._sink is not None:
-            self._sink.write(record)
 
     def span(self, name, /, **fields):
         return _Span(self, name, fields)
@@ -211,10 +215,10 @@ class Recorder:
 class JsonlSink:
     """Append-only JSON-Lines event sink.
 
-    Writes are serialized under a lock: background telemetry threads
-    (the resource sampler, the relay drain thread) emit events
-    concurrently with the pipeline's own, and interleaved partial
-    writes would corrupt the trace.
+    Writes are serialized under a lock: a background telemetry thread
+    (the resource sampler) emits events concurrently with the
+    pipeline's own, and interleaved partial writes would corrupt the
+    trace.
     """
 
     def __init__(self, path):

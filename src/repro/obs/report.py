@@ -10,8 +10,9 @@ re-running the verification:
   threshold doublings of Algorithm 2 (from ``backtrack`` /
   ``threshold`` events);
 * the per-phase wall-clock breakdown (from the ``span`` events);
-* the relay worker table of a merged ``--jobs N`` trace, the resource
-  table and the sampling-profiler hotspots, when recorded.
+* the worker table of a relay-merged trace (written by older builds
+  for ``verify --jobs N``), the resource table and the
+  sampling-profiler hotspots, when recorded.
 
 The report renders a :class:`~repro.obs.view.RunView`, the one fold of
 the event stream (:func:`repro.obs.view.fold_events`).

@@ -252,9 +252,6 @@ class ResourceTracker:
     def observe(self, name, value, /):
         self.inner.observe(name, value)
 
-    def replay(self, record, /):
-        self.inner.replay(record)
-
     def pulse(self, units=1):
         pulse = getattr(self.inner, "pulse", None)
         if pulse is not None:

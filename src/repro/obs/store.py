@@ -13,8 +13,9 @@ tables:
   including the substituted component and the Algorithm 2 threshold;
 * ``metrics`` — free-form named scalars (e.g. ``counter:*`` totals and
   the ``attr:*`` cost-attribution slices);
-* ``workers``   — (schema v2) per-worker relay accounting of parallel
-  ``--jobs`` runs: pool slot, pid, event count, active window;
+* ``workers``   — (schema v2) per-worker accounting of the relay-merged
+  traces older builds wrote for ``verify --jobs N``: pool slot, pid,
+  event count, active window;
 * ``resources`` — (schema v2) per-phase resource telemetry from
   ``--resources`` runs: peak RSS, tracemalloc deltas, GC counts;
 * ``attribution`` — (schema v3) the cost-attribution cells of
@@ -33,10 +34,13 @@ tables), while a file written by a *newer* schema is refused instead of
 being silently corrupted.
 
 File-backed stores run in **WAL journal mode with a busy timeout**:
-the verification service's worker processes, batch ``--jobs`` ingest
-and the ``/metrics`` reader all share one database, and WAL gives
+the verification service's dispatcher threads, CLI runs on the same
+file and the ``/metrics`` reader all share one database, and WAL gives
 single-writer/many-reader concurrency without "database is locked"
-failures (writers queue on the busy handler instead).
+failures (writers queue on the busy handler instead).  A path that is
+not a SQLite database (a text file, a damaged store, a directory) is
+refused at open with :class:`~repro.errors.ObsDataError`, and so is a
+run value of the wrong type (:meth:`RunStore.add_run`).
 Unbounded growth is handled by :meth:`RunStore.prune` (``repro obs
 prune``): retention by per-series ``keep_last`` and/or a cut-off
 timestamp, followed by ``VACUUM``.
@@ -63,6 +67,8 @@ import sqlite3
 import subprocess
 import time
 
+from repro.errors import ObsDataError
+
 log = logging.getLogger("repro.obs.store")
 
 SCHEMA_VERSION = 4
@@ -70,7 +76,7 @@ SCHEMA_VERSION = 4
 DEFAULT_DB = "runs.db"
 
 #: Seconds a writer waits on a locked database before giving up; long
-#: enough that service workers checkpointing WAL frames never collide.
+#: enough that writers checkpointing WAL frames never collide.
 DEFAULT_BUSY_TIMEOUT = 10.0
 
 _SCHEMA = """
@@ -185,17 +191,70 @@ def current_git_rev(cwd=None):
     return proc.stdout.strip() or None
 
 
+#: Run columns :meth:`RunStore.add_run` type-checks (None always passes).
+_RUN_TYPES = {"status": str, "seconds": (int, float), "steps": int,
+              "max_poly_size": int, "backtracks": int,
+              "threshold_doublings": int}
+
+
+def split_worker_runs(events):
+    """Split a batch trace into per-run event streams.
+
+    Returns ``[(design_or_None, [events...]), ...]`` — one entry per
+    ``task_begin`` boundary per worker, each stream in that worker's
+    causal order.  The design label comes from the ``task_begin`` event
+    the batch driver emits before each verification.  Events outside
+    any task (samplers) stay attached to the current segment of their
+    worker.  A serial batch is one worker; the relay-merged traces of
+    older ``verify --jobs N`` builds tag each event with its
+    ``worker_id``.
+    """
+    by_worker = {}
+    for event in events:
+        by_worker.setdefault(event.get("worker_id", 0), []).append(event)
+    runs = []
+    for stream in by_worker.values():
+        segment = None
+        design = None
+        for event in stream:
+            if event.get("ev") == "task_begin":
+                if segment:
+                    runs.append((design, segment))
+                segment = []
+                design = event.get("design") or event.get("input")
+            elif segment is None:
+                segment = []
+            segment.append(event)
+        if segment:
+            runs.append((design, segment))
+    return runs
+
+
 class RunStore:
     """One SQLite run database; usable as a context manager."""
 
     def __init__(self, path=":memory:", busy_timeout=DEFAULT_BUSY_TIMEOUT):
         self.path = str(path)
-        self._conn = sqlite3.connect(self.path, timeout=busy_timeout)
+        self._conn = None
+        try:
+            self._conn = sqlite3.connect(self.path, timeout=busy_timeout)
+            self._open(busy_timeout)
+        except sqlite3.DatabaseError as exc:
+            # "file is not a database", "database disk image is
+            # malformed", "unable to open database file"; a lock that
+            # outlasted the busy timeout is not the file's fault
+            self.close()
+            if "locked" in str(exc):
+                raise
+            raise ObsDataError(f"{self.path}: not a run store ({exc})",
+                               path=self.path) from None
+
+    def _open(self, busy_timeout):
         self._conn.row_factory = sqlite3.Row
         self._conn.execute("PRAGMA foreign_keys = ON")
         if self.path != ":memory:":
-            # WAL lets service workers, batch ingest and readers share
-            # one file: writers queue on the busy handler instead of
+            # WAL lets the service, CLI runs and readers share one
+            # file: writers queue on the busy handler instead of
             # failing with "database is locked".  (No-op on :memory:.)
             self._enable_wal(busy_timeout)
             self._conn.execute(
@@ -204,7 +263,7 @@ class RunStore:
         if found is not None and found > SCHEMA_VERSION:
             self._conn.close()
             self._conn = None
-            raise ValueError(
+            raise ObsDataError(
                 f"{self.path}: run store schema v{found} is newer than "
                 f"this build (v{SCHEMA_VERSION}); refusing to open")
         self._conn.executescript(_SCHEMA)
@@ -281,13 +340,22 @@ class RunStore:
         ``phases``/``metrics`` are name->value dicts; ``commits`` is an
         iterable of per-step dicts (``step``, ``size``, and optionally
         ``component``/``kind``/``threshold``) or plain sizes;
-        ``workers`` is an iterable of relay accounting dicts
+        ``workers`` is an iterable of per-worker accounting dicts
         (``worker_id``, ``pid``, ``events``, ``first_t``, ``last_t``);
         ``resources`` maps phase name to a resource-telemetry dict;
         ``attribution`` is an iterable of cost-attribution cell dicts
         (``stage``, ``rule``, ``seconds``, ``growth``, ``commits``,
-        ``samples``) from :mod:`repro.obs.attribution`.
+        ``samples``) from :mod:`repro.obs.attribution`.  A run column
+        of the wrong type raises :class:`~repro.errors.ObsDataError`.
         """
+        for key, value in (("status", status), ("seconds", seconds),
+                           ("steps", steps),
+                           ("max_poly_size", max_poly_size),
+                           ("backtracks", backtracks),
+                           ("threshold_doublings", threshold_doublings)):
+            if value is not None and not isinstance(value, _RUN_TYPES[key]):
+                raise ObsDataError(f"run {key} is {type(value).__name__} "
+                                   f"{value!r}", field=key)
         cur = self._conn.execute(
             "INSERT INTO runs (design, optimization, method, git_rev, "
             "source, created_at, status, seconds, steps, max_poly_size, "
@@ -363,12 +431,6 @@ class RunStore:
             commits = record.get("sizes") or ()
         meta = {key: stats[key] for key in ("nodes", "width_a", "width_b")
                 if key in stats}
-        if record.get("jobs") is not None:
-            meta["jobs"] = record["jobs"]
-        workers = None
-        if record.get("worker_id") is not None:
-            workers = [{"worker_id": record["worker_id"],
-                        "pid": record.get("pid")}]
         return self.add_run(
             design=design, optimization=optimization,
             method=record.get("method", "unknown"),
@@ -382,7 +444,7 @@ class RunStore:
             commits=commits,
             metrics={f"counter:{name}": value
                      for name, value in (record.get("counters") or {}).items()},
-            workers=workers, resources=record.get("resources"),
+            resources=record.get("resources"),
             git_rev=git_rev, source=source, meta=meta or None)
 
     # -- ingestion: event streams --------------------------------------
@@ -436,14 +498,15 @@ class RunStore:
                           method=None, *, git_rev=None, source=None):
         """Ingest a ``verify --trace-out`` JSONL file; tolerates
         truncated traces but raises ``ValueError`` on a file without a
-        single event.  Returns ``(run_id, skipped_lines)``.
+        single event, and :class:`~repro.errors.ObsDataError` (adding no
+        run) on an event field of the wrong type.  Returns ``(run_id,
+        skipped_lines)``.
 
-        A relay-merged ``verify --jobs N`` trace is ingested as one run
-        per ``task_begin`` segment, labelled by the design the relay
-        tagged it with; ``run_id`` is then the list of new run ids.
+        A batch trace is ingested as one run per ``task_begin`` segment
+        (:func:`split_worker_runs`), labelled by the task's design;
+        ``run_id`` is then the list of new run ids.
         """
         from repro.obs.recorder import read_events_tolerant
-        from repro.obs.relay import split_worker_runs
         from repro.obs.view import fold_events
 
         events, skipped = read_events_tolerant(path)
@@ -592,7 +655,8 @@ class RunStore:
         return record
 
     def workers(self, run_id):
-        """Per-worker relay accounting rows of one run."""
+        """Per-worker accounting rows of one run (relay-merged traces
+        only)."""
         return [dict(row) for row in self._conn.execute(
             "SELECT worker_id, pid, events, first_t, last_t FROM workers "
             "WHERE run_id = ? ORDER BY worker_id", (run_id,))]

@@ -18,18 +18,44 @@ The fold keeps one rule per fact:
 * a worker's ``pid`` is its last non-None value;
 * a phase measured twice (modular escalation reruns ``rewrite``) merges
   max-for-peaks and sum-for-deltas, as
-  :attr:`repro.obs.resources.ResourceTracker.phase_resources` does.
+  :attr:`repro.obs.resources.ResourceTracker.phase_resources` does;
+* a field the fold computes with or stores in a run column must have
+  its type (:data:`_FIELD_TYPES`) when present and not None, or the
+  fold raises :class:`~repro.errors.ObsDataError` naming the event.
+
+The worker accounting (``worker_id``/``pid``) reads batch traces
+recorded by builds that ran ``verify --jobs N`` in a process pool.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.errors import ObsDataError
 from repro.obs.attribution import CommitAnomalyDetector, rule_label
 
 _ENVELOPE = ("ev", "t", "worker_id", "pid", "seq")
 _PEAK_KEYS = ("rss_peak_kb", "tracemalloc_peak_kb")
 _DELTA_KEYS = ("tracemalloc_kb", "gc_collections")
+
+_NUMBER = (int, float)
+#: Per event kind (None: every event), the types of the fields the fold
+#: computes with or stores in a run column.
+_FIELD_TYPES = {
+    None: {"ev": str, "t": _NUMBER, "worker_id": int, "pid": int},
+    "run_begin": {"method": str},
+    "run_end": {"status": str, "seconds": _NUMBER},
+    "span": {"name": str, "path": str, "dur": _NUMBER},
+    "rewrite_begin": {"size": int},
+    "attempt": {"comp": int, "kind": str},
+    "step": {"i": int, "comp": int, "kind": str, "size": int,
+             "threshold": _NUMBER, "candidates": int, "remaining": int},
+    "threshold": {"value": _NUMBER},
+    "phase_resources": {"phase": str,
+                        **dict.fromkeys(_PEAK_KEYS + _DELTA_KEYS, _NUMBER)},
+    "task_begin": {"design": str, "input": str},
+    "summary": {"counters": dict, "phases": dict},
+}
 
 
 @dataclass
@@ -49,8 +75,8 @@ class RunView:
     diagnostics of the fold's detector over the commits;
     ``anomalies_recorded`` counts the ``anomaly`` events a
     live watchdog wrote.  ``runs``/``tasks`` count ``run_begin`` and
-    batch ``task_begin`` events: a trace with tasks is a relay-merged
-    batch.
+    batch ``task_begin`` events: a trace with tasks is a batch trace,
+    one run per task.
     """
 
     label: str | None = None
@@ -90,6 +116,27 @@ class RunView:
     @property
     def rewrite_runs(self):
         return len(self.rewrite_windows)
+
+
+def _check_types(event, index):
+    """Raise :class:`ObsDataError` unless every typed field of the
+    ``index``-th event (1-based) has its type."""
+    for kind in (None, event.get("ev")):
+        for key, types in _FIELD_TYPES.get(kind, {}).items():
+            value = event.get(key)
+            if value is not None and not isinstance(value, types):
+                raise ObsDataError(
+                    f"event {index} ({event.get('ev')}): field {key!r} "
+                    f"is {type(value).__name__} {value!r}",
+                    event=index, field=key)
+    if event.get("ev") == "summary":
+        for key in ("counters", "phases"):
+            for name, value in (event.get(key) or {}).items():
+                if not isinstance(value, _NUMBER):
+                    raise ObsDataError(
+                        f"event {index} (summary): {key} entry {name!r} "
+                        f"is {type(value).__name__} {value!r}",
+                        event=index, field=key)
 
 
 def _body(event):
@@ -138,8 +185,11 @@ class RunFold:
         self._last_attempt = {}  # comp -> (kind, compact) of its latest attempt
         self._windows = []       # [rewrite_begin t, last commit t] per run
         self._rewrite_spans = []
+        self._fed = 0
 
     def feed(self, event):
+        self._fed += 1
+        _check_types(event, self._fed)
         view = self.view
         fired = []
         kind = event.get("ev")

@@ -12,14 +12,13 @@ certified:
   the SQLite run-history store: certificate lookup/store and run-record
   ingestion used identically by the CLI, batch verify and the service;
 * :mod:`repro.service.task` — the one verification task every front
-  end runs (``repro verify``, ``verify --jobs``, ``repro serve``): one
+  end runs (``repro verify``, batch ``verify``, ``repro serve``): one
   design in, one verdict record out, typed errors as ``invalid``
-  records, plus the picklable pool worker and the pre-dispatch cache
-  consult;
+  records, plus the pre-dispatch cache consult;
 * :mod:`repro.service.jobs` — priority job queue and job records;
 * :mod:`repro.service.core` — :class:`VerificationService`: submission,
-  cache consult, worker fan-out (``parallel_map``-style process pool
-  with the PR 6 event relay), per-job obs event streams;
+  cache consult, in-process dispatcher threads, per-job obs event
+  streams;
 * :mod:`repro.service.server` — stdlib asyncio HTTP/JSON front end
   (``repro serve``);
 * :mod:`repro.service.client` — blocking :class:`ServiceClient` over

@@ -1,4 +1,4 @@
-"""The verification service core: submission, cache, worker fan-out.
+"""The verification service core: submission, cache, dispatch.
 
 :class:`VerificationService` is the transport-independent engine behind
 ``repro serve`` (the asyncio HTTP front end in
@@ -8,16 +8,14 @@
   :class:`~repro.core.pipeline.VerifyConfig` from the job options, and
   consult the certificate cache *before queueing*: a design whose
   canonical fingerprint is already certified completes at submission
-  time in O(hash), never touching the queue or a worker;
-* **fan-out** — cache misses are queued by priority and dispatched to a
-  persistent ``multiprocessing.Pool`` (one dispatcher thread per pool
-  slot, so job N+1 starts the moment a worker frees up).  Each job runs
+  time in O(hash), never touching the queue;
+* **dispatch** — cache misses are queued by priority and run by
+  ``workers`` dispatcher threads in this process (so ``workers`` jobs
+  are in flight at once).  Each job runs
   :func:`repro.service.task.task_worker` — the same task batch verify
-  dispatches — under the event relay: every pipeline event streams back
-  worker-tagged and is routed to its job's event stream live, keyed by
-  the ``task_begin`` bracket each worker emits.  ``use_processes=False``
-  runs jobs inline on the dispatcher thread (same code path via the
-  relay's queue-less collect) — the mode tests and one-shot scripts use;
+  runs — under a recorder whose events land on the job's event stream
+  as they are emitted, so ``GET /jobs/<id>/events`` shows a running
+  job's progress;
 * **persistence** — every fresh verdict lands in the run-history store
   (runs table via the shared persistence API, certificate cache via the
   pipeline's own cache stage), so the next submission of an isomorphic
@@ -31,6 +29,7 @@ import logging
 import threading
 import time
 
+from repro.obs.recorder import Recorder
 from repro.service.jobs import DEFAULT_PRIORITY, Job, JobQueue
 from repro.service.task import Task, cached_record, task_worker
 
@@ -69,11 +68,9 @@ def config_from_options(options):
 class VerificationService:
     """Priority-queued, cache-fronted verification jobs over one store."""
 
-    def __init__(self, db=None, workers=1, *, use_processes=True,
-                 default_options=None):
+    def __init__(self, db=None, workers=1, *, default_options=None):
         self.db = str(db) if db else None
         self.workers = max(1, int(workers))
-        self.use_processes = bool(use_processes)
         self.default_options = dict(default_options or {})
         self.queue = JobQueue()
         self.jobs = {}                # job id -> Job, submission order
@@ -81,65 +78,39 @@ class VerificationService:
         self.cache_hits = 0
         self._counter = 0
         self._lock = threading.Lock()
-        self._store = None            # parent connection (submit-time cache)
-        self._relay = None
-        self._pool = None
+        self._store = None            # submit-time cache connection
         self._dispatchers = []
-        self._worker_jobs = {}        # relay worker_id -> active job id
 
     # -- life cycle ----------------------------------------------------
 
     def start(self):
-        """Open the store, start the relay + pool + dispatchers."""
+        """Open the store and start the dispatcher threads."""
         self.started_at = time.time()
         if self.db:
             from repro.obs.store import RunStore
 
             self._store = RunStore(self.db)
-        if self.use_processes:
-            import multiprocessing
-
-            from repro.obs.recorder import Recorder
-            from repro.obs.relay import EventRelay
-
-            self._relay = EventRelay(recorder=Recorder(),
-                                     on_event=self._route_event)
-            initializer, initargs = self._relay.pool_initializer()
-            self._pool = multiprocessing.Pool(self.workers,
-                                              initializer=initializer,
-                                              initargs=initargs)
-            self._relay.start()
         for slot in range(self.workers):
             thread = threading.Thread(target=self._dispatch,
                                       name=f"repro-service-{slot}",
                                       daemon=True)
             thread.start()
             self._dispatchers.append(thread)
-        log.info("service up: %d worker(s), %s, db=%s",
-                 self.workers,
-                 "process pool" if self.use_processes else "inline",
-                 self.db or "none")
+        log.info("service up: %d dispatcher thread(s), db=%s",
+                 self.workers, self.db or "none")
         return self
 
     def shutdown(self, wait=True):
         """Stop accepting jobs, drain, and release every resource.
 
         ``wait`` joins the dispatchers (every queued job still runs to
-        completion first — the pool is closed and joined, never
-        terminated, so no worker event is ever lost).
+        completion first).
         """
         self.queue.close()
         if wait:
             for thread in self._dispatchers:
                 thread.join()
         self._dispatchers = []
-        if self._pool is not None:
-            self._pool.close()
-            self._pool.join()
-            self._pool = None
-        if self._relay is not None:
-            self._relay.finish()
-            self._relay = None
         if self._store is not None:
             self._store.close()
             self._store = None
@@ -217,26 +188,17 @@ class VerificationService:
             task = Task(job.id, job.design, job.source, job.config,
                         self.db, job.use_cache)
             try:
-                if self._pool is not None:
-                    record = self._pool.apply(task_worker, (task,))
-                else:
-                    record = task_worker(task)
+                record = task_worker(task, Recorder(events=job.events))
             except Exception as exc:  # noqa: BLE001 - job, not service, fails
                 job.state = "failed"
                 job.error = str(exc)
                 job.finished_at = time.time()
-                log.warning("%s: worker failed: %s", job.id, exc)
+                log.warning("%s: task failed: %s", job.id, exc)
                 continue
             self._finish(job, record)
 
     def _finish(self, job, record):
-        events = record.pop("_relay_events", None)
-        if events:
-            job.events.extend(events)
-            if self._relay is not None:
-                self._relay.collect(events)
         job.record = record
-        job.worker_id = record.get("worker_id")
         job.state = "done"
         job.finished_at = time.time()
         job.source = None             # the AAG text served its purpose
@@ -248,20 +210,6 @@ class VerificationService:
 
             ingest_verify_records([record], self.db)
         log.info("%s: %s", job.id, record.get("summary", job.state))
-
-    def _route_event(self, event):
-        """Relay callback: stream each worker-tagged event to its job.
-
-        The ``task_begin`` bracket binds a relay worker slot to the job
-        id it labelled; everything the worker emits until ``task_end``
-        belongs to that job.
-        """
-        worker = event.get("worker_id", 0)
-        if event.get("ev") == "task_begin":
-            self._worker_jobs[worker] = event.get("design")
-        job = self.jobs.get(self._worker_jobs.get(worker))
-        if job is not None:
-            job.events.append(event)
 
     # -- queries -------------------------------------------------------
 
@@ -279,7 +227,6 @@ class VerificationService:
             states[job.state] = states.get(job.state, 0) + 1
         info = {
             "workers": self.workers,
-            "mode": "pool" if self.use_processes else "inline",
             "db": self.db,
             "uptime": (time.time() - self.started_at
                        if self.started_at else 0.0),

@@ -4,8 +4,8 @@ A :class:`Job` is one submitted design moving through ``queued →
 running → done|failed``; the :class:`JobQueue` orders waiting jobs by
 ``(priority, submission order)`` — lower priority numbers run first,
 ties are FIFO.  The queue is thread-safe: the asyncio HTTP front end
-submits from the event loop while dispatcher threads (one per pool
-worker) block on :meth:`JobQueue.get`.
+submits from the event loop while the dispatcher threads block on
+:meth:`JobQueue.get`.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ class Job:
         self.submitted_at = time.time()
         self.started_at = None
         self.finished_at = None
-        self.worker_id = None
         self.record = None            # the JSON verdict record when done
         self.error = None             # failure detail when state=failed
         self.events = []              # this job's obs event stream
@@ -56,7 +55,6 @@ class Job:
             "submitted_at": self.submitted_at,
             "started_at": self.started_at,
             "finished_at": self.finished_at,
-            "worker_id": self.worker_id,
         }
         if self.record is not None:
             info["status"] = self.record.get("status")

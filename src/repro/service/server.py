@@ -18,7 +18,7 @@ of ``/metrics``; the API surface:
 ``POST /jobs``               submit ``{"design", "aag", "priority"?,
                              "options"?}`` → 200 done (cache hit) or
                              202 queued
-``POST /shutdown``           graceful stop: drain queue, close pool
+``POST /shutdown``           graceful stop: drain the queue
 ===========================  ==========================================
 
 Submissions a cache hit answers complete inside the POST — the
@@ -179,7 +179,8 @@ class ServiceServer:
             if job is None:
                 raise _HttpError(404, f"no such job: {job_id}")
             if extra == "events":
-                return 200, {"id": job.id, "events": job.events}
+                # a snapshot: a running job's stream grows meanwhile
+                return 200, {"id": job.id, "events": list(job.events)}
             if extra:
                 raise _HttpError(404, f"no such resource: {path}")
             return 200, job.as_dict()

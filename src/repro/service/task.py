@@ -1,22 +1,21 @@
 """One verification task: one design in, one verdict record out.
 
-Every front end — single-input ``repro verify``, batch ``verify
---jobs N`` and ``repro serve`` — turns a design into its verdict record
-through this module, so lint failures, the task's event bracket and the
-cache consult cannot drift between them:
+Every front end — single-input ``repro verify``, batch ``verify`` and
+``repro serve`` — turns a design into its verdict record through this
+module, in the process that asked for it, so lint failures, the task's
+event bracket and the cache consult cannot drift between them:
 
 * :func:`run_design` — run the :class:`~repro.core.pipeline.Pipeline`
   on one design; a typed error (failed pre-flight lint, an odd input
   count, an unreadable file) becomes an ``invalid`` record with its
   diagnostics, never a traceback;
-* :func:`task_worker` — the picklable pool worker batch verify and the
-  service both dispatch: :func:`run_design` under a worker-tagged relay
-  recorder, bracketed by ``task_begin`` / ``task_end``;
-* :func:`cached_record` — the parent's pre-dispatch certificate-cache
-  consult.
+* :func:`task_worker` — what batch verify runs for each input and a
+  service dispatcher thread for each job: :func:`run_design` under the
+  caller's recorder, bracketed by ``task_begin`` / ``task_end``;
+* :func:`cached_record` — the pre-dispatch certificate-cache consult.
 
-The relay, the store and ``multiprocessing`` are imported inside the
-functions that use them, so a plain ``repro verify`` loads none of them.
+The store is imported inside the functions that use it, so a plain
+``repro verify`` does not load it.
 """
 
 from __future__ import annotations
@@ -28,14 +27,13 @@ import logging
 log = logging.getLogger("repro.service.task")
 
 
-#: One unit of :func:`task_worker` work (plain, picklable data):
-#: ``label`` tags the ``task_begin``/``task_end`` bracket (the input
-#: path, or the service job id), ``design`` is the record's ``input``
-#: and the cache row label, ``source`` is what gets parsed (a file path
-#: or AAG text), ``config`` is the validated
-#: :class:`~repro.core.pipeline.VerifyConfig`, ``db`` the run-history
-#: store, and ``resources``/``profile`` arm the per-phase
-#: ``ResourceTracker`` and the ``SamplingProfiler``.
+#: One unit of :func:`task_worker` work: ``label`` tags the
+#: ``task_begin``/``task_end`` bracket (the input path, or the service
+#: job id), ``design`` is the record's ``input`` and the cache row
+#: label, ``source`` is what gets parsed (a file path or AAG text),
+#: ``config`` is the validated :class:`~repro.core.pipeline.VerifyConfig`,
+#: ``db`` the run-history store, and ``resources``/``profile`` arm the
+#: per-phase ``ResourceTracker`` and the ``SamplingProfiler``.
 Task = collections.namedtuple(
     "Task", "label design source config db use_cache resources profile",
     defaults=(None, True, False, False))
@@ -98,21 +96,16 @@ def run_design(aig_or_source, config, *, recorder=None, store=None,
                   "diagnostics": diagnostics}
 
 
-def task_worker(task):
-    """Module-level (picklable) pool worker: run one :class:`Task` under
-    its own worker-tagged relay recorder; returns the verdict record
-    (plain data only) with the ``worker_id`` that produced it.
+def task_worker(task, recorder):
+    """Run one :class:`Task` under the caller's ``recorder``; returns
+    its verdict record.
 
-    The ``task_begin`` / ``task_end`` bracket carries ``task.label``, so
-    the parent relay can attribute every streamed event (the service
-    routes them to the job).  When no relay queue is bound (the serial
-    and inline paths) the tagged events ride back on the record under
-    ``_relay_events`` for the parent to collect.
+    The ``task_begin`` / ``task_end`` bracket carries ``task.label``;
+    ``task_begin`` also restarts the recorder's aggregates, so the
+    record and the task's ``summary`` event count this task alone when
+    one recorder carries a whole batch.
     """
-    from repro.obs.relay import child_recorder, flush_child
-
-    base = child_recorder()
-    recorder = base
+    base = recorder
     tracker = profiler = None
     if task.resources:
         from repro.obs.resources import ResourceTracker
@@ -132,24 +125,20 @@ def task_worker(task):
     finally:
         if store is not None:
             store.close()
-    record["worker_id"] = base.worker
     if profiler is not None:
         record["profile"] = profiler.stop()
     if tracker is not None:
         tracker.stop()
         record["resources"] = tracker.phase_resources
-    base.close()
+    base.event("summary", **base.summary())
     base.event("task_end", design=task.label, status=record["status"])
-    if base._queue is None:
-        record["_relay_events"] = base.events
-    flush_child(base)
     return record
 
 
 def cached_record(store, aig_or_source, config):
-    """The cached verdict record of a design, looked up before any
-    worker is dispatched; None on a miss or for a design that cannot be
-    parsed or fingerprinted (the worker then reports it)."""
+    """The cached verdict record of a design, looked up before its task
+    is run; None on a miss or for a design that cannot be parsed or
+    fingerprinted (the task then reports it)."""
     from repro.errors import ReproError
     from repro.service.fingerprint import config_fingerprint
     from repro.service.persistence import cache_lookup

@@ -134,20 +134,18 @@ class TestLiveVerifyCli:
 
     def test_serial_batch_watchdog_sees_the_running_task(
             self, tmp_path, capsys, monkeypatch):
-        """A ``--jobs 1 --live`` batch streams each task's events while
-        it runs, so a silent task is flagged before it finishes; records,
-        worker ids and event accounting are those of the serial path."""
+        """A ``--live`` batch streams each task's events while it runs,
+        so a task that goes silent is flagged before it finishes, by
+        the name of its design."""
         import json
         import time
 
-        from repro.obs import relay
         from repro.service import task
 
         run_design = task.run_design
 
         def silent_start(source, config, *, recorder, **kwargs):
-            recorder.flush()  # task_begin reaches the monitor
-            time.sleep(0.8)   # then the task goes silent past the budget
+            time.sleep(0.8)   # the task goes silent past the budget
             return run_design(source, config, recorder=recorder, **kwargs)
 
         monkeypatch.setattr(task, "run_design", silent_start)
@@ -157,16 +155,13 @@ class TestLiveVerifyCli:
             main(["generate", arch, "4", "-o", str(path)])
             paths.append(str(path))
         out = tmp_path / "batch.json"
-        assert main(["verify", *paths, "--jobs", "1", "--live",
-                     "--stall-budget", "0.2", "--json", str(out)]) == 0
+        assert main(["verify", *paths, "--live", "--stall-budget", "0.2",
+                     "--json", str(out)]) == 0
         err = capsys.readouterr().err
         for path in paths:
-            assert f"RP011 warning: worker 0 ({path})" in err
+            assert f"RP011 warning: {path}: no rewriting commit" in err
         payload = json.loads(out.read_text())
         assert [r["status"] for r in payload["records"]] == ["correct"] * 2
-        assert [r["worker_id"] for r in payload["records"]] == [0, 0]
-        assert payload["event_loss"] == 0
-        assert relay._CHILD_QUEUE is None
 
 
 class TestObsCli:
@@ -313,6 +308,122 @@ class TestObsCli:
         assert main(["obs", "prune", "--db", str(db),
                      "--before", "not-a-date"]) == 2
         assert "--before" in capsys.readouterr().err
+
+
+class TestObsBoundaries:
+    """Wrong-typed trace fields, wrong-typed run values and store files
+    that are not SQLite databases end each command with exit 2 and one
+    ``<command>: ...`` line, never a traceback."""
+
+    BAD_TRACES = {
+        "step": '{"ev": "step", "size": "big", "i": "a"}',
+        "span": '{"ev": "span", "name": "rewrite", "path": 5, "dur": "x"}',
+    }
+
+    @pytest.mark.parametrize("kind", sorted(BAD_TRACES))
+    @pytest.mark.parametrize("command", ["ingest", "report", "explain"])
+    def test_wrong_typed_trace_field_exits_2(self, tmp_path, capsys, kind,
+                                             command):
+        trace = tmp_path / "bad.jsonl"
+        trace.write_text(self.BAD_TRACES[kind] + "\n", encoding="utf-8")
+        db = tmp_path / "runs.db"
+        argv = {"ingest": ["obs", "ingest", "--db", str(db), str(trace)],
+                "report": ["report", str(trace)],
+                "explain": ["explain", str(trace)]}[command]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        prefix = "obs ingest" if command == "ingest" else command
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"{prefix}: {trace}: event 1 ({kind}): ")
+        if command == "ingest":
+            from repro.obs.store import RunStore
+
+            with RunStore(db) as store:
+                assert len(store) == 0
+
+    def test_wrong_typed_run_values_are_not_ingested(self, tmp_path,
+                                                     capsys):
+        trace = tmp_path / "bad.jsonl"
+        trace.write_text('{"ev": "run_end", "seconds": "x", "status": 5}\n',
+                         encoding="utf-8")
+        db = tmp_path / "runs.db"
+        for _ in range(2):
+            assert main(["obs", "ingest", "--db", str(db), str(trace)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"obs ingest: {trace}: event 1 (run_end)")
+        assert main(["obs", "trends", "--db", str(db), "--check"]) == 0
+        from repro.obs.store import RunStore
+
+        with RunStore(db) as store:
+            assert len(store) == 0
+
+    def test_wrong_typed_payload_run_value_is_refused(self, tmp_path,
+                                                      capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"command": "verify", "records": '
+                       '[{"input": "m.aag", "seconds": "x"}]}',
+                       encoding="utf-8")
+        db = tmp_path / "runs.db"
+        assert main(["obs", "ingest", "--db", str(db), str(bad)]) == 2
+        assert "malformed payload: run seconds is str 'x'" in \
+            capsys.readouterr().err
+
+    @staticmethod
+    def _not_a_store(tmp_path, kind):
+        path = tmp_path / f"{kind}.db"
+        if kind == "directory":
+            path.mkdir()
+            return path
+        if kind == "text":
+            path.write_text("not a database\n" * 200, encoding="utf-8")
+            return path
+        from repro.obs.store import RunStore
+
+        real = tmp_path / "real.db"
+        with RunStore(real) as store:
+            for index in range(100):
+                store.add_run(f"d{index % 5}", "dyposub", seconds=1.0,
+                              commits=list(range(1, 40)))
+        data = real.read_bytes()
+        path.write_bytes(data[:len(data) // 2])
+        return path
+
+    @pytest.mark.parametrize("kind", ["text", "truncated", "directory"])
+    def test_obs_commands_refuse_a_file_that_is_not_a_store(
+            self, tmp_path, capsys, kind):
+        db = self._not_a_store(tmp_path, kind)
+        trace = tmp_path / "empty.jsonl"
+        trace.write_text('{"ev": "run_begin", "t": 0.0}\n',
+                         encoding="utf-8")
+        for argv, prefix in ((["obs", "trends", "--db", str(db)],
+                              "obs trends"),
+                             (["obs", "ingest", "--db", str(db),
+                               str(trace)], "obs ingest")):
+            assert main(argv) == 2
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1
+            assert lines[0].startswith(f"{prefix}: {db}: not a run store")
+
+    @pytest.mark.parametrize("kind", ["text", "truncated", "directory"])
+    def test_serve_refuses_a_file_that_is_not_a_store(self, tmp_path,
+                                                      kind):
+        import os
+        import subprocess
+        import sys
+
+        db = self._not_a_store(tmp_path, kind)
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(__file__).parents[2] / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--db", str(db)], capture_output=True, text=True, env=env,
+            timeout=60)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"serve: {db}: not a run store")
 
 
 class TestTelemetryFlags:
@@ -577,7 +688,7 @@ class TestServiceCli:
 
         src, bug = self._designs(tmp_path)
         service = VerificationService(db=str(tmp_path / "runs.db"),
-                                      workers=1, use_processes=False)
+                                      workers=1)
         box = {}
         up = threading.Event()
 
@@ -658,7 +769,7 @@ class TestTraceInputs:
         assert captured.out == ""
         command = " ".join(argv[:-2] if argv[0] == "obs" else argv[:1])
         assert captured.err.startswith(
-            f"{command}: merged.jsonl is a merged --jobs trace of 2 runs")
+            f"{command}: merged.jsonl is a batch trace of 2 runs")
         assert "`repro obs ingest --db DB merged.jsonl`" in captured.err
         assert hint in captured.err
 

@@ -20,9 +20,9 @@ from repro.genmul.multiplier import generate_multiplier
 SRC = os.path.dirname(os.path.dirname(repro.__file__))
 
 NOT_ON_VERIFY_PATH = (
-    "repro.analysis.structure", "repro.obs.store", "repro.obs.relay",
-    "repro.obs.attribution", "repro.genmul.multiplier", "repro.opt.refactor",
-    "repro.service.core", "sqlite3", "multiprocessing",
+    "repro.analysis.structure", "repro.obs.store", "repro.obs.attribution",
+    "repro.genmul.multiplier", "repro.opt.refactor", "repro.service.core",
+    "sqlite3", "multiprocessing",
 )
 
 # verify --json / --db serialize and persist the verdict; neither needs
@@ -40,14 +40,47 @@ print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
 """
 
 
-def _verify_in_fresh_interpreter(*argv):
+# serve on an ephemeral port, verify one job through the HTTP API, shut
+# down, and report what the server process had imported
+SERVE_PROBE = """
+import json, sys, threading
+from repro.cli import main
+import repro.service.server as server
+
+def verify_then_stop(port):
+    from repro.service.client import ServiceClient
+    client = ServiceClient(port=port)
+    job = client.submit(open(sys.argv[1]).read(), design="m.aag")
+    client.wait(job["id"], timeout=60)
+    client.shutdown()
+
+run_server = server.run_server
+
+def run_and_stop(service, ready, **kwargs):
+    def on_ready(listener):
+        ready(listener)
+        threading.Thread(target=verify_then_stop,
+                         args=(listener.port,)).start()
+    run_server(service, ready=on_ready, **kwargs)
+
+server.run_server = run_and_stop
+code = main(["serve", "--port", "0", "--db", sys.argv[2]])
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+"""
+
+
+def _in_fresh_interpreter(probe, *argv):
     env = dict(os.environ, PYTHONPATH=SRC)
-    proc = subprocess.run([sys.executable, "-c", PROBE, "verify", *argv],
+    proc = subprocess.run([sys.executable, "-c", probe, *argv],
                           capture_output=True, text=True, env=env,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     return result["code"], set(result["modules"])
+
+
+def _verify_in_fresh_interpreter(*argv):
+    return _in_fresh_interpreter(PROBE, "verify", *argv)
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +96,18 @@ def test_plain_verify_loads_no_unused_layer(design):
     assert "repro.core.pipeline" in modules
     loaded = [name for name in NOT_ON_VERIFY_PATH if name in modules]
     assert loaded == []
+
+
+def test_batch_verify_and_serve_run_in_process(design, tmp_path):
+    # every front end runs its tasks in its own process
+    code, modules = _verify_in_fresh_interpreter(design, design)
+    assert code == 0
+    assert "multiprocessing" not in modules
+    code, modules = _in_fresh_interpreter(SERVE_PROBE, design,
+                                          str(tmp_path / "runs.db"))
+    assert code == 0
+    assert "repro.core.pipeline" in modules
+    assert "multiprocessing" not in modules
 
 
 def test_verify_db_loads_the_store(design, tmp_path):

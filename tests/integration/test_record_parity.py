@@ -1,9 +1,9 @@
 """One design, one verdict record, whichever front end ran it.
 
 A clean, a buggy and an odd-input design go through single-input
-``repro verify --json``, batch ``verify --jobs 1`` and an inline
+``repro verify --json``, batch ``verify`` and a
 :class:`~repro.service.core.VerificationService`; their records must be
-equal once the per-run keys (timings, worker attribution) are removed.
+equal once the per-run keys (timings, profiles) are removed.
 """
 
 import json
@@ -20,10 +20,8 @@ from repro.service.core import VerificationService
 
 ODD_AAG = "aag 3 3 0 1 0\n2\n4\n6\n2\n"
 
-#: keys that legitimately differ between runs and front ends (the same
-#: set scripts/obs_overhead_check.py strips for its batch parity check)
-PER_RUN_KEYS = ("seconds", "phases", "worker_id", "jobs", "profile",
-                "resources")
+#: keys that legitimately differ between runs and front ends
+PER_RUN_KEYS = ("seconds", "phases", "profile", "resources")
 
 
 def _strip(record):
@@ -44,7 +42,7 @@ def _design_text(kind):
 
 
 def _service_record(path, text):
-    service = VerificationService(workers=1, use_processes=False).start()
+    service = VerificationService(workers=1).start()
     try:
         job = service.submit(path, text)
         deadline = time.monotonic() + 60.0
@@ -67,8 +65,7 @@ def test_front_ends_agree_on_the_record(kind, status, tmp_path, capsys):
     single_json = tmp_path / "single.json"
     batch_json = tmp_path / "batch.json"
     main(["verify", str(path), "--json", str(single_json)])
-    main(["verify", str(path), str(path), "--jobs", "1",
-          "--json", str(batch_json)])
+    main(["verify", str(path), str(path), "--json", str(batch_json)])
     capsys.readouterr()
 
     single = json.loads(single_json.read_text())["records"]

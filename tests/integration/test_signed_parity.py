@@ -53,7 +53,7 @@ class TestServiceParity:
 
         with open(signed_path, "r", encoding="ascii") as handle:
             text = handle.read()
-        service = VerificationService(use_processes=False)
+        service = VerificationService()
         try:
             signed = service.submit("sps.aag", text,
                                     options={"signed": True})

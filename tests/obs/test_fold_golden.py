@@ -18,7 +18,9 @@ folded shows up here as a byte difference.
   ring="modular", prime_schedule=(3, 5))`` (the design from
   ``tests/core/test_pipeline.py``): the escalation reruns ``rewrite``;
 * ``merged.jsonl`` — ``repro verify SP-AR-RC-4.aag SP-WT-CL-4.aag
-  --jobs 2 --trace-out ...``: one relay-merged batch trace.
+  --jobs 2 --trace-out ...`` of a build that still had the process
+  pool: one relay-merged batch trace, worker-tagged, which today's
+  readers keep folding, rendering and ingesting.
 
 Regenerate (only after an intended behaviour change) with::
 

@@ -285,48 +285,42 @@ class TestRendering:
         assert monitor.events[-1]["ev"] == "run_end"
 
 
-class TestWorkerHeartbeats:
-    def test_only_the_silent_worker_stalls(self):
+class TestBatchTasks:
+    """A batch runs its tasks one after another under one monitor; each
+    ``task_begin`` starts a fresh fold labelled with the design."""
+
+    def test_stall_names_the_running_design(self):
         monitor, clock = _monitor(stall_budget=5.0)
-        monitor.worker_event({"ev": "task_begin", "worker_id": 1,
-                              "design": "a.aag"})
-        clock.advance(3.0)
-        monitor.worker_event({"ev": "task_begin", "worker_id": 2,
-                              "design": "b.aag"})
-        clock.advance(3.0)  # worker 1 silent for 6s, worker 2 for 3s
-        monitor.tick()
+        monitor.event("task_begin", design="a.aag", input="a.aag")
+        clock.advance(6.0)
+        monitor.pulse()
         assert len(monitor.stalls) == 1
         diag = monitor.stalls[0]
         assert diag.code == "RP011"
-        assert diag.context["worker_id"] == 1
-        assert "a.aag" in diag.message
-        stall_events = [e for e in monitor.events if e["ev"] == "stall"]
-        assert stall_events[0]["worker_id"] == 1
+        assert diag.message.startswith("a.aag: no rewriting commit")
+        assert diag.context["design"] == "a.aag"
+        assert [e["ev"] for e in monitor.events][-1] == "stall"
 
-    def test_progress_re_arms_the_worker_watchdog(self):
+    def test_task_begin_starts_a_fresh_fold(self):
         monitor, clock = _monitor(stall_budget=5.0)
-        monitor.worker_event({"ev": "task_begin", "worker_id": 1,
-                              "design": "a.aag"})
-        clock.advance(6.0)
-        monitor.tick()
-        monitor.tick()  # same silent gap: no re-flag
-        assert len(monitor.stalls) == 1
-        monitor.worker_event({"ev": "step", "worker_id": 1, "i": 4,
-                              "size": 9})
-        clock.advance(6.0)
-        monitor.tick()
-        assert len(monitor.stalls) == 2
+        monitor.event("task_begin", design="a.aag", input="a.aag")
+        monitor.event("step", i=1, comp=0, kind="FA", size=9)
+        monitor.event("run_end", status="correct", seconds=1.0)
+        monitor.event("task_begin", design="b.aag", input="b.aag")
+        assert monitor.view.label == "b.aag"
+        assert monitor.view.commits == []
+        assert monitor.view.status is None
+        clock.advance(6.0)  # b.aag silent past the budget
+        monitor.pulse()
+        assert [d.context["design"] for d in monitor.stalls] == ["b.aag"]
 
-    def test_finished_workers_may_be_silent(self):
+    def test_finished_task_may_be_silent(self):
         monitor, clock = _monitor(stall_budget=5.0)
-        monitor.worker_event({"ev": "task_begin", "worker_id": 1,
-                              "design": "a.aag"})
-        monitor.worker_event({"ev": "run_end", "worker_id": 1,
-                              "status": "correct"})
-        monitor.worker_event({"ev": "task_end", "worker_id": 1,
-                              "status": "correct"})
+        monitor.event("task_begin", design="a.aag", input="a.aag")
+        monitor.event("run_end", status="correct", seconds=1.0)
+        monitor.event("task_end", design="a.aag", status="correct")
         clock.advance(60.0)
-        monitor.tick()
+        monitor.pulse()
         assert monitor.stalls == []
 
 

@@ -96,6 +96,21 @@ class TestRecorderPrimitives:
         assert summary["histograms"]["sizes"]["count"] == 1
         assert "a" in summary["phases"]
 
+    def test_task_begin_restarts_the_aggregates(self):
+        events = [{"ev": "submitted"}]
+        rec = Recorder(events=events)
+        with rec.span("a"):
+            pass
+        rec.count("n", 2)
+        rec.observe("sizes", 7)
+        rec.event("task_begin", design="b.aag")
+        rec.count("n")
+        assert rec.summary() == {"phases": {}, "counters": {"n": 1},
+                                 "histograms": {}}
+        assert rec.events is events
+        assert [e["ev"] for e in events] == ["submitted", "span",
+                                            "task_begin"]
+
 
 class TestJsonlRoundTrip:
     def test_events_round_trip_through_file(self, tmp_path):

@@ -113,11 +113,10 @@ class TestResourceTracker:
         tracker.event("step", i=1, size=2)
         tracker.count("rewrite.commits")
         tracker.observe("rewrite.sp_size", 2)
-        tracker.replay({"ev": "note", "t": 0.5})
         assert inner.counters == {"rewrite.commits": 1}
         kinds = [e["ev"] for e in inner.events
                  if e["ev"] != "resource_sample"]
-        assert kinds == ["step", "note"]
+        assert kinds == ["step"]
         tracker.stop()
 
     def test_pipeline_parity_under_tracker(self):

@@ -1,8 +1,8 @@
 """VerificationService: submission, cache consult, dispatch, events.
 
-These run the service inline (``use_processes=False``) — the HTTP and
-pool layers ride the exact same code path and have their own tests; the
-CI smoke script exercises the full process-pool stack.
+These drive the service directly — the HTTP layer rides the exact same
+code path and has its own tests; the CI smoke script exercises a real
+``repro serve`` process.
 """
 
 import pytest
@@ -30,8 +30,7 @@ def buggy_text():
 
 @pytest.fixture()
 def service(tmp_path):
-    svc = VerificationService(db=str(tmp_path / "runs.db"), workers=1,
-                              use_processes=False)
+    svc = VerificationService(db=str(tmp_path / "runs.db"), workers=1)
     svc.start()
     yield svc
     svc.shutdown()
@@ -130,12 +129,10 @@ class TestCache:
 
     def test_cache_survives_service_restart(self, tmp_path, aag_text):
         db = str(tmp_path / "shared.db")
-        first = VerificationService(db=db, workers=1,
-                                    use_processes=False).start()
+        first = VerificationService(db=db, workers=1).start()
         _wait(first, first.submit("m.aag", aag_text))
         first.shutdown()
-        second = VerificationService(db=db, workers=1,
-                                     use_processes=False).start()
+        second = VerificationService(db=db, workers=1).start()
         try:
             job = second.submit("m.aag", aag_text)
             assert job.finished and job.record["cache_hit"] is True
@@ -159,7 +156,6 @@ class TestQueries:
         assert stats["jobs"]["done"] == 2
         assert stats["cache_hits"] == 1
         assert stats["certificates"] == 1
-        assert stats["mode"] == "inline"
         rows = service.list_jobs()
         assert [row["id"] for row in rows] == ["job-0001", "job-0002"]
         assert rows[1]["cache_hit"] is True
@@ -167,9 +163,43 @@ class TestQueries:
     def test_priority_orders_queued_jobs(self, tmp_path, aag_text,
                                          buggy_text):
         # no started service: jobs stack up in the queue unserved
-        svc = VerificationService(db=None, workers=1,
-                                  use_processes=False)
+        svc = VerificationService(db=None, workers=1)
         low = svc.submit("low.aag", aag_text, priority=9)
         high = svc.submit("high.aag", buggy_text, priority=1)
         assert svc.queue.get().id == high.id
         assert svc.queue.get().id == low.id
+
+
+class TestConcurrentDispatch:
+    def test_jobs_in_flight_keep_their_own_streams(self, tmp_path):
+        """More dispatcher threads than cores, a short switch interval:
+        every job's stream holds its own task alone, and its record's
+        counters are those of its own run."""
+        import sys
+
+        from repro.obs.view import fold_events
+
+        texts = [write_aag(generate_multiplier(arch, width))
+                 for arch in ("SP-AR-RC", "SP-WT-CL", "SP-DT-LF")
+                 for width in (3, 4)]
+        svc = VerificationService(db=str(tmp_path / "runs.db"),
+                                  workers=4).start()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            jobs = [svc.submit(f"d{index}.aag", text)
+                    for index, text in enumerate(texts)]
+            for job in jobs:
+                _wait(svc, job, timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+            svc.shutdown()
+        for job in jobs:
+            assert job.state == "done"
+            assert job.record["status"] == "correct"
+            kinds = [event["ev"] for event in job.events]
+            assert [e["design"] for e in job.events
+                    if e["ev"] == "task_begin"] == [job.id]
+            assert kinds.count("run_end") == 1 and kinds[-1] == "task_end"
+            assert fold_events(job.events).counters == \
+                job.record["counters"]

@@ -1,6 +1,6 @@
 """The asyncio HTTP front end + blocking client, over a real socket.
 
-One module-scoped server (inline workers, ephemeral port) serves every
+One module-scoped server (ephemeral port) serves every
 test; the final test shuts it down through the API and asserts the
 thread exits — which is the clean-shutdown check itself.
 """
@@ -34,9 +34,9 @@ def buggy_text():
 
 @contextlib.contextmanager
 def _serving(db):
-    """An inline service on an ephemeral port, shut down on exit unless
-    a test already did; yields ``(client, server thread)``."""
-    service = VerificationService(db=db, workers=1, use_processes=False)
+    """A service on an ephemeral port, shut down on exit unless a test
+    already did; yields ``(client, server thread)``."""
+    service = VerificationService(db=db, workers=1)
     box = {}
     ready = threading.Event()
 
@@ -124,6 +124,40 @@ def test_job_listing_and_events(served):
     events = client.events(rows[0]["id"])
     assert events[0]["ev"] == "submitted"
     assert any(e["ev"] == "run_end" for e in events)
+
+
+def test_running_job_streams_its_events(served, monkeypatch):
+    """``GET /jobs/<id>/events`` shows a running job's events before its
+    ``run_end``: the job's recorder appends them as they are emitted."""
+    import time
+
+    from repro.service import task
+
+    release = threading.Event()
+    run_design = task.run_design
+
+    def held(*args, **kwargs):
+        assert release.wait(timeout=60)
+        return run_design(*args, **kwargs)
+
+    monkeypatch.setattr(task, "run_design", held)
+    client, _ = served
+    text = write_aag(generate_multiplier("SP-WT-CL", 4))
+    job = client.submit(text, design="held.aag")
+    try:
+        deadline = time.monotonic() + 30
+        kinds = []
+        while "task_begin" not in kinds:
+            assert time.monotonic() < deadline, kinds
+            time.sleep(0.02)
+            kinds = [event["ev"] for event in client.events(job["id"])]
+        assert "run_end" not in kinds
+        assert client.job(job["id"])["state"] == "running"
+    finally:
+        release.set()
+    done = client.wait(job["id"], timeout=60)
+    assert done["record"]["status"] == "correct"
+    assert "run_end" in [event["ev"] for event in client.events(job["id"])]
 
 
 def test_stats_counts_cache_hits(served):
