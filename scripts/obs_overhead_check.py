@@ -180,14 +180,6 @@ def collect_schema_events():
     recorder.close()
     events += recorder.events
 
-    # Architecture advisory: the autotune event (from the same report
-    # as the run's stage_map).
-    recorder = Recorder()
-    verify_multiplier(aig_dt, auto_tune=True, monomial_budget=50,
-                      recorder=recorder)
-    recorder.close()
-    events += recorder.events
-
     # Optimization pipeline: opt_pass (+ opt.* spans).
     recorder = Recorder()
     optimize(aig_dt, "dc2", recorder=recorder)

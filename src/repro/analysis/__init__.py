@@ -13,8 +13,8 @@ The correctness-tooling layer of the pipeline.  Three parts:
   inside the verifier behind ``--check-invariants``;
 * :mod:`repro.analysis.structure` — static architecture recognition
   (PPG/PPA/FSA segmentation + family classification) and blow-up
-  prediction, surfaced as ``repro analyze`` and the verifier's
-  ``--auto-tune`` advisory.
+  prediction, surfaced as ``repro analyze`` and a traced run's
+  ``stage_map`` event.
 
 ``repro lint <design>`` and ``repro analyze <design>`` are the CLI
 entry points; ``repro verify`` and the benchmark harness run the
@@ -35,7 +35,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
                                   "check_component_coverage",
                                   "check_vanishing_rules"),
     "repro.analysis.structure": ("ArchitectureReport", "StageGuess",
-                                 "analyze_aig", "recommend_overrides",
-                                 "risk_calibration",
+                                 "analyze_aig", "risk_calibration",
                                  "spearman"),
 })

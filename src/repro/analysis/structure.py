@@ -53,12 +53,8 @@ FSA_LABELS = ("ripple", "lookahead", "unknown")
 RISK_UNCOVERED_WEIGHT = 3.0
 RISK_BOOTH_WEIGHT = 25.0
 RISK_SMEAR_WEIGHT = 15.0
-#: ``score / num_ands`` above this factor flags RS020 (and drives the
-#: pipeline's auto-tuned defaults).
+#: ``score / num_ands`` above this factor flags RS020.
 RISK_HIGH_FACTOR = 3.0
-#: ... and below this factor the design is crisp enough to drop the
-#: extended vanishing rules (clean ripple-carry designs score 1.36-1.40).
-RISK_LOW_FACTOR = 1.5
 
 #: Boundary-smearing (RS010) fires when more than this many gates are
 #: shared between the PPA and FSA cones (or 2.5% of the AND count,
@@ -724,31 +720,3 @@ def analyze_aig(aig, blocks, width_a=None, subject=""):
                    factor=risk["factor"], score=risk["score"])
     return arch
 
-
-def recommend_overrides(arch, config):
-    """Auto-tuned pipeline defaults from a structure advisory.
-
-    Only fields the user left at their dataclass defaults are touched:
-    a high-risk design gets a deeper prime schedule and a looser initial
-    growth threshold (fewer backtracks on designs that *will* grow); a
-    crisp low-risk design drops the extended vanishing rules (the basic
-    HA rules already cover it).  Returns a (possibly empty) dict of
-    ``VerifyConfig`` field overrides.
-    """
-    defaults = {f.name: f.default
-                for f in dataclasses.fields(type(config))}
-    overrides = {}
-
-    def tune(name, value):
-        if getattr(config, name) == defaults[name] \
-                and defaults[name] != value:
-            overrides[name] = value
-
-    factor = arch.risk["factor"]
-    if factor >= RISK_HIGH_FACTOR:
-        tune("primes", 6)
-        tune("initial_threshold", 0.25)
-    elif factor <= RISK_LOW_FACTOR and arch.recognized and all(
-            guess.confidence >= 0.7 for guess in arch.stages.values()):
-        tune("extended_rules", False)
-    return overrides

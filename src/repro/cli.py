@@ -13,7 +13,6 @@ observability layer::
     python -m repro verify mult.aag --check-invariants
     python -m repro lint mult.aag --json findings.json
     python -m repro analyze mult.aag --json arch.json
-    python -m repro verify mult.aag --auto-tune
     python -m repro report run.jsonl
     python -m repro explain run.jsonl
     python -m repro explain run:12 --db runs.db --calibration
@@ -136,8 +135,10 @@ def build_parser():
                      help="monomial budget (stand-in for the paper's TO)")
     ver.add_argument("--time-budget", type=float, default=None,
                      help="wall-clock budget in seconds")
-    ver.add_argument("--threshold", type=float, default=0.1,
-                     help="Algorithm 2 initial growth threshold")
+    ver.add_argument("--threshold", type=float, default=None,
+                     help="Algorithm 2 initial growth threshold, a finite "
+                          "positive number (default: INITIAL_THRESHOLD "
+                          "of repro.core.dynamic)")
     ver.add_argument("--ring", default="exact", metavar="RING",
                      help="coefficient ring of the rewrite stage: "
                           "'exact' (default), 'modular' (multimodular "
@@ -167,11 +168,6 @@ def build_parser():
                           "order, SP_i signatures)")
     ver.add_argument("--no-preflight", action="store_true",
                      help="skip the structural pre-flight lint")
-    ver.add_argument("--auto-tune", action="store_true",
-                     help="run the static architecture analysis first "
-                          "and let its blow-up advisory pick defaults "
-                          "(prime-schedule depth, initial threshold, "
-                          "extended rules) you did not set explicitly")
     ver.add_argument("--live", action="store_true",
                      help="render a live one-line progress status, flag "
                           "stalls (no commit within the stall budget) as "

@@ -1,16 +1,12 @@
 """Tests for the static architecture recognizer and blow-up predictor."""
 
-import dataclasses
 import json
 
 import pytest
 
 from repro.analysis.structure import (
     RISK_HIGH_FACTOR,
-    ArchitectureReport,
-    StageGuess,
     analyze_aig,
-    recommend_overrides,
     risk_calibration,
     spearman,
 )
@@ -122,56 +118,6 @@ class TestDiagnostics:
         assert payload["architecture"] == "simple-tree-lookahead"
         assert set(payload["stages"]) == {"ppg", "ppa", "fsa"}
         assert payload["risk"]["factor"] == arch.risk["factor"]
-
-
-class TestRecommendOverrides:
-    def _arch(self, factor, recognized=True, confidence=1.0):
-        guess = StageGuess("ppg", "simple" if recognized else "unknown",
-                           confidence)
-        report = analyze("SP-AR-RC", 4).report
-        return ArchitectureReport(
-            subject="t", width_a=4, width_b=4,
-            ppg=guess, ppa=dataclasses.replace(guess, stage="ppa",
-                                               label="array"),
-            fsa=dataclasses.replace(guess, stage="fsa", label="ripple"),
-            regions={}, boundary={}, risk={"factor": factor, "score": 0.0},
-            coverage={}, report=report)
-
-    def test_high_risk_deepens_prime_schedule(self):
-        overrides = recommend_overrides(self._arch(5.0), VerifyConfig())
-        assert overrides["primes"] == 6
-        assert overrides["initial_threshold"] == 0.25
-
-    def test_low_risk_drops_extended_rules(self):
-        overrides = recommend_overrides(self._arch(1.2), VerifyConfig())
-        assert overrides == {"extended_rules": False}
-
-    def test_explicit_user_choice_is_never_overridden(self):
-        config = VerifyConfig(primes=2, initial_threshold=0.5)
-        assert recommend_overrides(self._arch(5.0), config) == {}
-
-    def test_midband_risk_changes_nothing(self):
-        assert recommend_overrides(self._arch(2.0), VerifyConfig()) == {}
-
-    def test_unrecognized_never_detunes(self):
-        arch = self._arch(1.2, recognized=False, confidence=0.0)
-        assert recommend_overrides(arch, VerifyConfig()) == {}
-
-
-class TestPipelineAutoTune:
-    def test_advisory_lands_in_stats(self):
-        aig = generate_multiplier("SP-AR-RC", 4)
-        result = Pipeline(VerifyConfig(auto_tune=True)).run(aig)
-        assert result.status == "correct"
-        advisory = result.stats["autotune"]
-        assert advisory["architecture"] == "simple-array-ripple"
-        assert advisory["overrides"] == {"extended_rules": False}
-
-    def test_off_by_default(self):
-        aig = generate_multiplier("SP-AR-RC", 4)
-        result = Pipeline(VerifyConfig()).run(aig)
-        assert result.status == "correct"
-        assert "autotune" not in result.stats
 
 
 class TestSpearman:

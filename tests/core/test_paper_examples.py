@@ -150,6 +150,6 @@ class TestExample7:
         ]
         engine = RewritingEngine(sp, comps, VanishingRuleSet(),
                                  record_trace=True)
-        dynamic_backward_rewriting(engine)
+        dynamic_backward_rewriting(engine, initial_threshold=0.1)
         # the peak must follow the a-first path (never 13 monomials)
         assert engine.max_size < 13

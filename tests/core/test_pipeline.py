@@ -1,7 +1,8 @@
 """The staged pipeline: VerifyConfig validation, exact/modular verdict
 agreement, the multimodular escalation strategy, and the one
-architecture report per run behind ``stage_map`` and ``auto_tune``."""
+architecture report a traced run builds for ``stage_map``."""
 
+import math
 import pickle
 import sys
 
@@ -9,6 +10,7 @@ import pytest
 
 from repro.aig.aig import Aig
 from repro.core import Pipeline, VerifyConfig, verify_multiplier
+from repro.core.dynamic import INITIAL_THRESHOLD, PAPER_THRESHOLD
 from repro.errors import ConfigError
 from repro.genmul import generate_multiplier
 from repro.genmul.faults import FAULT_KINDS, inject_visible_fault
@@ -61,14 +63,31 @@ class TestVerifyConfig:
 
         args = build_parser().parse_args(
             ["verify", "x.aag", "--method", "static", "--budget", "123",
-             "--ring", "modular", "--primes", "2", "--threshold", "0.5"])
+             "--ring", "modular", "--primes", "2", "--threshold", "0.3"])
         config = VerifyConfig.from_args(args)
         assert config.method == "static"
         assert config.monomial_budget == 123
         assert config.ring == "modular"
         assert config.primes == 2
-        assert config.initial_threshold == 0.5
+        assert config.initial_threshold == 0.3
         assert config.preflight
+
+    def test_threshold_defaults_to_the_measured_constant(self):
+        from repro.cli import build_parser
+
+        args = build_parser().parse_args(["verify", "x.aag"])
+        assert VerifyConfig.from_args(args).initial_threshold \
+            == VerifyConfig().initial_threshold == INITIAL_THRESHOLD
+
+    @pytest.mark.parametrize("threshold", [
+        math.nan, math.inf, "x", True, 0, -0.5],
+        ids=["nan", "inf", "str", "bool", "zero", "negative"])
+    def test_threshold_must_be_finite_and_positive(self, threshold):
+        with pytest.raises(ConfigError, match="initial_threshold"):
+            VerifyConfig(initial_threshold=threshold)
+
+    def test_integer_threshold_is_accepted(self):
+        assert VerifyConfig(initial_threshold=1).initial_threshold == 1
 
     def test_from_args_rejects_bad_ring(self):
         from repro.cli import build_parser
@@ -249,7 +268,7 @@ class TestPipelineApi:
 
 class TestOneRecognizerPass:
     """Each run detects atomic blocks once and builds at most one
-    architecture report, read by both ``stage_map`` and ``auto_tune``."""
+    architecture report, which a traced run's ``stage_map`` renders."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -278,9 +297,8 @@ class TestOneRecognizerPass:
         return Pipeline(VerifyConfig(monomial_budget=64, **config)).run(
             aig, recorder=recorder)
 
-    @pytest.mark.parametrize("auto_tune", [False, True])
-    def test_traced_run_recognizes_once(self, calls, auto_tune):
-        self.run(Recorder(), auto_tune=auto_tune)
+    def test_traced_run_recognizes_once(self, calls):
+        self.run(Recorder())
         assert calls == {"detect_atomic_blocks": 1, "analyze_aig": 1}
 
     def test_untraced_run_builds_no_report(self, calls):
@@ -294,15 +312,52 @@ class TestOneRecognizerPass:
         self.run(Recorder(), **no_blocks)
         assert calls == {"detect_atomic_blocks": 1, "analyze_aig": 1}
 
-    def test_one_run_one_risk_factor(self):
+
+class TestThresholdFallback:
+    """A DyPoSub run that exhausts the monomial budget from the default
+    threshold runs once more from the paper's 10%.  BP-AR-RC 4x4 peaks
+    at 3,790 monomials from 10% and at 4,790 from the default, so a
+    4,000-monomial budget trips only the first run."""
+
+    BUDGET = 4_000
+
+    @staticmethod
+    def run(**config):
         recorder = Recorder()
-        result = self.run(recorder, auto_tune=True)
-        (stage_map,) = [e for e in recorder.events if e["ev"] == "stage_map"]
-        (autotune,) = [e for e in recorder.events if e["ev"] == "autotune"]
-        advisory = result.stats["autotune"]
-        assert advisory["risk_factor"] == stage_map["risk_factor"] == 8.206
-        assert advisory["risk_score"] == stage_map["risk_score"]
-        assert autotune["risk_factor"] == advisory["risk_factor"]
+        result = verify_multiplier(generate_multiplier("BP-AR-RC", 4),
+                                   recorder=recorder, **config)
+        runs = [e for e in recorder.events if e["ev"] == "rewrite_begin"]
+        return result, len(runs)
+
+    def test_budget_trip_reruns_from_the_paper_threshold(self):
+        assert INITIAL_THRESHOLD > PAPER_THRESHOLD
+        result, runs = self.run(monomial_budget=self.BUDGET)
+        assert result.status == "correct" and runs == 2
+        assert result.stats["max_poly_size"] == 3_790
+
+    def test_rerun_gets_a_fresh_invariant_monitor(self):
+        result, runs = self.run(monomial_budget=self.BUDGET,
+                                check_invariants=True)
+        assert result.status == "correct" and runs == 2
+        assert result.stats["invariants"]["checked_commits"] \
+            == result.stats["steps"]
+
+    def test_paper_threshold_runs_once(self):
+        result, runs = self.run(monomial_budget=self.BUDGET,
+                                initial_threshold=PAPER_THRESHOLD)
+        assert result.status == "correct" and runs == 1
+
+    def test_both_runs_over_budget_is_a_timeout(self):
+        result, runs = self.run(monomial_budget=100)
+        assert result.status == "timeout" and runs == 2
+        assert result.stats["budget_kind"] == "monomials"
+
+    @pytest.mark.parametrize("config", [
+        {"method": "static", "monomial_budget": 100},
+        {"time_budget": 1e-9}], ids=["static", "time"])
+    def test_only_a_dyposub_monomial_trip_reruns(self, config):
+        result, runs = self.run(**config)
+        assert result.status == "timeout" and runs <= 1
 
 
 class TestCliRing:

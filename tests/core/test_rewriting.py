@@ -196,7 +196,8 @@ class TestResumableAttempts:
         monkeypatch.setattr(dynamic, "SLACK", 1e-12)
         engine = make_engine("SP-DT-LF", blocks=False, monomial_budget=1000,
                              record_trace=True)
-        assert dynamic_backward_rewriting(engine).is_zero()
+        assert dynamic_backward_rewriting(engine,
+                                          initial_threshold=0.1).is_zero()
         thresholds = {step.threshold for step in engine.trace
                       if step.threshold is not None}
         assert thresholds == {0.1 * 2 ** 14}
@@ -278,7 +279,8 @@ class TestMaskedReduction:
         assert engine.vanishing.truncated == 0
 
     def test_rule_work_on_wallace_carry_lookahead_is_unchanged(self):
-        result = verify_multiplier(generate_multiplier("SP-WT-CL", 8))
+        result = verify_multiplier(generate_multiplier("SP-WT-CL", 8),
+                                   initial_threshold=0.1)
         assert result.stats["steps"] == 137
         assert result.stats["vanishing_removed"] == 75_800
 
@@ -329,7 +331,7 @@ class TestBudgets:
         monkeypatch.setattr(RewritingEngine, "note_threshold", spy)
         monkeypatch.setattr(RewritingEngine, "check_time", check_time)
         aig = optimize(generate_multiplier("SP-DT-LF", 8), "map3")
-        result = verify_multiplier(aig)
+        result = verify_multiplier(aig, initial_threshold=0.1)
         assert result.status == "timeout"
         assert result.stats["threshold_doublings"] >= 1
         assert result.stats["threshold"] == 0.1

@@ -11,6 +11,7 @@ from repro.genmul import (
     inject_visible_fault,
     multiply_reference,
 )
+from repro.opt.scripts import optimize
 from repro.poly import Polynomial
 
 
@@ -44,6 +45,17 @@ class TestCorrectDesigns:
         dynamic = verify_multiplier(mult_4x4_dadda, method="dyposub")
         static = verify_multiplier(mult_4x4_dadda, method="static")
         assert dynamic.ok and static.ok
+
+    def test_wallace_carry_lookahead_resyn3_at_the_default_threshold(self):
+        """Table I's SP-WT-CL 8x8 resyn3 under the small-scale budget
+        (50,000 monomials, 60 s).  From the paper's 10% its committed
+        peak is 48,760 monomials, just under the budget; the default
+        threshold keeps it below 5,000."""
+        aig = optimize(generate_multiplier("SP-WT-CL", 8), "resyn3")
+        result = verify_multiplier(aig, monomial_budget=50_000,
+                                   time_budget=60)
+        assert result.status == "correct"
+        assert result.stats["max_poly_size"] < 5_000
 
     def test_stats_populated(self, mult_4x4_dadda):
         result = verify_multiplier(mult_4x4_dadda, record_trace=True)

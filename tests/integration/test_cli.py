@@ -64,6 +64,26 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.startswith("aag ")
 
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "0", "-1"])
+    def test_bad_threshold_exits_two_in_one_line(self, threshold, tmp_path,
+                                                 capsys):
+        src = tmp_path / "m.aag"
+        main(["generate", "SP-AR-RC", "4", "-o", str(src)])
+        capsys.readouterr()
+        assert main(["verify", str(src), f"--threshold={threshold}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("verify: initial_threshold must be")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("threshold", ["x", "true"])
+    def test_non_number_threshold_is_a_usage_error(self, threshold,
+                                                   capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "m.aag", "--threshold", threshold])
+        assert exc.value.code == 2
+        assert "invalid float value" in capsys.readouterr().err
+
 
 class TestObservabilityCli:
     def test_trace_out_writes_valid_jsonl(self, tmp_path, capsys):
@@ -560,11 +580,6 @@ class TestAnalyzeCli:
         assert sarif["version"] == "2.1.0"
         assert any(res["ruleId"] == "RS001"
                    for res in sarif["runs"][0]["results"])
-
-    def test_verify_auto_tune_flag(self, tmp_path, capsys):
-        src = tmp_path / "m.aag"
-        main(["generate", "SP-AR-RC", "4", "-o", str(src)])
-        assert main(["verify", str(src), "--auto-tune"]) == 0
 
 
 class TestVerifyPreflightCli:

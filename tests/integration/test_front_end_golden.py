@@ -82,7 +82,7 @@ def front_end(architecture, width, optimization, fault):
 
     VanishingRuleSet.add_rule = recording_add_rule
     try:
-        art, _config = Pipeline(VerifyConfig()).stage_prepare(
+        art = Pipeline(VerifyConfig()).stage_prepare(
             aig, width, width, NULL)
     finally:
         VanishingRuleSet.add_rule = add_rule

@@ -1,10 +1,9 @@
 """Golden snapshot of the pipeline's architecture outputs.
 
 A traced run emits one ``stage_map`` event (architecture label, risk
-prediction, stage-region sizes and every component's region), and an
-``auto_tune=True`` run puts its advisory in ``stats["autotune"]``.  Both
-come from :func:`repro.analysis.structure.analyze_aig`.  This test pins
-them for the 19-design ``scripts/arch_matrix.py`` zoo plus three wide
+prediction, stage-region sizes and every component's region), rendered
+from :func:`repro.analysis.structure.analyze_aig`.  This test pins it
+for the 19-design ``scripts/arch_matrix.py`` zoo plus three wide
 designs, and pins the ``stage_map`` of a run that disables both atomic
 blocks and vanishing rules (its components are gate-level cones).
 
@@ -67,14 +66,6 @@ def stage_map_of(architecture, width, **config):
     return stage_map_body(traced_run(architecture, width, **config)[1])
 
 
-def autotune_of(architecture, width):
-    """The advisory of an untraced ``auto_tune=True`` run."""
-    result = Pipeline(VerifyConfig(monomial_budget=BUDGET,
-                                   auto_tune=True)).run(
-        generate_multiplier(architecture, width))
-    return result.stats["autotune"]
-
-
 def snapshot():
     return {
         "stage_map": {key(*design): stage_map_of(*design)
@@ -82,7 +73,6 @@ def snapshot():
         "stage_map_no_blocks": {key(*design): stage_map_of(*design,
                                                            **NO_BLOCKS)
                                 for design in ABLATED},
-        "autotune": {key(*design): autotune_of(*design) for design in ZOO},
     }
 
 
@@ -109,13 +99,6 @@ def test_stage_map_without_blocks_matches_golden(golden, architecture,
     assert canonical(stage_map_of(architecture, width,
                                   **NO_BLOCKS)) == canonical(
         golden["stage_map_no_blocks"][key(architecture, width)])
-
-
-@pytest.mark.parametrize("architecture,width", ZOO,
-                         ids=[key(*design) for design in ZOO])
-def test_autotune_matches_golden(golden, architecture, width):
-    assert canonical(autotune_of(architecture, width)) == canonical(
-        golden["autotune"][key(architecture, width)])
 
 
 if __name__ == "__main__":

@@ -63,6 +63,17 @@ class TestOptions:
         with pytest.raises(SubmitError, match="bad job options"):
             config_from_options({"method": "nonesuch"})
 
+    @pytest.mark.parametrize("threshold", [
+        float("nan"), float("inf"), "x", True, 0, -1.0],
+        ids=["nan", "inf", "str", "bool", "zero", "negative"])
+    def test_bad_threshold_is_refused(self, threshold):
+        with pytest.raises(SubmitError, match="initial_threshold"):
+            config_from_options({"initial_threshold": threshold})
+
+    def test_threshold_option_reaches_the_config(self):
+        config = config_from_options({"initial_threshold": 0.2})
+        assert config.initial_threshold == 0.2
+
 
 class TestSubmit:
     def test_clean_design_verifies(self, service, aag_text):

@@ -6,6 +6,7 @@ thread exits — which is the clean-shutdown check itself.
 """
 
 import contextlib
+import json
 import logging
 import re
 import socket
@@ -190,6 +191,19 @@ def test_error_statuses(served, aag_text, server_errors):
         with pytest.raises(ServiceError) as exc:
             client.request("POST", "/jobs", {"aag": aag_text, **bad})
         assert exc.value.status == 400, bad
+    assert server_errors == []
+
+
+@pytest.mark.parametrize("threshold", ["NaN", "Infinity", '"x"', "true"])
+def test_bad_threshold_is_400(served, aag_text, server_errors, threshold):
+    """``json.loads`` accepts the bare ``NaN``/``Infinity`` literals, so a
+    body can carry them; the job is refused before it is queued."""
+    client, _ = served
+    body = ('{"aag": %s, "options": {"initial_threshold": %s}}'
+            % (json.dumps(aag_text), threshold)).encode()
+    request = (b"POST /jobs HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+               % len(body) + body)
+    assert _raw_status(client.port, request) == 400
     assert server_errors == []
 
 
