@@ -11,10 +11,12 @@
    instrumentation-site attribute checks from scheduler noise.
 3. **Schema stability** — the event vocabulary (kind -> field names)
    produced by a deterministic sweep over the pipeline must match the
-   committed golden snapshot ``tests/obs/event_schema.json``; the
-   run-history store, trend gate and diff tool all consume these
-   events, so a silently changed field is a cross-run data corruption.
-   After an intentional change, regenerate with ``--update-schema``.
+   committed golden snapshot ``tests/obs/event_schema.json``, and every
+   trace file the sweep records must start with the trace-format
+   header; the run-history store, explain and the diff tool all
+   consume these events, so a silently changed field is a cross-run
+   data corruption.  After an intentional change, regenerate with
+   ``--update-schema``.
 4. **Batch telemetry** — a batch verify must keep the cost of streaming
    its trace plus the sampling profiler within ``--telemetry-tolerance``
    of an uninstrumented batch.
@@ -41,6 +43,7 @@ import time
 from repro.bench.harness import benchmark_multiplier
 from repro.core.verifier import verify_multiplier
 from repro.obs import read_events, recording_to
+from repro.obs.recorder import TRACE_HEADER
 
 CASES = (("SP-AR-RC", 8, "none"), ("SP-DT-LF", 8, "none"))
 
@@ -69,14 +72,14 @@ def check_case(architecture, width, optimization, repeats, tolerance):
     for _ in range(repeats):
         baseline.append(timed_run(aig))
         check.append(timed_run(aig))
+    failures = []
     with tempfile.TemporaryDirectory() as tmp:
         trace_path = os.path.join(tmp, "trace.jsonl")
         recorder = recording_to(trace_path)
         _, traced_result = timed_run(aig, recorder=recorder)
         recorder.close()
-        events = read_events(trace_path)
+        events = read_trace(trace_path, failures)
 
-    failures = []
     reference = fingerprint(baseline[0][1])
     for seconds, result in baseline + check:
         if fingerprint(result) != reference:
@@ -151,9 +154,22 @@ def check_batch_telemetry(repeats, telemetry_tolerance):
     return []
 
 
-def collect_schema_events():
+def read_trace(path, failures):
+    """The events of a trace file; appends a failure unless its first
+    line is the trace-format header."""
+    with open(path, "r", encoding="utf-8") as handle:
+        first = handle.readline().rstrip("\n")
+    if first != json.dumps(TRACE_HEADER):
+        failures.append(f"{os.path.basename(path)}: first line {first!r} "
+                        f"is not the trace-format header")
+        return []
+    return read_events(path)
+
+
+def collect_schema_events(failures):
     """A deterministic sweep that exercises every event kind the
-    pipeline can emit (see DESIGN.md "Observability")."""
+    pipeline can emit (see DESIGN.md "Observability"); a trace file
+    without the format header appends to ``failures``."""
     from repro.analysis.lint import lint_design
     from repro.baselines import BASELINES
     from repro.genmul.faults import inject_visible_fault
@@ -250,7 +266,6 @@ def collect_schema_events():
     # task_end bookkeeping, resource_sample / phase_resources /
     # resources_summary and the profile event.
     from repro import cli
-    from repro.obs import read_events
 
     with tempfile.TemporaryDirectory() as tmp:
         paths = _write_benchmark_designs(
@@ -259,14 +274,14 @@ def collect_schema_events():
         with contextlib.redirect_stdout(io.StringIO()):
             cli.main(["verify", *paths, "--trace-out", trace_path,
                       "--resources", "--profile-sample"])
-        events += read_events(trace_path)
+        events += read_trace(trace_path, failures)
 
         # Single-design run: stage_map + rewrite_begin from the
         # pipeline.
         explain_path = os.path.join(tmp, "explain.jsonl")
         with contextlib.redirect_stdout(io.StringIO()):
             cli.main(["verify", paths[0], "--trace-out", explain_path])
-        events += read_events(explain_path)
+        events += read_trace(explain_path, failures)
     return events
 
 
@@ -283,10 +298,13 @@ def schema_from_events(events):
 def check_schema(schema_path, update=False):
     """Compare the pipeline's event vocabulary against the golden
     snapshot; with ``update=True`` rewrite the snapshot instead."""
-    events = collect_schema_events()
+    failures = []
+    events = collect_schema_events(failures)
     if not any(event["ev"] == "attempt" and event.get("paused")
                for event in events):
-        return ["sweep: no attempt paused at its size bound"]
+        failures.append("sweep: no attempt paused at its size bound")
+    if failures:
+        return failures
     schema = schema_from_events(events)
     if update:
         with open(schema_path, "w", encoding="utf-8") as handle:
@@ -300,7 +318,6 @@ def check_schema(schema_path, update=False):
     except FileNotFoundError:
         return [f"no golden event schema at {schema_path} "
                 f"(generate with --update-schema)"]
-    failures = []
     for kind in sorted(set(golden) - set(schema)):
         failures.append(f"event kind {kind!r} is in the golden schema "
                         f"but was not emitted")

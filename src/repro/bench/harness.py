@@ -141,7 +141,7 @@ def ingest_payload(payload, db):
     ``db``; returns the new run ids.  Delegates to the shared
     persistence API (:mod:`repro.service.persistence`) so the bench
     mains, the CLI and the verification service all write the same
-    history that ``repro obs trends`` gates on."""
+    history that ``repro explain`` and ``repro obs diff`` read."""
     from repro.service.persistence import ingest_payload as _ingest
 
     return _ingest(payload, db)

@@ -17,7 +17,6 @@ observability layer::
     python -m repro explain run.jsonl
     python -m repro explain run:12 --db runs.db --calibration
     python -m repro obs ingest --db runs.db run.jsonl bench.json
-    python -m repro obs trends --db runs.db --check
     python -m repro obs diff static.jsonl dynamic.jsonl
     python -m repro serve --port 8642 --jobs 2 --db runs.db
     python -m repro submit mult.aag --port 8642
@@ -29,16 +28,16 @@ Exit codes of ``verify``: 0 correct, 1 buggy, 2 timeout, 3 the design
 could not be read (``RA005``), parsed, or failed pre-flight lint.  ``lint`` exits 0 when every input is clean and
 1 when any has findings (errors or warnings).  ``analyze`` exits 0 when
 every design was classified without findings, 1 when any RS0xx warning
-fired, 3 when an input could not be parsed.  ``obs trends --check``
-exits 1 on any regression verdict.  ``explain`` exits 0 on success, 1
-when attribution coverage falls below 95% of the measured rewrite
-wall-time or SP_i growth, and 2 when the trace / run reference cannot
-be read or carries no rewriting instrumentation.  ``report``,
-``explain`` and ``obs diff`` exit 2 on an unreadable trace;
+fired, 3 when an input could not be parsed.  ``explain`` exits 0 on
+success, 1 when attribution coverage falls below 95% of the measured
+rewrite wall-time or SP_i growth, and 2 when the trace / run reference
+cannot be read or carries no rewriting instrumentation.  ``report``,
+``explain``, ``obs ingest`` and ``obs diff`` exit 2 on an unreadable
+trace, including one without this build's trace-format header;
 ``report``, ``explain`` and ``obs diff`` also refuse a batch
 ``verify`` trace (exit 2), whose runs are read per run after ``obs
-ingest``; ``report`` still renders a relay-merged trace of an older
-``verify --jobs N`` build, split by its worker table.
+ingest``.  Every ``obs`` subcommand and ``serve`` exit 2 on a store
+file that is not a run store of this build's schema.
 A closed stdout (``| head``) ends any command quietly with exit 0.
 
 The run-history database path defaults to ``$REPRO_OBS_DB`` (or
@@ -257,7 +256,7 @@ def build_parser():
 
     obs = sub.add_parser("obs",
                          help="cross-run observability: run-history "
-                              "store, trends, diffs",
+                              "store, diffs",
                          parents=[verbosity])
     obs_sub = obs.add_subparsers(dest="obs_command", required=True)
     default_db = os.environ.get("REPRO_OBS_DB", "runs.db")
@@ -275,20 +274,6 @@ def build_parser():
     ing.add_argument("--method", default=None)
     ing.add_argument("--git-rev", default=None,
                      help="revision label (default: current git HEAD)")
-
-    trd = obs_sub.add_parser("trends", parents=[verbosity],
-                             help="EWMA regression trends over the "
-                                  "run history")
-    trd.add_argument("--db", default=default_db, metavar="PATH")
-    trd.add_argument("--check", action="store_true",
-                     help="exit 1 on any regression verdict (CI gate)")
-    trd.add_argument("--tolerance", type=float, default=0.25,
-                     help="allowed relative regression (0.25 = 25%%)")
-    trd.add_argument("--metric", action="append", default=None,
-                     help="restrict to this metric (repeatable); e.g. "
-                          "seconds, max_poly_size, phase:rewrite")
-    trd.add_argument("--json", default=None, metavar="PATH",
-                     help="write the machine-readable verdicts as JSON")
 
     dif = obs_sub.add_parser("diff", parents=[verbosity],
                              help="structural diff of two runs "
@@ -994,14 +979,12 @@ def _cmd_explain(args):
     return 0
 
 
-def _load_trace(command, path, per_run, *, split_by_workers=False):
+def _load_trace(command, path, per_run):
     """Fold a trace file for ``command``: the :class:`RunView`, or None
     after printing ``<command>: <error>`` (the caller exits 2).
 
     A batch ``verify`` trace (one run per task) is refused: ``per_run``
     names the per-run command to use after ``obs ingest`` splits it.
-    With ``split_by_workers`` a relay-merged trace of an older ``verify
-    --jobs N`` build is accepted, since its worker table splits the runs.
     """
     from repro.errors import ObsDataError
     from repro.obs.recorder import read_events_tolerant
@@ -1009,17 +992,16 @@ def _load_trace(command, path, per_run, *, split_by_workers=False):
 
     try:
         events, skipped = read_events_tolerant(path)
-    except (OSError, ValueError) as exc:
-        print(f"{command}: {exc}", file=sys.stderr)
-        return None
-    if skipped:
-        log.warning("%s: skipped %d unparseable line(s)", path, skipped)
-    try:
+        if skipped:
+            log.warning("%s: skipped %d unparseable line(s)", path, skipped)
         view = fold_events(events, label=path)
     except ObsDataError as exc:
         print(f"{command}: {path}: {exc}", file=sys.stderr)
         return None
-    if view.tasks and not (split_by_workers and view.workers):
+    except (OSError, ValueError) as exc:
+        print(f"{command}: {exc}", file=sys.stderr)
+        return None
+    if view.tasks:
         print(f"{command}: {path} is a batch trace of {view.runs} runs; "
               f"split it with `repro obs ingest --db DB {path}`, then "
               f"run `{per_run}` on the ingested run ids", file=sys.stderr)
@@ -1074,28 +1056,6 @@ def _obs_subcommand(args):
                 print(f"{path}: ingested {len(run_ids)} run(s)")
             print(f"{args.db}: {len(store)} run(s) total")
         log.info("ingested %d run(s) into %s", total, args.db)
-        return 0
-
-    if args.obs_command == "trends":
-        from repro.obs.trends import (TrendConfig, detect_trends,
-                                      regressions, render_trends)
-
-        config = TrendConfig(tolerance=args.tolerance)
-        with RunStore(args.db) as store:
-            verdicts = detect_trends(store, config, metrics=args.metric)
-        print(render_trends(verdicts))
-        if args.json:
-            payload = {"command": "obs-trends", "db": args.db,
-                       "tolerance": args.tolerance, "alpha": config.alpha,
-                       "verdicts": verdicts}
-            with open(args.json, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, indent=2)
-        bad = regressions(verdicts)
-        if bad:
-            print(f"trends: {len(bad)} regression(s) over tolerance "
-                  f"{args.tolerance:.0%}", file=sys.stderr)
-        if args.check and bad:
-            return 1
         return 0
 
     if args.obs_command == "diff":
@@ -1199,8 +1159,7 @@ def _run_command(args):
         from repro.obs.report import render_report
 
         view = _load_trace("report", args.trace,
-                           per_run="repro explain run:ID --db DB",
-                           split_by_workers=True)
+                           per_run="repro explain run:ID --db DB")
         if view is None:
             return 2
         print(render_report(view, hotspots=args.hotspots))

@@ -404,6 +404,8 @@ class Pipeline:
         deadline.  Returns ``(engine, remainder, monitor)``.
         """
         config = self.config
+        vanishing = art.vanishing
+        counts = vanishing.removed, vanishing.rewritten, vanishing.truncated
         try:
             engine, remainder = self.stage_rewrite(
                 art, ring, rec, monitor=monitor, deadline=deadline)
@@ -414,6 +416,10 @@ class Pipeline:
             log.info("ring %s: monomial budget exhausted from threshold "
                      "%g — re-running from %g", ring.name,
                      config.initial_threshold, PAPER_THRESHOLD)
+            # the abandoned run's reductions count nowhere: the verdict
+            # reports the run it comes from, as its steps already do
+            vanishing.removed, vanishing.rewritten, vanishing.truncated = \
+                counts
             if monitor is not None:
                 monitor = self._fresh_monitor(art, ring, rec)
             engine, remainder = self.stage_rewrite(

@@ -93,9 +93,10 @@ class ConfigError(ReproError, ValueError):
 
 
 class ObsDataError(ReproError, ValueError):
-    """Raised for observability data that cannot be read: a trace event
-    or run value whose field has the wrong type, or a run-history store
-    file that is not a SQLite database.
+    """Raised for observability data that cannot be read: a trace file
+    without this build's format header, a trace event or run value whose
+    field has the wrong type, or a run-history store file that is not a
+    SQLite database of this build's schema.
 
     Carries no diagnostic code: it describes a recorded run, not a
     design or a verification.  Also a ``ValueError``, which is what the

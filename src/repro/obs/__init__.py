@@ -1,12 +1,11 @@
 """Observability: structured tracing, phase metrics, run reports, and
-the cross-run layer (run-history store, trends, diffs, live watchdog).
+the cross-run layer (run-history store, diffs, live watchdog).
 
 See :mod:`repro.obs.recorder` for the recorder interface (spans,
 counters, histograms, JSONL sink), :mod:`repro.obs.view` for the one
 fold of a recorded event stream into a :class:`RunView`,
 :mod:`repro.obs.report` for rendering Fig.-5-style reports from it,
 :mod:`repro.obs.store` for the SQLite run-history database,
-:mod:`repro.obs.trends` for EWMA regression detection,
 :mod:`repro.obs.diff` for structural trace diffing,
 :mod:`repro.obs.live` for the heartbeat/stall watchdog,
 :mod:`repro.obs.attribution` for commit/rule/stage cost attribution and

@@ -26,13 +26,13 @@ in 12 commits inside the fsa region".
 On top of attribution:
 
 * :class:`CommitAnomalyDetector` — streaming commit-level outlier
-  detection (EWMA baseline with a noise floor, mirroring
-  :mod:`repro.obs.trends`), optionally armed with a per-design peak
-  baseline from the run-history store; fires RP012/RP013 diagnostics
+  detection (EWMA baseline with a noise floor), optionally armed with a
+  per-design peak baseline from the run-history store
+  (:func:`design_baseline`); fires RP012/RP013 diagnostics
   through :class:`~repro.obs.live.LiveMonitor` and replays over every
   folded trace;
 * a calibration layer — :func:`stage_cost_metrics` writes observed
-  per-stage cost back into the store (``attr:*`` metrics + the v3
+  per-stage cost back into the store (``attr:*`` metrics + the
   ``attribution`` table) and :func:`calibration_from_store` reports
   predicted-risk vs observed-cost agreement over the stored runs, so
   the PR 8 Spearman check is continuously measured.
@@ -247,12 +247,12 @@ class AnomalyConfig:
     """Knobs of the commit-level outlier detector.
 
     ``tolerance`` is the ratio over the run-local EWMA that flags an
-    RP012 outlier; ``alpha`` the EWMA weight (shared semantics with
-    :class:`repro.obs.trends.TrendConfig`); ``floor`` the SP_i size
-    under which commits are never flagged (the trends noise floor,
-    in monomials); ``min_history`` the commits required before the
-    EWMA gates; ``baseline_margin`` the headroom over the per-design
-    store baseline before RP013 fires.
+    RP012 outlier; ``alpha`` the weight of newer commits in the EWMA
+    (as in :func:`ewma`); ``floor`` the SP_i size under which commits
+    are never flagged (a noise floor, in monomials); ``min_history``
+    the commits required before the EWMA gates; ``baseline_margin``
+    the headroom over the per-design store baseline before RP013
+    fires.
     """
 
     tolerance: float = 3.0
@@ -265,7 +265,7 @@ class AnomalyConfig:
 class CommitAnomalyDetector:
     """Streaming commit-size outlier detection for one verification.
 
-    Two signals, both reusing the trends EWMA/noise-floor logic:
+    Two signals, both over an EWMA with a noise floor:
 
     * **RP012** — a commit whose SP_i size exceeds ``tolerance`` x the
       run-local EWMA of earlier commits (and the noise floor): a local
@@ -343,6 +343,17 @@ class CommitAnomalyDetector:
         return fired
 
 
+def ewma(values, alpha=0.3):
+    """Exponentially weighted moving average, oldest to newest."""
+    values = list(values)
+    if not values:
+        return None
+    acc = float(values[0])
+    for value in values[1:]:
+        acc = alpha * float(value) + (1.0 - alpha) * acc
+    return acc
+
+
 def design_baseline(store, design, optimization="none", method="dyposub",
                     alpha=0.3):
     """Per-design peak baseline from the run-history store: the EWMA of
@@ -350,8 +361,6 @@ def design_baseline(store, design, optimization="none", method="dyposub",
     history = store.history(design, optimization, method, "max_poly_size")
     if not history:
         return None
-    from repro.obs.trends import ewma
-
     return {"peak": ewma([value for _, value in history], alpha),
             "runs": len(history)}
 
@@ -389,13 +398,13 @@ def stage_cost_metrics(report):
 
 
 def attribute_store_run(store, run_id):
-    """Rebuild an attribution report from the store's v3 rows.
+    """Rebuild an attribution report from the store's rows.
 
     Per-commit wall-time is not persisted (only the (stage, rule)
     aggregation is), so the commit list carries growth recomputed from
     the stored SP_i curve; aggregates and coverage come back exactly.
     Raises ``ValueError`` for unknown runs; a run ingested without
-    attribution rows (pre-v3 trace, no step events) yields a report
+    attribution rows (a trace without step events) yields a report
     with everything in the unattributed bucket.
     """
     record = store.run(run_id)

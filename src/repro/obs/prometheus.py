@@ -48,7 +48,6 @@ def render_prometheus(store):
     samples = {name: [] for name, _, _ in gauges}
     phase_samples = []
     rss_samples = []
-    worker_samples = []
     attr_samples = []
     for design, optimization, method in store.series():
         latest = store.latest(design, optimization, method)
@@ -69,10 +68,6 @@ def render_prometheus(store):
         if rss_values:
             rss_samples.append(
                 f"repro_run_peak_rss_kb{labels} {max(rss_values)}")
-        workers = latest.get("workers") or []
-        if workers:
-            worker_samples.append(
-                f"repro_run_workers{labels} {len(workers)}")
         by_stage = {}
         for cell in latest.get("attribution") or ():
             slot = by_stage.setdefault(cell["stage"], [0.0, 0])
@@ -100,11 +95,6 @@ def render_prometheus(store):
                      "size (KiB) of the latest run.")
         lines.append("# TYPE repro_run_peak_rss_kb gauge")
         lines.extend(rss_samples)
-    if worker_samples:
-        lines.append("# HELP repro_run_workers Relay worker processes "
-                     "of the latest run.")
-        lines.append("# TYPE repro_run_workers gauge")
-        lines.extend(worker_samples)
     if attr_samples:
         lines.append("# HELP repro_attr_seconds Attributed rewrite "
                      "wall-time per stage region (latest run).")

@@ -14,7 +14,9 @@ the verification pipeline.  Three implementations matter:
 * :class:`Recorder` with a :class:`JsonlSink` — the same, but every
   event is additionally streamed to a JSONL file that
   ``python -m repro report`` (see :mod:`repro.obs.report`) can replay
-  after the fact.
+  after the fact.  The file's first line is :data:`TRACE_HEADER`, and
+  :func:`read_events_tolerant` refuses a file that does not start with
+  it.
 
 Event records are plain dicts with an ``ev`` kind tag and a ``t``
 timestamp relative to recorder construction.  The kinds emitted by the
@@ -29,7 +31,13 @@ import logging
 import threading
 import time
 
+from repro.errors import ObsDataError
+
 log = logging.getLogger("repro.obs.recorder")
+
+#: The first line of every trace file.  The number changes whenever an
+#: event's meaning does, so a reader never folds a trace it cannot read.
+TRACE_HEADER = {"trace_format": 1}
 
 
 class _NullSpan:
@@ -213,7 +221,8 @@ class Recorder:
 
 
 class JsonlSink:
-    """Append-only JSON-Lines event sink.
+    """Append-only JSON-Lines event sink; writes :data:`TRACE_HEADER`
+    first.
 
     Writes are serialized under a lock: a background telemetry thread
     (the resource sampler) emits events concurrently with the
@@ -225,6 +234,7 @@ class JsonlSink:
         self.path = path
         self._handle = open(path, "w", encoding="utf-8")
         self._lock = threading.Lock()
+        self.write(TRACE_HEADER)
 
     def write(self, record):
         line = json.dumps(record, sort_keys=False) + "\n"
@@ -248,17 +258,33 @@ def recording_to(path):
     return Recorder(sink=JsonlSink(path))
 
 
+def _check_header(line):
+    try:
+        header = json.loads(line)
+    except ValueError:
+        header = None
+    if not isinstance(header, dict) or "trace_format" not in header:
+        raise ObsDataError(f"not a trace file: line 1 is not the header "
+                           f"{json.dumps(TRACE_HEADER)}")
+    if header["trace_format"] != TRACE_HEADER["trace_format"]:
+        raise ObsDataError(
+            f"trace format {header['trace_format']!r}; this build reads "
+            f"format {TRACE_HEADER['trace_format']}")
+
+
 def read_events_tolerant(path):
     """Load a JSONL trace, tolerating truncated or corrupt lines.
 
     A run that crashed or was killed mid-write leaves a partial final
     line; such traces must still be ingestable by the run-history store.
     Returns ``(events, skipped)`` where ``skipped`` counts the lines
-    that failed to parse as JSON objects.
+    that failed to parse as JSON objects.  A file whose first line is
+    not :data:`TRACE_HEADER` raises :class:`~repro.errors.ObsDataError`.
     """
     events = []
     skipped = 0
     with open(path, "r", encoding="utf-8") as handle:
+        _check_header(handle.readline())
         for line in handle:
             line = line.strip()
             if not line:

@@ -10,9 +10,8 @@ re-running the verification:
   threshold doublings of Algorithm 2 (from ``backtrack`` /
   ``threshold`` events);
 * the per-phase wall-clock breakdown (from the ``span`` events);
-* the worker table of a relay-merged trace (written by older builds
-  for ``verify --jobs N``), the resource table and the
-  sampling-profiler hotspots, when recorded.
+* the resource table and the sampling-profiler hotspots, when
+  recorded.
 
 The report renders a :class:`~repro.obs.view.RunView`, the one fold of
 the event stream (:func:`repro.obs.view.fold_events`).
@@ -94,17 +93,6 @@ def render_report(view, plot_width=72, plot_height=14, hotspots=False):
         lines.append("Per-phase wall clock")
         lines.append("--------------------")
         lines.append(render_phase_table(view.phases))
-    if view.workers:
-        rows = []
-        for worker in sorted(view.workers):
-            info = view.workers[worker]
-            designs = ", ".join(str(d).rsplit("/", 1)[-1]
-                                for d in info["designs"]) or "-"
-            rows.append([worker, info["pid"], info["events"], designs])
-        lines.append("")
-        lines.append(render_table(
-            ["worker", "pid", "events", "designs"], rows,
-            title="Relay workers (merged trace)"))
     if view.stage_map:
         stage_map = view.stage_map
         regions = stage_map.get("regions") or {}
@@ -116,16 +104,6 @@ def render_report(view, plot_width=72, plot_height=14, hotspots=False):
             f"(risk factor {stage_map.get('risk_factor', '?')}; "
             f"AND vars per region: {region_text}) — run `repro explain` "
             "on this trace for the full cost attribution")
-    if view.attribution:
-        wall = view.attribution.get("wall") or {}
-        growth = view.attribution.get("growth") or {}
-        lines.append("")
-        lines.append(
-            f"Attribution summary: "
-            f"{wall.get('attributed_fraction', 0):.0%} of rewrite "
-            f"wall-time and {growth.get('attributed_fraction', 0):.0%} "
-            f"of SP_i growth attributed "
-            f"({view.attribution.get('anomalies', 0)} anomaly(ies))")
     if view.phase_resources or view.resources_summary:
         from repro.obs.resources import render_resource_table
 

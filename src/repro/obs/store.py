@@ -13,25 +13,24 @@ tables:
   including the substituted component and the Algorithm 2 threshold;
 * ``metrics`` — free-form named scalars (e.g. ``counter:*`` totals and
   the ``attr:*`` cost-attribution slices);
-* ``workers``   — (schema v2) per-worker accounting of the relay-merged
-  traces older builds wrote for ``verify --jobs N``: pool slot, pid,
-  event count, active window;
-* ``resources`` — (schema v2) per-phase resource telemetry from
-  ``--resources`` runs: peak RSS, tracemalloc deltas, GC counts;
-* ``attribution`` — (schema v3) the cost-attribution cells of
+* ``resources`` — per-phase resource telemetry from ``--resources``
+  runs: peak RSS, tracemalloc deltas, GC counts;
+* ``attribution`` — the cost-attribution cells of
   :mod:`repro.obs.attribution`: observed wall-time / SP_i growth /
   profiler samples per (stage region, substitution rule), the data the
   ``repro explain`` calibration layer reads back;
-* ``certificates`` — (schema v4) the content-addressed verdict cache
-  of :mod:`repro.service`: one row per canonical design fingerprint
-  with the full JSON verdict record, so a resubmitted or isomorphic
-  design is answered in O(hash) instead of re-verified
+* ``certificates`` — the content-addressed verdict cache of
+  :mod:`repro.service`: one row per canonical design fingerprint with
+  the full JSON verdict record, so a resubmitted or isomorphic design
+  is answered in O(hash) instead of re-verified
   (:meth:`RunStore.get_certificate` / :meth:`RunStore.put_certificate`).
 
-The ``meta`` table records the schema version; opening an older file
-upgrades it in place (every upgrade so far, v1 → ... → v4, only adds
-tables), while a file written by a *newer* schema is refused instead of
-being silently corrupted.
+The ``meta`` table records the schema version.  A store opens only if
+the file is empty (a new store) or stamped with exactly
+:data:`SCHEMA_VERSION`; any other file is refused with
+:class:`~repro.errors.ObsDataError` and left untouched.  A store is a
+re-creatable run history and verdict cache, so an older one is
+replaced, not upgraded.
 
 File-backed stores run in **WAL journal mode with a busy timeout**:
 the verification service's dispatcher threads, CLI runs on the same
@@ -53,9 +52,10 @@ Everything the telemetry layer already writes can be ingested:
   (:meth:`ingest_bench_payload`),
 
 and :meth:`ingest_file` sniffs the shape and dispatches.  On top of the
-store, :mod:`repro.obs.trends` detects regressions,
-:mod:`repro.obs.diff` compares runs, and :mod:`repro.obs.prometheus`
-renders the Prometheus exposition of ``GET /metrics``.
+store, :mod:`repro.obs.diff` compares runs,
+:mod:`repro.obs.attribution` explains and calibrates them, and
+:mod:`repro.obs.prometheus` renders the Prometheus exposition of
+``GET /metrics``.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ from repro.errors import ObsDataError
 
 log = logging.getLogger("repro.obs.store")
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 DEFAULT_DB = "runs.db"
 
@@ -79,7 +79,10 @@ DEFAULT_DB = "runs.db"
 #: enough that writers checkpointing WAL frames never collide.
 DEFAULT_BUSY_TIMEOUT = 10.0
 
-_SCHEMA = """
+#: Created in one transaction, so a concurrent opener sees either an
+#: empty file or a stamped store.
+_SCHEMA = f"""
+BEGIN IMMEDIATE;
 CREATE TABLE IF NOT EXISTS meta (
     key TEXT PRIMARY KEY,
     value TEXT
@@ -117,14 +120,6 @@ CREATE TABLE IF NOT EXISTS metrics (
     run_id INTEGER NOT NULL REFERENCES runs(id) ON DELETE CASCADE,
     name TEXT NOT NULL,
     value REAL
-);
-CREATE TABLE IF NOT EXISTS workers (
-    run_id INTEGER NOT NULL REFERENCES runs(id) ON DELETE CASCADE,
-    worker_id INTEGER NOT NULL,
-    pid INTEGER,
-    events INTEGER,
-    first_t REAL,
-    last_t REAL
 );
 CREATE TABLE IF NOT EXISTS resources (
     run_id INTEGER NOT NULL REFERENCES runs(id) ON DELETE CASCADE,
@@ -165,15 +160,17 @@ CREATE INDEX IF NOT EXISTS idx_runs_series
 CREATE INDEX IF NOT EXISTS idx_phases_run ON phases (run_id);
 CREATE INDEX IF NOT EXISTS idx_commits_run ON commits (run_id);
 CREATE INDEX IF NOT EXISTS idx_metrics_run ON metrics (run_id, name);
-CREATE INDEX IF NOT EXISTS idx_workers_run ON workers (run_id);
 CREATE INDEX IF NOT EXISTS idx_resources_run ON resources (run_id);
 CREATE INDEX IF NOT EXISTS idx_attribution_run ON attribution (run_id);
+INSERT OR IGNORE INTO meta (key, value)
+    VALUES ('schema_version', '{SCHEMA_VERSION}');
+COMMIT;
 """
 
 #: Tables pruned (via cascade) with their runs; order is display order.
 #: ``certificates`` is listed for accounting but keyed by fingerprint,
 #: not run id — cached verdicts survive run-history pruning.
-_TABLES = ("runs", "phases", "commits", "metrics", "workers", "resources",
+_TABLES = ("runs", "phases", "commits", "metrics", "resources",
            "attribution", "certificates")
 
 
@@ -201,32 +198,25 @@ def split_worker_runs(events):
     """Split a batch trace into per-run event streams.
 
     Returns ``[(design_or_None, [events...]), ...]`` — one entry per
-    ``task_begin`` boundary per worker, each stream in that worker's
-    causal order.  The design label comes from the ``task_begin`` event
-    the batch driver emits before each verification.  Events outside
-    any task (samplers) stay attached to the current segment of their
-    worker.  A serial batch is one worker; the relay-merged traces of
-    older ``verify --jobs N`` builds tag each event with its
-    ``worker_id``.
+    ``task_begin`` boundary, in trace order.  The design label comes
+    from the ``task_begin`` event the batch driver emits before each
+    verification.  Events outside any task (samplers) stay attached to
+    the current segment.
     """
-    by_worker = {}
-    for event in events:
-        by_worker.setdefault(event.get("worker_id", 0), []).append(event)
     runs = []
-    for stream in by_worker.values():
-        segment = None
-        design = None
-        for event in stream:
-            if event.get("ev") == "task_begin":
-                if segment:
-                    runs.append((design, segment))
-                segment = []
-                design = event.get("design") or event.get("input")
-            elif segment is None:
-                segment = []
-            segment.append(event)
-        if segment:
-            runs.append((design, segment))
+    segment = None
+    design = None
+    for event in events:
+        if event.get("ev") == "task_begin":
+            if segment:
+                runs.append((design, segment))
+            segment = []
+            design = event.get("design") or event.get("input")
+        elif segment is None:
+            segment = []
+        segment.append(event)
+    if segment:
+        runs.append((design, segment))
     return runs
 
 
@@ -248,10 +238,15 @@ class RunStore:
                 raise
             raise ObsDataError(f"{self.path}: not a run store ({exc})",
                                path=self.path) from None
+        except ObsDataError:
+            self.close()
+            raise
 
     def _open(self, busy_timeout):
         self._conn.row_factory = sqlite3.Row
         self._conn.execute("PRAGMA foreign_keys = ON")
+        # before the WAL switch, which would rewrite a refused file
+        self._check_schema()
         if self.path != ":memory:":
             # WAL lets the service, CLI runs and readers share one
             # file: writers queue on the busy handler instead of
@@ -259,28 +254,7 @@ class RunStore:
             self._enable_wal(busy_timeout)
             self._conn.execute(
                 f"PRAGMA busy_timeout = {int(busy_timeout * 1000)}")
-        found = self._stored_schema_version()
-        if found is not None and found > SCHEMA_VERSION:
-            self._conn.close()
-            self._conn = None
-            raise ObsDataError(
-                f"{self.path}: run store schema v{found} is newer than "
-                f"this build (v{SCHEMA_VERSION}); refusing to open")
         self._conn.executescript(_SCHEMA)
-        if found is not None and found < SCHEMA_VERSION:
-            # every upgrade so far (v1 -> v2 -> v3 -> v4) only adds
-            # tables; the IF NOT EXISTS script above already created
-            # them, so stamping the version completes the in-place
-            # upgrade
-            log.info("%s: upgraded run store schema v%d -> v%d",
-                     self.path, found, SCHEMA_VERSION)
-            self._conn.execute(
-                "UPDATE meta SET value = ? WHERE key = 'schema_version'",
-                (str(SCHEMA_VERSION),))
-        self._conn.execute(
-            "INSERT OR IGNORE INTO meta (key, value) VALUES (?, ?)",
-            ("schema_version", str(SCHEMA_VERSION)))
-        self._conn.commit()
 
     def _enable_wal(self, busy_timeout):
         """Switch the file to WAL, retrying while another connection is
@@ -301,17 +275,24 @@ class RunStore:
             time.sleep(delay)
             delay = min(2 * delay, 0.1)
 
-    def _stored_schema_version(self):
-        try:
+    def _check_schema(self):
+        """Raise :class:`ObsDataError` unless the file is empty or
+        stamped with exactly :data:`SCHEMA_VERSION`."""
+        tables = {row[0] for row in self._conn.execute(
+            "SELECT name FROM sqlite_master WHERE type = 'table'")}
+        if not tables:
+            return
+        found = None
+        if "meta" in tables:
             row = self._conn.execute(
                 "SELECT value FROM meta WHERE key = 'schema_version'"
             ).fetchone()
-        except sqlite3.OperationalError:  # no meta table: fresh file
-            return None
-        try:
-            return int(row[0]) if row is not None else None
-        except (TypeError, ValueError):
-            return None
+            found = row[0] if row is not None else None
+        if found != str(SCHEMA_VERSION):
+            raise ObsDataError(
+                f"{self.path}: not a v{SCHEMA_VERSION} run store "
+                f"(schema_version {found!r}); start a new store file",
+                path=self.path)
 
     def close(self):
         if self._conn is not None:
@@ -331,8 +312,7 @@ class RunStore:
     def add_run(self, design, method, optimization="none", *, status=None,
                 seconds=None, steps=None, max_poly_size=None,
                 backtracks=None, threshold_doublings=None, phases=None,
-                commits=None, metrics=None, workers=None, resources=None,
-                attribution=None, git_rev=None, source=None, meta=None,
+                commits=None, metrics=None, resources=None, attribution=None, git_rev=None, source=None, meta=None,
                 created_at=None):
         """Insert one run row (plus its phases/commits/metrics children);
         returns the new run id.
@@ -340,8 +320,6 @@ class RunStore:
         ``phases``/``metrics`` are name->value dicts; ``commits`` is an
         iterable of per-step dicts (``step``, ``size``, and optionally
         ``component``/``kind``/``threshold``) or plain sizes;
-        ``workers`` is an iterable of per-worker accounting dicts
-        (``worker_id``, ``pid``, ``events``, ``first_t``, ``last_t``);
         ``resources`` maps phase name to a resource-telemetry dict;
         ``attribution`` is an iterable of cost-attribution cell dicts
         (``stage``, ``rule``, ``seconds``, ``growth``, ``commits``,
@@ -393,13 +371,6 @@ class RunStore:
                 [(run_id, name, float(value))
                  for name, value in sorted(metrics.items())
                  if value is not None])
-        if workers:
-            self._conn.executemany(
-                "INSERT INTO workers (run_id, worker_id, pid, events, "
-                "first_t, last_t) VALUES (?, ?, ?, ?, ?, ?)",
-                [(run_id, row.get("worker_id", 0), row.get("pid"),
-                  row.get("events"), row.get("first_t"), row.get("last_t"))
-                 for row in workers])
         if resources:
             self._conn.executemany(
                 "INSERT INTO resources (run_id, phase, rss_peak_kb, "
@@ -490,7 +461,6 @@ class RunStore:
             backtracks=view.backtracks,
             threshold_doublings=view.threshold_doublings,
             phases=view.phases, commits=view.commits, metrics=metrics,
-            workers=[view.workers[worker] for worker in sorted(view.workers)],
             resources=view.phase_resources, attribution=attribution,
             git_rev=git_rev, source=source, meta=meta or None)
 
@@ -499,8 +469,8 @@ class RunStore:
         """Ingest a ``verify --trace-out`` JSONL file; tolerates
         truncated traces but raises ``ValueError`` on a file without a
         single event, and :class:`~repro.errors.ObsDataError` (adding no
-        run) on an event field of the wrong type.  Returns ``(run_id,
-        skipped_lines)``.
+        run) on a file without the trace-format header or an event
+        field of the wrong type.  Returns ``(run_id, skipped_lines)``.
 
         A batch trace is ingested as one run per ``task_begin`` segment
         (:func:`split_worker_runs`), labelled by the task's design;
@@ -577,7 +547,8 @@ class RunStore:
         if payload is not None and not isinstance(payload, dict):
             raise ValueError(f"a JSON {type(payload).__name__} is not a "
                              "run payload")
-        if payload is not None and "ev" not in payload:
+        if (payload is not None and "ev" not in payload
+                and "trace_format" not in payload):
             if payload.get("command") == "verify":
                 ingest = RunStore.ingest_verify_payload
             elif "cases" in payload:
@@ -649,17 +620,9 @@ class RunStore:
         record["commit_count"] = self._conn.execute(
             "SELECT COUNT(*) FROM commits WHERE run_id = ?",
             (run_id,)).fetchone()[0]
-        record["workers"] = self.workers(run_id)
         record["resources"] = self.resources(run_id)
         record["attribution"] = self.attribution(run_id)
         return record
-
-    def workers(self, run_id):
-        """Per-worker accounting rows of one run (relay-merged traces
-        only)."""
-        return [dict(row) for row in self._conn.execute(
-            "SELECT worker_id, pid, events, first_t, last_t FROM workers "
-            "WHERE run_id = ? ORDER BY worker_id", (run_id,))]
 
     def resources(self, run_id):
         """Per-phase resource telemetry of one run, keyed by phase."""
@@ -854,26 +817,3 @@ class RunStore:
             self._conn.execute("VACUUM")
         return {"deleted": len(doomed), "remaining": len(self),
                 "tables": self.table_counts()}
-
-    def metric_names(self, design, optimization, method):
-        """All gateable metric names available for one series: run
-        columns with data, ``phase:*`` paths, and ``metric:*`` rows."""
-        names = []
-        for column in ("seconds", "max_poly_size"):
-            if self.history(design, optimization, method, column):
-                names.append(column)
-        params = (design, optimization, method)
-        for row in self._conn.execute(
-                "SELECT DISTINCT p.path AS name FROM phases p "
-                "JOIN runs r ON r.id = p.run_id WHERE r.design = ? "
-                "AND r.optimization = ? AND r.method = ? ORDER BY name",
-                params):
-            names.append(f"phase:{row['name']}")
-        for row in self._conn.execute(
-                "SELECT DISTINCT m.name AS name FROM metrics m "
-                "JOIN runs r ON r.id = m.run_id WHERE r.design = ? "
-                "AND r.optimization = ? AND r.method = ? ORDER BY name",
-                params):
-            if not row["name"].startswith("counter:"):
-                names.append(f"metric:{row['name']}")
-        return names

@@ -12,19 +12,18 @@ rows and ``--json`` records.
 
 The fold keeps one rule per fact:
 
-* ``stage_map``, ``profile``, ``resources_summary`` and ``attribution``
-  bodies drop the envelope keys ``ev``/``t``/``worker_id``/``pid``/``seq``
-  (``run_begin`` meta drops only ``ev``/``t``);
-* a worker's ``pid`` is its last non-None value;
-* a phase measured twice (modular escalation reruns ``rewrite``) merges
-  max-for-peaks and sum-for-deltas, as
+* ``stage_map``, ``profile`` and ``resources_summary`` bodies, like
+  ``run_begin`` meta, drop the envelope keys ``ev``/``t``;
+* a phase measured twice (the threshold fallback or a modular
+  escalation reruns ``rewrite``) merges max-for-peaks and
+  sum-for-deltas, as
   :attr:`repro.obs.resources.ResourceTracker.phase_resources` does;
 * a field the fold computes with or stores in a run column must have
   its type (:data:`_FIELD_TYPES`) when present and not None, or the
   fold raises :class:`~repro.errors.ObsDataError` naming the event.
 
-The worker accounting (``worker_id``/``pid``) reads batch traces
-recorded by builds that ran ``verify --jobs N`` in a process pool.
+The fold reads events, not files: the trace-format header is checked
+where a trace file is read (:func:`repro.obs.recorder.read_events`).
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from dataclasses import dataclass, field
 from repro.errors import ObsDataError
 from repro.obs.attribution import CommitAnomalyDetector, rule_label
 
-_ENVELOPE = ("ev", "t", "worker_id", "pid", "seq")
+_ENVELOPE = ("ev", "t")
 _PEAK_KEYS = ("rss_peak_kb", "tracemalloc_peak_kb")
 _DELTA_KEYS = ("tracemalloc_kb", "gc_collections")
 
@@ -42,7 +41,7 @@ _NUMBER = (int, float)
 #: Per event kind (None: every event), the types of the fields the fold
 #: computes with or stores in a run column.
 _FIELD_TYPES = {
-    None: {"ev": str, "t": _NUMBER, "worker_id": int, "pid": int},
+    None: {"ev": str, "t": _NUMBER},
     "run_begin": {"method": str},
     "run_end": {"status": str, "seconds": _NUMBER},
     "span": {"name": str, "path": str, "dur": _NUMBER},
@@ -99,10 +98,8 @@ class RunView:
     resource_samples: list = field(default_factory=list)
     phase_resources: dict = field(default_factory=dict)
     resources_summary: dict | None = None
-    attribution: dict | None = None
     opt_passes: list = field(default_factory=list)
     counters: dict = field(default_factory=dict)
-    workers: dict = field(default_factory=dict)
     runs: int = 0
     tasks: int = 0
     anomalies_recorded: int = 0
@@ -143,25 +140,6 @@ def _body(event):
     return {k: v for k, v in event.items() if k not in _ENVELOPE}
 
 
-def _account_worker(workers, worker, kind, event):
-    info = workers.setdefault(worker, {
-        "worker_id": worker, "pid": None, "events": 0, "designs": [],
-        "first_t": None, "last_t": None})
-    info["events"] += 1
-    if event.get("pid") is not None:
-        info["pid"] = event["pid"]
-    stamp = event.get("t")
-    if stamp is not None:
-        if info["first_t"] is None or stamp < info["first_t"]:
-            info["first_t"] = stamp
-        if info["last_t"] is None or stamp > info["last_t"]:
-            info["last_t"] = stamp
-    if kind == "task_begin":
-        design = event.get("design") or event.get("input")
-        if design is not None:
-            info["designs"].append(design)
-
-
 def _merge_phase_resources(slot, event):
     for key in _PEAK_KEYS:
         if event.get(key) is not None:
@@ -193,13 +171,9 @@ class RunFold:
         view = self.view
         fired = []
         kind = event.get("ev")
-        worker = event.get("worker_id")
-        if worker is not None:
-            _account_worker(view.workers, worker, kind, event)
         if kind == "run_begin":
             view.runs += 1
-            view.meta = {k: v for k, v in event.items()
-                         if k not in ("ev", "t")}
+            view.meta = _body(event)
         elif kind == "run_end":
             view.status = event.get("status")
             view.seconds = event.get("seconds")
@@ -270,8 +244,6 @@ class RunFold:
             view.profile = _body(event)
         elif kind == "stage_map":
             view.stage_map = _body(event)
-        elif kind == "attribution":
-            view.attribution = _body(event)
         elif kind == "task_begin":
             view.tasks += 1
         elif kind == "summary":

@@ -193,7 +193,7 @@ def ingest_payload(payload, db):
     """Fold a bench ``--json`` payload into the run-history store at
     ``db``; returns the new run ids.  This is what the ``--db`` flags of
     the bench mains call so every table/figure run lands in the same
-    history that ``repro obs trends`` gates on."""
+    history that ``repro explain`` and ``repro obs diff`` read."""
     from repro.obs.store import RunStore, current_git_rev
 
     with RunStore(db) as store:

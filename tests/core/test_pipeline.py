@@ -342,6 +342,15 @@ class TestThresholdFallback:
         assert result.stats["invariants"]["checked_commits"] \
             == result.stats["steps"]
 
+    def test_fallback_reports_only_the_run_it_keeps(self):
+        """The abandoned run's counters reach no stat, though both runs
+        share one vanishing reducer: the record equals that of a run
+        started at the paper's threshold."""
+        fallback, _ = self.run(monomial_budget=self.BUDGET)
+        paper, _ = self.run(monomial_budget=self.BUDGET,
+                            initial_threshold=PAPER_THRESHOLD)
+        assert fallback.stats == paper.stats
+
     def test_paper_threshold_runs_once(self):
         result, runs = self.run(monomial_budget=self.BUDGET,
                                 initial_threshold=PAPER_THRESHOLD)

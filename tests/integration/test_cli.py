@@ -192,16 +192,20 @@ class TestObsCli:
         main(["verify", str(src), "--trace-out", str(trace)])
         return trace
 
-    def test_ingest_and_trends(self, tmp_path, capsys):
+    def test_ingest_adds_a_run_per_call(self, tmp_path, capsys):
+        from repro.obs import RunStore
+
         db = tmp_path / "runs.db"
         trace = self._trace(tmp_path)
-        assert main(["obs", "ingest", "--db", str(db), str(trace)]) == 0
-        assert main(["obs", "ingest", "--db", str(db), str(trace)]) == 0
         capsys.readouterr()
-        assert main(["obs", "trends", "--db", str(db), "--check"]) == 0
+        assert main(["obs", "ingest", "--db", str(db), str(trace)]) == 0
+        assert main(["obs", "ingest", "--db", str(db), str(trace)]) == 0
         out = capsys.readouterr().out
-        assert "Run-history trends" in out
-        assert "run" in out  # design label from the trace stem
+        assert f"{trace}: ingested 1 run(s)" in out
+        assert f"{db}: 2 run(s) total" in out
+        with RunStore(db) as store:
+            # design label from the trace stem
+            assert [run["design"] for run in store.runs()] == ["run", "run"]
 
     def test_ingest_malformed_payload_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -211,24 +215,6 @@ class TestObsCli:
                      str(bad)]) == 2
         err = capsys.readouterr().err
         assert f"obs ingest: {bad}: malformed payload" in err
-
-    def test_trends_check_fails_on_regression(self, tmp_path, capsys):
-        import json
-
-        from repro.obs import RunStore
-
-        db = tmp_path / "runs.db"
-        with RunStore(db) as store:
-            for seconds in (1.0, 1.0, 2.5):
-                store.add_run("m8", "dyposub", seconds=seconds)
-        verdicts_path = tmp_path / "verdicts.json"
-        assert main(["obs", "trends", "--db", str(db), "--check",
-                     "--json", str(verdicts_path)]) == 1
-        captured = capsys.readouterr()
-        assert "REGRESSION" in captured.out
-        assert "regression(s)" in captured.err
-        payload = json.loads(verdicts_path.read_text())
-        assert payload["verdicts"][0]["verdict"] == "regression"
 
     def test_verify_db_auto_ingests(self, tmp_path, capsys):
         from repro.obs import RunStore
@@ -335,6 +321,7 @@ class TestObsBoundaries:
     that are not SQLite databases end each command with exit 2 and one
     ``<command>: ...`` line, never a traceback."""
 
+    HEADER = '{"trace_format": 1}\n'
     BAD_TRACES = {
         "step": '{"ev": "step", "size": "big", "i": "a"}',
         "span": '{"ev": "span", "name": "rewrite", "path": 5, "dur": "x"}',
@@ -345,7 +332,8 @@ class TestObsBoundaries:
     def test_wrong_typed_trace_field_exits_2(self, tmp_path, capsys, kind,
                                              command):
         trace = tmp_path / "bad.jsonl"
-        trace.write_text(self.BAD_TRACES[kind] + "\n", encoding="utf-8")
+        trace.write_text(self.HEADER + self.BAD_TRACES[kind] + "\n",
+                         encoding="utf-8")
         db = tmp_path / "runs.db"
         argv = {"ingest": ["obs", "ingest", "--db", str(db), str(trace)],
                 "report": ["report", str(trace)],
@@ -365,14 +353,13 @@ class TestObsBoundaries:
     def test_wrong_typed_run_values_are_not_ingested(self, tmp_path,
                                                      capsys):
         trace = tmp_path / "bad.jsonl"
-        trace.write_text('{"ev": "run_end", "seconds": "x", "status": 5}\n',
-                         encoding="utf-8")
+        trace.write_text(self.HEADER + '{"ev": "run_end", "seconds": "x", '
+                         '"status": 5}\n', encoding="utf-8")
         db = tmp_path / "runs.db"
         for _ in range(2):
             assert main(["obs", "ingest", "--db", str(db), str(trace)]) == 2
             err = capsys.readouterr().err
             assert err.startswith(f"obs ingest: {trace}: event 1 (run_end)")
-        assert main(["obs", "trends", "--db", str(db), "--check"]) == 0
         from repro.obs.store import RunStore
 
         with RunStore(db) as store:
@@ -414,10 +401,10 @@ class TestObsBoundaries:
             self, tmp_path, capsys, kind):
         db = self._not_a_store(tmp_path, kind)
         trace = tmp_path / "empty.jsonl"
-        trace.write_text('{"ev": "run_begin", "t": 0.0}\n',
+        trace.write_text(self.HEADER + '{"ev": "run_begin", "t": 0.0}\n',
                          encoding="utf-8")
-        for argv, prefix in ((["obs", "trends", "--db", str(db)],
-                              "obs trends"),
+        for argv, prefix in ((["obs", "prune", "--db", str(db),
+                               "--keep-last", "1"], "obs prune"),
                              (["obs", "ingest", "--db", str(db),
                                str(trace)], "obs ingest")):
             assert main(argv) == 2
@@ -751,8 +738,9 @@ class TestServiceCli:
 
 class TestTraceInputs:
     """``report``, ``explain`` and ``obs diff`` load traces through one
-    helper: unreadable inputs and merged batch traces exit 2 with a
-    ``<command>: ...`` message, never a traceback."""
+    helper, ``obs ingest`` through the store: unreadable inputs and
+    traces of another format exit 2 with a ``<command>: ...`` message,
+    never a traceback."""
 
     FIXTURES = Path(__file__).parents[1] / "obs" / "fixtures"
 
@@ -764,35 +752,41 @@ class TestTraceInputs:
 
     def test_report_warns_about_skipped_lines(self, tmp_path, capsys):
         trace = tmp_path / "cut.jsonl"
-        trace.write_text('{"ev": "run_begin", "t": 0.0, "method": "d"}\n'
+        trace.write_text('{"trace_format": 1}\n'
+                         '{"ev": "run_begin", "t": 0.0, "method": "d"}\n'
                          '{"ev": "step", "t"', encoding="utf-8")
         assert main(["report", str(trace)]) == 0
         captured = capsys.readouterr()
         assert "# run: method=d" in captured.out
         assert "skipped 1 unparseable line(s)" in captured.err
 
-    @pytest.mark.parametrize("argv, hint", [
-        (["explain", "merged.jsonl"], "`repro explain run:ID --db DB`"),
-        (["obs", "diff", "single.jsonl", "merged.jsonl"],
-         "`repro obs diff run:A run:B --db DB`"),
-    ])
-    def test_merged_trace_is_refused_per_run(self, argv, hint, capsys,
-                                             monkeypatch):
+    @pytest.mark.parametrize("first", [
+        '{"ev": "run_begin", "t": 0.0, "method": "d"}',
+        '{"trace_format": 2}'], ids=["no-header", "format-2"])
+    @pytest.mark.parametrize("command", [
+        ["report"], ["explain"], ["obs", "ingest", "--db", "DB"],
+        ["obs", "diff", "single.jsonl"]],
+        ids=["report", "explain", "obs-ingest", "obs-diff"])
+    def test_trace_of_another_format_exits_two(self, tmp_path, capsys,
+                                               monkeypatch, first,
+                                               command):
+        """Every trace file is read behind the one format check: a file
+        without this build's header ends each reader in one line."""
         monkeypatch.chdir(self.FIXTURES)
-        assert main(argv) == 2
+        trace = tmp_path / "other.jsonl"
+        trace.write_text(first + '\n{"ev": "run_end", "t": 0.1, '
+                         '"status": "correct", "seconds": 0.1}\n',
+                         encoding="utf-8")
+        argv = [str(tmp_path / "runs.db") if arg == "DB" else arg
+                for arg in command]
+        assert main([*argv, str(trace)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        command = " ".join(argv[:-2] if argv[0] == "obs" else argv[:1])
-        assert captured.err.startswith(
-            f"{command}: merged.jsonl is a batch trace of 2 runs")
-        assert "`repro obs ingest --db DB merged.jsonl`" in captured.err
-        assert hint in captured.err
-
-    def test_report_still_renders_a_merged_trace(self, capsys,
-                                                 monkeypatch):
-        monkeypatch.chdir(self.FIXTURES)
-        assert main(["report", "merged.jsonl"]) == 0
-        assert "Relay workers (merged trace)" in capsys.readouterr().out
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        prefix = " ".join(command[:2]) if command[0] == "obs" else command[0]
+        assert lines[0].startswith(f"{prefix}: {trace}: ")
+        assert "trace" in lines[0]
 
     @pytest.mark.parametrize("argv", [
         ["report", "single.jsonl", "--hotspots"],

@@ -14,6 +14,7 @@ from repro.obs.attribution import (
     attribute_view,
     calibration_from_store,
     design_baseline,
+    ewma,
     render_attribution,
     render_calibration,
     stage_cost_metrics,
@@ -179,6 +180,21 @@ class TestAttributeEvents:
         # wall time and growth is assigned to commit+rule+stage
         report = _attribute(_stream())
         assert report["growth"]["attributed_fraction"] >= COVERAGE_TARGET
+
+
+class TestEwma:
+    def test_empty_is_none(self):
+        assert ewma([]) is None
+
+    def test_single_value(self):
+        assert ewma([3.0]) == 3.0
+
+    def test_weights_newer_points(self):
+        # alpha=0.5 over [1, 2]: 0.5*2 + 0.5*1 = 1.5
+        assert ewma([1.0, 2.0], alpha=0.5) == pytest.approx(1.5)
+        # drifting history pulls the baseline along
+        assert ewma([1.0, 1.0, 4.0], alpha=0.5) > ewma([1.0, 1.0, 1.0],
+                                                       alpha=0.5)
 
 
 class TestAnomalyDetector:

@@ -1,6 +1,6 @@
 """Golden snapshot of every consumer of a recorded event stream.
 
-Three committed traces under ``fixtures/`` feed ``repro report`` (with
+Two committed traces under ``fixtures/`` feed ``repro report`` (with
 and without hotspots), ``repro explain --json`` (from the trace and
 from the store), ``repro obs diff`` and the run-history store rows
 written by ``RunStore.ingest_trace_file``.  Their outputs are recorded
@@ -11,16 +11,14 @@ folded shows up here as a byte difference.
   --profile-sample --profile-interval 0.001 --explain --trace-out ...``
   on a generated 4x4 Dadda multiplier.  ``--profile-interval`` and
   ``--explain`` have since been removed; the trace keeps the
-  ``attribution`` event ``--explain`` wrote, which ``repro report``
-  still renders, so traces recorded before then read the same;
+  ``attribution`` event ``--explain`` wrote, which no reader folds, so
+  an event kind the fold does not know is skipped;
 * ``escalated.jsonl`` — a :class:`~repro.obs.resources.ResourceTracker`
   over ``verify_multiplier(sextuple_output_multiplier(),
   ring="modular", prime_schedule=(3, 5))`` (the design from
-  ``tests/core/test_pipeline.py``): the escalation reruns ``rewrite``;
-* ``merged.jsonl`` — ``repro verify SP-AR-RC-4.aag SP-WT-CL-4.aag
-  --jobs 2 --trace-out ...`` of a build that still had the process
-  pool: one relay-merged batch trace, worker-tagged, which today's
-  readers keep folding, rendering and ingesting.
+  ``tests/core/test_pipeline.py``): the escalation reruns ``rewrite``.
+
+Both start with the trace-format header a ``JsonlSink`` writes.
 
 Regenerate (only after an intended behaviour change) with::
 
@@ -35,8 +33,7 @@ from pathlib import Path
 
 FIXTURES = Path(__file__).with_name("fixtures")
 GOLDEN = FIXTURES / "fold_golden.json"
-TRACES = ("single", "escalated", "merged")
-SINGLE_DESIGN = ("single", "escalated")
+TRACES = ("single", "escalated")
 
 
 def _cli(*argv):
@@ -56,8 +53,7 @@ def _store_rows(store, run_id):
         run.pop(volatile)
     return {"run": run, "commits": store.commits(run_id),
             "attribution": store.attribution(run_id),
-            "resources": store.resources(run_id),
-            "workers": store.workers(run_id)}
+            "resources": store.resources(run_id)}
 
 
 def snapshot(tmp_dir):
@@ -80,12 +76,9 @@ def snapshot(tmp_dir):
                     run_ids = [run_ids]
                 golden["store"][name] = [_store_rows(store, run_id)
                                          for run_id in run_ids]
-            if name in SINGLE_DESIGN:
-                golden["explain"][name] = _cli("explain", trace,
-                                               "--json", "-")
-                golden["explain_store"][name] = _cli(
-                    "explain", f"run:{run_ids[0]}", "--db", db,
-                    "--json", "-")
+            golden["explain"][name] = _cli("explain", trace, "--json", "-")
+            golden["explain_store"][name] = _cli(
+                "explain", f"run:{run_ids[0]}", "--db", db, "--json", "-")
         golden["diff"] = _cli("obs", "diff", "single.jsonl",
                               "escalated.jsonl")
     return golden

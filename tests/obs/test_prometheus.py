@@ -9,7 +9,7 @@ from repro.obs.prometheus import render_prometheus
 
 def _seeded_store():
     """Deterministic in-memory store: two runs of one series (only the
-    latest is exported), with phases, commits, workers and resources."""
+    latest is exported), with phases, commits and resources."""
     store = RunStore()
     store.add_run(
         "SP-AR-RC 4", method="paper", status="correct", seconds=0.100,
@@ -21,10 +21,6 @@ def _seeded_store():
         steps=6, max_poly_size=9, backtracks=0, threshold_doublings=0,
         phases={"model": 0.03, "rewrite": 0.08, "rewrite.reduce": 0.06},
         commits=[9, 7, 5, 4, 3, 1],
-        workers=[{"worker_id": 1, "pid": 4242, "events": 50,
-                  "first_t": 0.0, "last_t": 1.5},
-                 {"worker_id": 2, "pid": 4243, "events": 48,
-                  "first_t": 0.1, "last_t": 1.2}],
         resources={"rewrite": {"rss_peak_kb": 51000,
                                "tracemalloc_kb": 120.5,
                                "tracemalloc_peak_kb": 300.0,
@@ -79,10 +75,6 @@ class TestPrometheusExposition:
             "of the latest run.",
             "# TYPE repro_run_peak_rss_kb gauge",
             f"repro_run_peak_rss_kb{labels} 51000.0",
-            "# HELP repro_run_workers Relay worker processes of the "
-            "latest run.",
-            "# TYPE repro_run_workers gauge",
-            f"repro_run_workers{labels} 2",
         ]) + "\n"
         assert text == expected
 

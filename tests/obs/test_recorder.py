@@ -1,11 +1,13 @@
 """Tests for repro.obs: recorder primitives, JSONL sinks, and the
 recorder-on/off parity guarantee."""
 
+import json
 import logging
 
 import pytest
 
 from repro.core import verify_multiplier
+from repro.errors import ObsDataError
 from repro.genmul import generate_multiplier
 from repro.obs import (
     NULL,
@@ -16,6 +18,7 @@ from repro.obs import (
     read_events_tolerant,
     recording_to,
 )
+from repro.obs.recorder import TRACE_HEADER
 
 
 class TestNullRecorder:
@@ -127,6 +130,22 @@ class TestJsonlRoundTrip:
         assert events[-1]["ev"] == "summary"
         assert events[-1]["counters"] == {"rewrite.commits": 1}
 
+    def test_file_starts_with_the_format_header(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        recording_to(str(path)).close()
+        first = path.read_text(encoding="utf-8").splitlines()[0]
+        assert json.loads(first) == TRACE_HEADER
+
+    @pytest.mark.parametrize("first", [
+        "", '{"ev": "run_begin", "t": 0.0}', '{"trace_format": 2}',
+        "not json"], ids=["empty", "no-header", "format-2", "not-json"])
+    def test_other_first_line_is_refused(self, tmp_path, first):
+        path = tmp_path / "trace.jsonl"
+        path.write_text(first + '\n{"ev": "run_begin", "t": 0.0}\n',
+                        encoding="utf-8")
+        with pytest.raises(ObsDataError, match="trace"):
+            read_events_tolerant(str(path))
+
     def test_close_is_idempotent(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         rec = recording_to(str(path))
@@ -140,7 +159,8 @@ class TestTruncatedTraces:
     salvage the parseable prefix instead of raising."""
 
     def _write(self, path, lines):
-        path.write_text("\n".join(lines), encoding="utf-8")
+        path.write_text("\n".join([json.dumps(TRACE_HEADER), *lines]),
+                        encoding="utf-8")
 
     def test_tolerant_reader_counts_skips(self, tmp_path):
         path = tmp_path / "trace.jsonl"

@@ -2,9 +2,7 @@
 per-run readers.
 
 A batch ``repro verify a.aag b.aag --trace-out`` writes one trace of
-every task.  ``split_worker_runs`` also splits the relay-merged traces
-older builds wrote for ``verify --jobs N`` (events tagged with their
-``worker_id``).
+every task.
 """
 
 import json
@@ -15,26 +13,10 @@ from repro import cli
 from repro.aig.aiger import write_aag
 from repro.genmul.multiplier import generate_multiplier
 from repro.obs import split_worker_runs
+from repro.obs.recorder import TRACE_HEADER
 
 
 class TestSplitWorkerRuns:
-    def test_splits_on_task_boundaries_per_worker(self):
-        events = [
-            {"ev": "task_begin", "worker_id": 1, "design": "a.aag"},
-            {"ev": "run_begin", "worker_id": 1},
-            {"ev": "task_begin", "worker_id": 2, "design": "b.aag"},
-            {"ev": "step", "worker_id": 2, "i": 1},
-            {"ev": "step", "worker_id": 1, "i": 1},
-            {"ev": "task_begin", "worker_id": 1, "design": "c.aag"},
-            {"ev": "run_begin", "worker_id": 1},
-        ]
-        runs = split_worker_runs(events)
-        labels = [label for label, _ in runs]
-        assert labels == ["a.aag", "c.aag", "b.aag"]
-        a_run = runs[0][1]
-        assert [e["ev"] for e in a_run] == ["task_begin", "run_begin",
-                                           "step"]
-
     def test_untagged_events_form_one_segment(self):
         events = [{"ev": "run_begin"}, {"ev": "step", "i": 1}]
         runs = split_worker_runs(events)
@@ -60,9 +42,9 @@ def trace(tmp_path, capsys):
 
 class TestEndToEndJobs:
     def test_serial_jobs1_batch_still_merges_a_trace(self, trace):
-        events = [json.loads(line) for line in
-                  trace.read_text(encoding="utf-8").splitlines()]
-        assert not any("worker_id" in event for event in events)
+        header, *events = [json.loads(line) for line in
+                           trace.read_text(encoding="utf-8").splitlines()]
+        assert header == TRACE_HEADER
         # one clock for the whole batch (a span is stamped at its start)
         stamps = [event["t"] for event in events if event["ev"] != "span"]
         assert stamps == sorted(stamps)
@@ -86,7 +68,6 @@ class TestEndToEndJobs:
                                                        "SP-WT-CL"]
             for run in runs:
                 assert run["status"] == "correct"
-                assert run["workers"] == []
             # each task's summary counts that task alone
             commits = [run["metrics"]["counter:rewrite.commits"]
                        for run in runs]
@@ -110,4 +91,5 @@ class TestSerialBatchTrace:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"{trace} is a batch trace of 2 runs" in captured.err
+        assert f"`repro obs ingest --db DB {trace}`" in captured.err
         assert hint in captured.err

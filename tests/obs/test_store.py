@@ -5,8 +5,10 @@ import json
 import pytest
 
 from repro.core import verify_multiplier
+from repro.errors import ObsDataError
 from repro.genmul import generate_multiplier
 from repro.obs import Recorder, RunStore, current_git_rev
+from repro.obs.recorder import TRACE_HEADER
 from repro.obs.store import SCHEMA_VERSION
 
 
@@ -55,6 +57,48 @@ class TestEmptyStore:
             store.add_run("d", "dyposub", seconds=1.0)
             with pytest.raises(ValueError):
                 store.history("d", "none", "dyposub", "bogus")
+
+
+class TestSchemaStamp:
+    """A store opens only when empty or stamped with exactly this
+    build's schema version; it is a re-creatable history and cache, so
+    any other file is refused and left as it was."""
+
+    @pytest.mark.parametrize("stamp", ["4", "99", "abc", None])
+    def test_other_stamp_is_refused_untouched(self, tmp_path, stamp):
+        import os
+        import sqlite3
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        path = tmp_path / "runs.db"
+        with RunStore(path) as store:
+            store.add_run("d", "dyposub", seconds=1.0)
+        conn = sqlite3.connect(path)
+        if stamp is None:
+            conn.execute("DELETE FROM meta")
+        else:
+            conn.execute("UPDATE meta SET value = ? "
+                         "WHERE key = 'schema_version'", (stamp,))
+        conn.commit()
+        conn.close()
+        before = path.read_bytes()
+        message = (f"{path}: not a v{SCHEMA_VERSION} run store "
+                   f"(schema_version {stamp!r}); start a new store file")
+        with pytest.raises(ObsDataError) as refused:
+            RunStore(path)
+        assert str(refused.value) == message
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(__file__).parents[2] / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--db", str(path)], capture_output=True, text=True, env=env,
+            timeout=60)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [f"serve: {message}"]
+        assert path.read_bytes() == before
 
 
 class TestAddRun:
@@ -107,16 +151,6 @@ class TestAddRun:
                                    "metric:attr:sp0:size")
             assert [value for _, value in metric] == [3.0]
 
-    def test_metric_names_skip_counters(self):
-        with RunStore() as store:
-            store.add_run("a", "dyposub", seconds=1.0, max_poly_size=9,
-                          phases={"rewrite": 0.5},
-                          metrics={"attr:sp0:size": 3.0,
-                                   "counter:rewrite.commits": 12})
-            names = store.metric_names("a", "none", "dyposub")
-            assert names == ["seconds", "max_poly_size", "phase:rewrite",
-                             "metric:attr:sp0:size"]
-
 
 class TestIngestEvents:
     def test_single_trace(self):
@@ -145,7 +179,7 @@ class TestIngestEvents:
 
     def test_trace_file_tolerates_truncation(self, tmp_path):
         path = tmp_path / "trace.jsonl"
-        lines = [json.dumps(event) for event in _events()]
+        lines = [json.dumps(event) for event in [TRACE_HEADER, *_events()]]
         lines.append('{"ev": "step", "i": 4, "si')  # killed mid-write
         path.write_text("\n".join(lines), encoding="utf-8")
         with RunStore() as store:
@@ -204,7 +238,8 @@ class TestIngestPayloads:
 
     def test_ingest_file_sniffs_shapes(self, tmp_path):
         trace = tmp_path / "run.jsonl"
-        trace.write_text("\n".join(json.dumps(e) for e in _events()),
+        trace.write_text("\n".join(json.dumps(e) for e in
+                                   [TRACE_HEADER, *_events()]),
                          encoding="utf-8")
         verify = tmp_path / "verify.json"
         verify.write_text(json.dumps({"command": "verify", "records": []}),
@@ -245,29 +280,19 @@ class TestIngestPayloads:
 
 
 class TestSchemaV2:
-    def test_workers_and_resources_round_trip(self):
+    def test_resources_round_trip(self):
         with RunStore() as store:
             run_id = store.add_run(
                 "d", "dyposub", seconds=1.0, status="correct",
-                workers=[{"worker_id": 1, "pid": 42, "events": 10,
-                          "first_t": 0.0, "last_t": 0.9},
-                         {"worker_id": 2, "pid": 43, "events": 12,
-                          "first_t": 0.1, "last_t": 1.0}],
                 resources={"rewrite": {"rss_peak_kb": 50000,
                                        "tracemalloc_kb": 100.0,
                                        "tracemalloc_peak_kb": 200.0,
                                        "gc_collections": 3}})
-            workers = store.workers(run_id)
-            assert [w["worker_id"] for w in workers] == [1, 2]
-            assert workers[0]["pid"] == 42
-            assert workers[1]["events"] == 12
             resources = store.resources(run_id)
             assert resources["rewrite"]["rss_peak_kb"] == 50000
             assert resources["rewrite"]["gc_collections"] == 3
-            # run() carries both child tables
-            record = store.run(run_id)
-            assert len(record["workers"]) == 2
-            assert "rewrite" in record["resources"]
+            # run() carries the child table
+            assert "rewrite" in store.run(run_id)["resources"]
 
     def test_rerun_phase_keeps_merged_resources(self):
         """Two ``phase_resources`` events of one phase (a modular
@@ -309,49 +334,6 @@ class TestSchemaV2:
                         "tracemalloc_peak_kb", "gc_collections"):
                 assert stored[phase][key] == merged[key], (phase, key)
 
-    def test_v1_file_upgrades_in_place(self, tmp_path):
-        import sqlite3
-
-        path = tmp_path / "old.db"
-        with RunStore(path) as store:
-            store.add_run("d", "dyposub", seconds=1.0)
-        # rewind the file to schema v1: drop the v2 tables and stamp
-        conn = sqlite3.connect(path)
-        conn.executescript("DROP TABLE workers; DROP TABLE resources;")
-        conn.execute("UPDATE meta SET value = '1' "
-                     "WHERE key = 'schema_version'")
-        conn.commit()
-        conn.close()
-        with RunStore(path) as store:
-            assert len(store) == 1  # v1 data survives the upgrade
-            run_id = store.add_run("d2", "dyposub",
-                                   workers=[{"worker_id": 1, "pid": 9,
-                                             "events": 1}])
-            assert store.workers(run_id)[0]["pid"] == 9
-        conn = sqlite3.connect(path)
-        stamped = conn.execute("SELECT value FROM meta WHERE key = "
-                               "'schema_version'").fetchone()[0]
-        conn.close()
-        assert stamped == str(SCHEMA_VERSION)
-
-    def test_newer_schema_is_refused_not_corrupted(self, tmp_path):
-        import sqlite3
-
-        path = tmp_path / "future.db"
-        with RunStore(path) as store:
-            store.add_run("d", "dyposub", seconds=1.0)
-        conn = sqlite3.connect(path)
-        conn.execute("UPDATE meta SET value = '99' "
-                     "WHERE key = 'schema_version'")
-        conn.commit()
-        conn.close()
-        with pytest.raises(ValueError, match="newer than this build"):
-            RunStore(path)
-        # the refused file is untouched and still opens as v99
-        conn = sqlite3.connect(path)
-        assert conn.execute("SELECT COUNT(*) FROM runs").fetchone()[0] == 1
-        conn.close()
-
 
 class TestSchemaV3:
     def test_attribution_round_trip(self):
@@ -369,50 +351,6 @@ class TestSchemaV3:
             assert stored[0]["samples"] == 3
             # run() carries the cells too
             assert store.run(run_id)["attribution"] == stored
-
-    def test_v2_file_upgrades_in_place(self, tmp_path):
-        import sqlite3
-
-        path = tmp_path / "old.db"
-        with RunStore(path) as store:
-            store.add_run("d", "dyposub", seconds=1.0)
-        # rewind the file to schema v2: drop the v3 table and stamp
-        conn = sqlite3.connect(path)
-        conn.executescript("DROP TABLE attribution;")
-        conn.execute("UPDATE meta SET value = '2' "
-                     "WHERE key = 'schema_version'")
-        conn.commit()
-        conn.close()
-        with RunStore(path) as store:
-            assert len(store) == 1  # v2 data survives the upgrade
-            run_id = store.add_run(
-                "d2", "dyposub",
-                attribution=[{"stage": "fsa", "rule": "FA/compact",
-                              "seconds": 0.2, "growth": 5, "commits": 2,
-                              "samples": 0}])
-            assert store.attribution(run_id)[0]["stage"] == "fsa"
-        conn = sqlite3.connect(path)
-        stamped = conn.execute("SELECT value FROM meta WHERE key = "
-                               "'schema_version'").fetchone()[0]
-        conn.close()
-        assert stamped == str(SCHEMA_VERSION)
-        # the upgrade is idempotent: reopening changes nothing
-        with RunStore(path) as store:
-            assert len(store) == 2
-
-    def test_v5_file_is_refused(self, tmp_path):
-        import sqlite3
-
-        path = tmp_path / "future.db"
-        with RunStore(path) as store:
-            store.add_run("d", "dyposub", seconds=1.0)
-        conn = sqlite3.connect(path)
-        conn.execute("UPDATE meta SET value = '5' "
-                     "WHERE key = 'schema_version'")
-        conn.commit()
-        conn.close()
-        with pytest.raises(ValueError, match="newer than this build"):
-            RunStore(path)
 
     def test_trace_ingest_stores_attribution_cells_and_metrics(self):
         events = [
@@ -506,29 +444,6 @@ class TestSchemaV4:
             assert len(store) == 0
             assert store.get_certificate("f" * 64) is not None
 
-    def test_v3_file_upgrades_in_place(self, tmp_path):
-        import sqlite3
-
-        path = tmp_path / "old.db"
-        with RunStore(path) as store:
-            store.add_run("d", "dyposub", seconds=1.0)
-        # rewind the file to schema v3: drop the v4 table and stamp
-        conn = sqlite3.connect(path)
-        conn.executescript("DROP TABLE certificates;")
-        conn.execute("UPDATE meta SET value = '3' "
-                     "WHERE key = 'schema_version'")
-        conn.commit()
-        conn.close()
-        with RunStore(path) as store:
-            assert len(store) == 1  # v3 data survives the upgrade
-            store.put_certificate("f" * 64, self.RECORD)
-            assert store.get_certificate("f" * 64) is not None
-        conn = sqlite3.connect(path)
-        stamped = conn.execute("SELECT value FROM meta WHERE key = "
-                               "'schema_version'").fetchone()[0]
-        conn.close()
-        assert stamped == str(SCHEMA_VERSION)
-
 
 class TestConcurrentWriters:
     def test_file_store_runs_in_wal_mode(self, tmp_path):
@@ -594,9 +509,7 @@ class TestPrune:
         for index in range(4):
             store.add_run("a", "dyposub", seconds=1.0 + index,
                           created_at=100.0 + index,
-                          phases={"rewrite": 0.5},
-                          workers=[{"worker_id": 1, "pid": 1,
-                                    "events": index}])
+                          phases={"rewrite": 0.5})
         store.add_run("b", "dyposub", seconds=9.0, created_at=50.0,
                       resources={"rewrite": {"rss_peak_kb": 1}})
 
@@ -625,13 +538,12 @@ class TestPrune:
         with RunStore() as store:
             self._seed(store)
             before = store.table_counts()
-            assert before["workers"] == 4
+            assert before["phases"] == 4
             assert before["resources"] == 1
             result = store.prune(keep_last=1)
             tables = result["tables"]
             assert tables["runs"] == 2
-            assert tables["workers"] == 1  # cascaded with their runs
-            assert tables["phases"] == 1
+            assert tables["phases"] == 1  # cascaded with their runs
             assert tables["resources"] == 1
 
     def test_prune_on_disk_store_vacuums(self, tmp_path):

@@ -6,7 +6,6 @@ applied differently are pinned here.
 
 import pytest
 
-from repro.obs.report import render_report
 from repro.obs.view import RunView, fold_events
 
 
@@ -22,42 +21,17 @@ def _rewrite_run(t0=1.0, size=10, steps=((1.1, 3, "FA", 14),
 
 class TestFoldRules:
     def test_envelope_keys_are_stripped_from_bodies(self):
-        envelope = {"t": 0.5, "worker_id": 2, "pid": 7, "seq": 3}
+        envelope = {"t": 0.5}
         view = fold_events([
             {"ev": "stage_map", "architecture": "ripple",
              "components": {"0": "ppg"}, **envelope},
             {"ev": "profile", "samples": 4, "commits": {}, **envelope},
             {"ev": "resources_summary", "peak_rss_kb": 10, **envelope},
-            {"ev": "attribution", "wall": {}, **envelope},
         ])
         assert view.stage_map == {"architecture": "ripple",
                                   "components": {"0": "ppg"}}
         assert view.profile == {"samples": 4, "commits": {}}
         assert view.resources_summary == {"peak_rss_kb": 10}
-        assert view.attribution == {"wall": {}}
-
-    def test_run_meta_keeps_the_worker_tags(self):
-        view = fold_events([{"ev": "run_begin", "t": 0.0, "method": "d",
-                             "worker_id": 1, "pid": 9, "seq": 2}])
-        assert view.meta == {"method": "d", "worker_id": 1, "pid": 9,
-                             "seq": 2}
-        assert view.runs == 1
-
-    def test_worker_pid_is_its_last_non_none_value(self):
-        view = fold_events([
-            {"ev": "task_begin", "t": 0.2, "design": "dir/a.aag",
-             "worker_id": 1, "pid": None},
-            {"ev": "run_begin", "t": 0.1, "worker_id": 1, "pid": 41},
-            {"ev": "run_end", "t": 0.9, "worker_id": 1, "pid": 42},
-            {"ev": "summary", "t": 1.0, "worker_id": 1},
-        ])
-        assert view.workers == {1: {"worker_id": 1, "pid": 42, "events": 4,
-                                    "designs": ["dir/a.aag"],
-                                    "first_t": 0.1, "last_t": 1.0}}
-        assert view.tasks == 1
-        text = render_report(view)
-        assert "Relay workers (merged trace)" in text
-        assert "a.aag" in text and "dir/" not in text
 
     def test_rerun_phase_merges_max_peaks_and_summed_deltas(self):
         view = fold_events([
