@@ -401,7 +401,9 @@ class Pipeline:
         threshold").  So a DyPoSub run that exhausts the monomial budget
         from above :data:`~repro.core.dynamic.PAPER_THRESHOLD` runs once
         more from it, with a fresh monitor and what is left of the
-        deadline.  Returns ``(engine, remainder, monitor)``.
+        deadline; a ``rewrite_retry`` event tells the recorder and the
+        trace readers to drop the abandoned run.  Returns ``(engine,
+        remainder, monitor)``.
         """
         config = self.config
         vanishing = art.vanishing
@@ -416,10 +418,14 @@ class Pipeline:
             log.info("ring %s: monomial budget exhausted from threshold "
                      "%g — re-running from %g", ring.name,
                      config.initial_threshold, PAPER_THRESHOLD)
-            # the abandoned run's reductions count nowhere: the verdict
-            # reports the run it comes from, as its steps already do
+            # the abandoned run counts nowhere: the verdict, the
+            # recorder's counters and the trace's readers report the run
+            # it comes from
             vanishing.removed, vanishing.rewritten, vanishing.truncated = \
                 counts
+            if rec.enabled:
+                rec.event("rewrite_retry", budget_kind=exc.kind,
+                          threshold=PAPER_THRESHOLD)
             if monitor is not None:
                 monitor = self._fresh_monitor(art, ring, rec)
             engine, remainder = self.stage_rewrite(

@@ -147,9 +147,10 @@ class RewritingEngine:
         self.vanishing = vanishing
         vanishing.set_ring(ring)
         self.spec = spec
-        # SP_0 as sorted columns; seed the occurrence index so every
-        # kernel carries it forward by delta updates.  Only component
-        # outputs are ever looked up in it, so only those are counted.
+        # SP_0 as sorted columns; seed the occurrence index so low-churn
+        # kernels carry it forward by delta updates (a high-churn one
+        # drops it for good).  Only component outputs are ever looked up
+        # in it, so only those are counted.
         tracked = 0
         for comp in components:
             for var in comp.output_vars:
@@ -239,11 +240,18 @@ class RewritingEngine:
         """Occurrences of every candidate's outputs in ``SP_i``
         (Algorithm 2, lines 4-5).
 
-        Reads the arena's incremental occurrence index — built once on
-        the initial ``SP_0`` and carried across every commit — so the
-        cost is O(candidates), not a scan of ``SP_i``.
+        Reads the arena's occurrence index while low-churn kernels still
+        carry it (built once on ``SP_0``), at O(candidates).  Once a
+        high-churn kernel has dropped it, only the candidates' output
+        bits are decoded, over the tail of ``SP_i`` they can occur in.
         """
-        counts = self.sp.occurrence_index()
+        counts = self.sp.occ
+        if counts is None:
+            wanted = 0
+            for idx in self._candidates:
+                for var in self.components[idx].output_vars:
+                    wanted |= 1 << var
+            counts = self.sp.count_vars(wanted)
         result = {}
         for idx in self._candidates:
             comp = self.components[idx]
@@ -304,10 +312,12 @@ class RewritingEngine:
         products accumulate into a small fresh dict, and one
         segment-copy merge puts them back.
 
-        After each touched monomial the partial size (untouched plus
-        accumulated monomials) is checked against the hard cap and the
-        attempt's bound; past the bound the generator pauses at that
-        monomial until the bound reaches the partial size.
+        The vanishing reducer walks the touched monomials in one call.
+        After each one the partial size (untouched plus accumulated
+        monomials) is checked against the hard cap and the attempt's
+        bound; past the bound the reducer returns and the generator
+        pauses at that monomial until the bound reaches the partial
+        size.
         """
         keep_m, keep_c, touched = sp.partition_var(var)
         if not touched:
@@ -317,9 +327,9 @@ class RewritingEngine:
         # every touched monomial minus ``var`` is rule-normalized
         masks = self.vanishing.product_masks(rep_items)
         cap = self.hard_cap
-        timed = self._deadline is not None
+        tick = self.check_time if self._deadline is not None else None
         bound = attempt.bound
-        reduce_products = self.vanishing.reduce_products_into
+        reduce_expansion = self.vanishing.reduce_expansion_into
         # High churn: the segment-copy merge has no edge left.
         # Accumulate straight into the untouched terms (one pass instead
         # of fresh-dict + merge) and pay a single flat sort for the
@@ -331,10 +341,15 @@ class RewritingEngine:
         else:
             out = {}
             base_len = len(keep_m)
-        for k, (mono, coeff) in enumerate(touched):
-            if timed and not k & 63:
-                self.check_time()
-            reduce_products(out, mono ^ bit, rep_items, coeff, masks)
+        k = 0
+        while k < len(touched):
+            # the reducer stops after the monomial that passes the lower
+            # of the cap and the bound
+            limit = cap if bound is None or (
+                cap is not None and cap < bound) else bound
+            k = reduce_expansion(out, touched, rep_items, masks, bit, k,
+                                 None if limit is None else limit - base_len,
+                                 tick)
             size = base_len + len(out)
             if cap is not None and size > cap:
                 raise AttemptTooLarge(size)
@@ -362,10 +377,6 @@ class RewritingEngine:
             comp = self.components[index]
             for var, replacement in comp.substitutions.items():
                 self.certificate_steps.append((var, replacement))
-        # Carry the var->occurrence-count index across the step from the
-        # substitution delta (only changed monomials are decoded), so the
-        # dynamic order's candidate sort stays O(candidates) per step.
-        new_sp.inherit_occurrences(self.sp)
         self.sp = new_sp
         self.steps += 1
         size = len(new_sp)
@@ -430,7 +441,7 @@ class RewritingEngine:
             return sp  # outputs do not occur; substitution is a no-op
         if part_a.keys() != part_b.keys():
             return None
-        q_terms = {}
+        q_items = []
         mod = self.ring.modulus
         if mod is None:
             for mono, coeff in part_a.items():
@@ -439,7 +450,7 @@ class RewritingEngine:
                     return None
                 if part_b[mono] != coeff_b * quotient:
                     return None
-                q_terms[mono] = quotient
+                q_items.append((mono, quotient))
         else:
             # the divisor is the same for every monomial of the G-part,
             # so hoist the (extended-gcd) modular inverse out of the loop
@@ -451,16 +462,14 @@ class RewritingEngine:
                 quotient = coeff * inv_a % mod
                 if (part_b[mono] - coeff_b * quotient) % mod:
                     return None
-                q_terms[mono] = quotient
+                q_items.append((mono, quotient))
         # the keep columns are already rule-normalized (SP_i invariant);
         # only the fresh Q*F products need normalization, and every Q
         # monomial, a monomial of SP_i minus an output, is normalized.
         fresh = {}
         f_items = list(f_poly.terms())
-        masks = self.vanishing.product_masks(f_items)
-        reduce_products = self.vanishing.reduce_products_into
-        for q_mono, q_coeff in q_terms.items():
-            reduce_products(fresh, q_mono, f_items, q_coeff, masks)
+        self.vanishing.reduce_expansion_into(
+            fresh, q_items, f_items, self.vanishing.product_masks(f_items))
         bit_a = 1 << var_a
         bit_b = 1 << var_b
         removed = [m | bit_a for m in part_a]

@@ -38,6 +38,7 @@ changing which rules fire or in what order:
 from __future__ import annotations
 
 import logging
+import sys
 from itertools import repeat
 
 from repro.errors import RuleError
@@ -48,6 +49,7 @@ from repro.poly.ring import EXACT
 log = logging.getLogger("repro.core.vanishing")
 
 _MAX_REWRITE_DEPTH = 24
+_NO_LIMIT = sys.maxsize
 
 
 def _extra_mask(extra):
@@ -88,8 +90,8 @@ class VanishingRuleSet:
         # monomials left unnormalized past _MAX_REWRITE_DEPTH
         self.truncated = 0
         # optional heartbeat (repro.obs.live): called every
-        # ``_pulse_every`` reduce calls so a watchdog keeps breathing
-        # through one giant normalization; None costs one check per call
+        # ``_pulse_every`` reduced items so a watchdog keeps breathing
+        # through one giant normalization; None costs one check per item
         self._pulse = None
         self._pulse_every = 0
         self._pulse_acc = 0
@@ -195,7 +197,7 @@ class VanishingRuleSet:
 
     def set_pulse(self, fn, every=20_000):
         """Install a heartbeat: ``fn(every)`` fires after each batch of
-        ``every`` normalization calls (``None`` uninstalls)."""
+        ``every`` normalized items (``None`` uninstalls)."""
         self._pulse = fn
         self._pulse_every = every
         self._pulse_acc = 0
@@ -269,7 +271,7 @@ class VanishingRuleSet:
         variables in both directions: since ``base`` violates no rule,
         ``base | rep_mono`` violates one iff it meets ``mask``.  ``scan``
         holds the only trigger bits whose rules can fire on it.  Pass
-        the list to :meth:`reduce_products_into`.
+        the list to :meth:`reduce_expansion_into`.
 
         Returns ``None`` once a reduction has been truncated: ``SP_i``
         may then hold an unnormalized monomial, so no base is known to
@@ -319,32 +321,42 @@ class VanishingRuleSet:
         if not any(self._violates(m) for m in poly._terms):
             return poly
         out = {}
-        self.reduce_products_into(out, 0, poly._terms.items(), 1)
+        self.reduce_expansion_into(out, [(0, 1)], poly._terms.items())
         return Polynomial({m: c for m, c in out.items() if c}, _trusted=True,
                           ring=self.ring)
 
-    def reduce_products_into(self, out, base, rep_items, coeff_base,
-                             masks=None):
-        """Accumulate the normal forms of ``coeff_base * rep_coeff *
-        (base | rep_mono)`` into ``out`` for every ``(rep_mono,
-        rep_coeff)`` in ``rep_items``.
+    def reduce_expansion_into(self, out, items, rep_items, masks=None,
+                              strip=0, start=0, limit=None, tick=None):
+        """Accumulate the normal forms of ``coeff * rep_coeff * (base ^
+        strip | rep_mono)`` into ``out`` for every ``(base, coeff)`` of
+        ``items[start:]`` and every ``(rep_mono, rep_coeff)`` of
+        ``rep_items``.
 
-        Public so the rewriting engine can normalize all products of one
-        substituted monomial in a single call, without re-scanning
-        ``SP_i``.  Implemented as one explicit-stack loop with the rule
-        scan inlined: this runs on every monomial the engine ever
-        creates, and profiling shows normal forms almost never recur
-        (fresh products differ in some variable), so a memo would be
-        pure overhead — raw per-monomial cost is everything here.
+        The single entry point of the reducer: one call normalizes every
+        product of a whole substitution (``items`` are the touched
+        monomials, ``strip`` the substituted variable's bit), without
+        re-scanning ``SP_i``.  Implemented as one explicit-stack loop
+        with the rule scan inlined: this runs on every monomial the
+        engine ever creates, and profiling shows normal forms almost
+        never recur (fresh products differ in some variable), so a memo
+        would be pure overhead — raw per-monomial cost is everything
+        here.
 
         ``masks`` is :meth:`product_masks` of ``rep_items``, valid only
-        for a rule-normalized ``base``: a product that meets no partner
-        is accumulated without a scan.  Without masks every product
+        for rule-normalized bases: a product that meets no partner is
+        accumulated without a scan.  Without masks every product
         carrying a trigger bit is scanned.  Either way the same rules
         fire in the same order and ``out`` ends equal: products reduced
         through the stack drop a key whose sum cancels, products with no
         trigger bit keep it (so both count toward the attempt size the
         same way).
+
+        After each item ``len(out)`` is checked against ``limit``; past
+        it the call stops.  Returns the index of the next item to reduce
+        (``len(items)`` once done), so a caller can pause there and
+        resume with ``start``.  ``tick`` (the engine's clock check) runs
+        before every 64th item, counted from the start of ``items``; the
+        pulse counts items.
         """
         if self._by_low is None:
             self._compile()
@@ -360,99 +372,122 @@ class VanishingRuleSet:
         stack = []
         push = stack.append
         neg_one = None if mod is None else mod - 1
-        if mod is not None:
-            coeff_base %= mod  # the ±1 folds below need it canonical
         if masks is None:
             masks = repeat((trigger, trigger))
-        for (rep_mono, rep_coeff), (mask, scan) in zip(rep_items, masks):
-            mono = base | rep_mono
-            if mono & mask:
-                push((mono, coeff_base * rep_coeff, 0, scan))
-            elif mono & trigger:
-                # clean, though it carries a trigger bit: accumulate as
-                # the stack does, dropping a key that cancels
-                value = out_get(mono, 0) + coeff_base * rep_coeff
-                if mod is not None and (value >= mod or value < 0):
-                    value %= mod
-                if value:
-                    out[mono] = value
-                else:
-                    out.pop(mono, None)
-            elif mod is None:
-                out[mono] = out_get(mono, 0) + coeff_base * rep_coeff
-            elif rep_coeff == 1:
-                # replacement coefficients are overwhelmingly 1 and -1
-                # (canonically ``mod - 1``): folding with one conditional
-                # subtract/add avoids a big-int multiply + division per
-                # accumulation on the modular path
-                total = out_get(mono, 0) + coeff_base
-                out[mono] = total - mod if total >= mod else total
-            elif rep_coeff == neg_one:
-                total = out_get(mono, 0) - coeff_base
-                out[mono] = total + mod if total < 0 else total
-            else:
-                out[mono] = (out_get(mono, 0)
-                             + coeff_base * rep_coeff) % mod
-        while stack:
-            mono, coeff, depth, scan = stack.pop()
-            while True:
-                # first violated rule, visiting the trigger bits of
-                # ``scan`` low-to-high (same order as rule compilation
-                # relies on); the bits outside ``scan`` are known to
-                # have no partner in ``mono``
-                rule = None
-                hits = mono & scan
-                while hits:
-                    low = hits & -hits
-                    if mono & union_by_low[low]:
-                        # the union guarantees one entry matches
-                        for rule in by_low[low]:
-                            if mono & rule[0]:
-                                break
-                        break
-                    hits ^= low
-                if rule is None or depth > _MAX_REWRITE_DEPTH:
-                    if rule is not None:
-                        truncated += 1
-                    value = out_get(mono, 0) + coeff
-                    if mod is not None and (value >= mod or value < 0):
-                        value %= mod
-                    if value:
-                        out[mono] = value
+        pulse = self._pulse
+        if limit is None:
+            limit = _NO_LIMIT
+        n = len(items)
+        k = start
+        try:
+            while k < n:
+                if tick is not None and not k & 63:
+                    tick()
+                base, coeff_base = items[k]
+                k += 1
+                base ^= strip
+                if mod is not None:
+                    coeff_base %= mod  # the ±1 folds below need it canonical
+                for (rep_mono, rep_coeff), (mask, scan) in zip(rep_items,
+                                                               masks):
+                    mono = base | rep_mono
+                    if mono & mask:
+                        push((mono, coeff_base * rep_coeff, 0, scan))
+                    elif mono & trigger:
+                        # clean, though it carries a trigger bit:
+                        # accumulate as the stack does, dropping a key
+                        # that cancels
+                        value = out_get(mono, 0) + coeff_base * rep_coeff
+                        if mod is not None and (value >= mod or value < 0):
+                            value %= mod
+                        if value:
+                            out[mono] = value
+                        else:
+                            out.pop(mono, None)
+                    elif mod is None:
+                        out[mono] = out_get(mono, 0) + coeff_base * rep_coeff
+                    elif rep_coeff == 1:
+                        # replacement coefficients are overwhelmingly 1
+                        # and -1 (canonically ``mod - 1``): folding with
+                        # one conditional subtract/add avoids a big-int
+                        # multiply + division per accumulation on the
+                        # modular path
+                        total = out_get(mono, 0) + coeff_base
+                        out[mono] = total - mod if total >= mod else total
+                    elif rep_coeff == neg_one:
+                        total = out_get(mono, 0) - coeff_base
+                        out[mono] = total + mod if total < 0 else total
                     else:
-                        out.pop(mono, None)
+                        out[mono] = (out_get(mono, 0)
+                                     + coeff_base * rep_coeff) % mod
+                while stack:
+                    mono, coeff, depth, scan = stack.pop()
+                    while True:
+                        # first violated rule, visiting the trigger bits
+                        # of ``scan`` low-to-high (same order as rule
+                        # compilation relies on); the bits outside
+                        # ``scan`` are known to have no partner in
+                        # ``mono``
+                        rule = None
+                        hits = mono & scan
+                        while hits:
+                            low = hits & -hits
+                            if mono & union_by_low[low]:
+                                # the union guarantees one entry matches
+                                for rule in by_low[low]:
+                                    if mono & rule[0]:
+                                        break
+                                break
+                            hits ^= low
+                        if rule is None or depth > _MAX_REWRITE_DEPTH:
+                            if rule is not None:
+                                truncated += 1
+                            value = out_get(mono, 0) + coeff
+                            if mod is not None and (value >= mod
+                                                    or value < 0):
+                                value %= mod
+                            if value:
+                                out[mono] = value
+                            else:
+                                out.pop(mono, None)
+                            break
+                        terms = scan_terms_of.get(id(rule))
+                        if terms is None:
+                            terms = self._scan_terms(rule)
+                        if not terms:
+                            removed += 1
+                            break
+                        rewritten += 1
+                        rest = mono & ~rule[1]
+                        # the bits below ``low`` had no partner in
+                        # ``mono``, so only a right-hand term can give
+                        # them one
+                        scan &= -low
+                        if len(terms) == 1 and terms[0][0] == 1:
+                            # shrinking chain: iterate in place (depth
+                            # unchanged, matching the classic
+                            # single-rewrite semantics)
+                            _one, extra, rescan = terms[0]
+                            mono = rest | extra
+                            scan |= rescan
+                            continue
+                        depth += 1
+                        for term_coeff, extra, rescan in terms:
+                            push((rest | extra, coeff * term_coeff, depth,
+                                  scan | rescan))
+                        break
+                if pulse is not None:
+                    self._pulse_acc += 1
+                    if self._pulse_acc >= self._pulse_every:
+                        self._pulse_acc = 0
+                        pulse(self._pulse_every)
+                if len(out) > limit:
                     break
-                terms = scan_terms_of.get(id(rule))
-                if terms is None:
-                    terms = self._scan_terms(rule)
-                if not terms:
-                    removed += 1
-                    break
-                rewritten += 1
-                rest = mono & ~rule[1]
-                # the bits below ``low`` had no partner in ``mono``, so
-                # only a right-hand term can give them one
-                scan &= -low
-                if len(terms) == 1 and terms[0][0] == 1:
-                    # shrinking chain: iterate in place (depth unchanged,
-                    # matching the classic single-rewrite semantics)
-                    _one, extra, rescan = terms[0]
-                    mono = rest | extra
-                    scan |= rescan
-                    continue
-                depth += 1
-                for term_coeff, extra, rescan in terms:
-                    push((rest | extra, coeff * term_coeff, depth,
-                          scan | rescan))
-                break
-        self.removed += removed
-        self.rewritten += rewritten
-        self.truncated += truncated
-        if self._pulse is not None:
-            self._pulse_acc += 1
-            if self._pulse_acc >= self._pulse_every:
-                self._pulse_acc = 0
-                self._pulse(self._pulse_every)
+        finally:
+            self.removed += removed
+            self.rewritten += rewritten
+            self.truncated += truncated
+        return k
 
     def stats(self):
         return {"rules": self._count,

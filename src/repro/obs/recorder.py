@@ -132,6 +132,15 @@ class Histogram:
         bucket = max(int(value), 0).bit_length()
         self.buckets[bucket] = self.buckets.get(bucket, 0) + 1
 
+    def copy(self):
+        other = Histogram()
+        other.count = self.count
+        other.total = self.total
+        other.min = self.min
+        other.max = self.max
+        other.buckets = dict(self.buckets)
+        return other
+
     def as_dict(self):
         return {"count": self.count, "sum": self.total,
                 "min": self.min, "max": self.max,
@@ -151,6 +160,9 @@ class Recorder:
     the next task, and the span totals, counters and histograms restart
     from zero (the events, the sink and the clock carry on), so each
     task's verdict record and ``summary`` event count that task alone.
+    Likewise a ``rewrite_retry`` event (the pipeline re-runs an
+    abandoned rewrite run) puts the counters and histograms back where
+    that run's ``rewrite_begin`` found them, so they count the kept run.
     """
 
     enabled = True
@@ -168,6 +180,8 @@ class Recorder:
         self.span_counts = {}
         self.counters = {}
         self.histograms = {}
+        # counters and histograms as the latest rewrite_begin found them
+        self._rewrite_mark = ({}, {})
         # latest committed rewriting step — cheap state the sampling
         # profiler (repro.obs.resources) reads to attribute samples to
         # commits without subscribing to the event stream
@@ -186,6 +200,11 @@ class Recorder:
     def event(self, kind, /, **fields):
         if kind == "step":
             self.last_step = fields.get("i")
+        elif kind == "rewrite_begin":
+            self._rewrite_mark = (dict(self.counters), {
+                name: hist.copy() for name, hist in self.histograms.items()})
+        elif kind == "rewrite_retry":
+            self.counters, self.histograms = self._rewrite_mark
         elif kind == "task_begin":
             self._restart()
         self._emit({"ev": kind, "t": round(self._now(), 6), **fields})

@@ -76,6 +76,9 @@ def render_report(view, plot_width=72, plot_height=14, hotspots=False):
                          view.anomalies_recorded])
     if view.rewrite_runs > 1:
         dynamics.append(["rewrite runs (escalation)", view.rewrite_runs])
+    if view.retries:
+        dynamics.append(["abandoned runs (threshold fallback)",
+                         view.retries])
     lines.append("")
     lines.append(render_table(["metric", "value"], dynamics,
                               title="Backward-rewriting dynamics"))

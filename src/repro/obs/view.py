@@ -18,6 +18,10 @@ The fold keeps one rule per fact:
   escalation reruns ``rewrite``) merges max-for-peaks and
   sum-for-deltas, as
   :attr:`repro.obs.resources.ResourceTracker.phase_resources` does;
+* a ``rewrite_retry`` event drops the rewrite run it abandons — its
+  commits, attempts, backtracks, thresholds and wall window — as the
+  recorder drops its counters, so the view describes the run the
+  verdict comes from; only its phase time stays;
 * a field the fold computes with or stores in a run column must have
   its type (:data:`_FIELD_TYPES`) when present and not None, or the
   fold raises :class:`~repro.errors.ObsDataError` naming the event.
@@ -38,6 +42,11 @@ _PEAK_KEYS = ("rss_peak_kb", "tracemalloc_peak_kb")
 _DELTA_KEYS = ("tracemalloc_kb", "gc_collections")
 
 _NUMBER = (int, float)
+#: What one rewrite run adds to a view, restored when it is abandoned:
+#: fields to put back, and lists to cut back to their length.
+_RUN_FIELDS = ("attempts", "backtracks", "threshold_doublings",
+               "candidates", "remaining")
+_RUN_LISTS = ("commits", "thresholds", "anomalies")
 #: Per event kind (None: every event), the types of the fields the fold
 #: computes with or stores in a run column.
 _FIELD_TYPES = {
@@ -75,7 +84,8 @@ class RunView:
     ``anomalies_recorded`` counts the ``anomaly`` events a
     live watchdog wrote.  ``runs``/``tasks`` count ``run_begin`` and
     batch ``task_begin`` events: a trace with tasks is a batch trace,
-    one run per task.
+    one run per task.  ``retries`` counts the rewrite runs the threshold
+    fallback abandoned (dropped from everything else).
     """
 
     label: str | None = None
@@ -102,6 +112,7 @@ class RunView:
     counters: dict = field(default_factory=dict)
     runs: int = 0
     tasks: int = 0
+    retries: int = 0
     anomalies_recorded: int = 0
     anomalies: list = field(default_factory=list)
 
@@ -163,6 +174,7 @@ class RunFold:
         self._last_attempt = {}  # comp -> (kind, compact) of its latest attempt
         self._windows = []       # [rewrite_begin t, last commit t] per run
         self._rewrite_spans = []
+        self._run_mark = None    # the view's counts at the latest rewrite_begin
         self._fed = 0
 
     def feed(self, event):
@@ -192,6 +204,11 @@ class RunFold:
                 view.sp0 = self._prev_size
             self._windows.append([self._prev_t, self._prev_t])
             self._last_attempt = {}
+            self._run_mark = (
+                {name: getattr(view, name) for name in _RUN_FIELDS},
+                {name: len(getattr(view, name)) for name in _RUN_LISTS})
+        elif kind == "rewrite_retry":
+            self._drop_run()
         elif kind == "attempt":
             view.attempts += 1
             self._last_attempt[event.get("comp")] = (event.get("kind"),
@@ -251,6 +268,23 @@ class RunFold:
             for path, total in event.get("phases", {}).items():
                 view.phases.setdefault(path, total)
         return fired
+
+    def _drop_run(self):
+        """Forget the latest rewrite run (the pipeline abandoned it); its
+        ``rewrite`` span, emitted as it unwound, goes with its window."""
+        view = self.view
+        if self._run_mark is None:
+            return
+        fields, lengths = self._run_mark
+        self._run_mark = None
+        for name, value in fields.items():
+            setattr(view, name, value)
+        for name, length in lengths.items():
+            del getattr(view, name)[length:]
+        if len(self._rewrite_spans) == len(self._windows):
+            self._rewrite_spans.pop()
+        self._windows.pop()
+        view.retries += 1
 
     def finish(self):
         """Close one ``(start, end)`` window per rewrite run; returns

@@ -32,8 +32,10 @@ references the carry, which the next step eliminates again), so on
 high-churn workloads per-step deltas pay for work that cancels
 end-to-end — and attempts that exceed the growth threshold pay for an
 index that is then thrown away.  Above the churn threshold the kernel
-therefore drops the index and the engine resolves it once per *commit*
-from the old/new key sets (:meth:`PolyArena.inherit_occurrences`).
+therefore drops the index, and nothing re-derives it: the only reader
+left is the dynamic order's candidate sort, which counts just the
+current candidates' outputs on demand (:meth:`PolyArena.count_vars`,
+a decode of those bits over the tail of ``SP_i`` they can occur in).
 Either way only the variables of the arena's ``tracked`` mask are
 decoded: the engine passes the union of the component outputs — the
 only variables it ever looks up — so the primary-input bits that make
@@ -153,11 +155,11 @@ class PolyArena:
     ``monos`` is strictly ascending (packed-bitmask order), ``coeffs``
     holds the matching non-zero canonical coefficients, ``occ`` is the
     lazily built variable->occurrence-count column (``None`` until
-    requested, carried through a low-churn :meth:`rebuild`, or resolved
-    by :meth:`inherit_occurrences` at commit time).  ``tracked`` is the
-    bitmask of the variables ``occ`` counts (``-1``, the default, counts
-    every variable); arenas derived by the kernels inherit it.  The raw
-    constructor trusts its arguments.
+    requested or after a high-churn :meth:`rebuild`, carried through a
+    low-churn one).  ``tracked`` is the bitmask of the variables ``occ``
+    counts (``-1``, the default, counts every variable); arenas derived
+    by the kernels inherit it.  The raw constructor trusts its
+    arguments.
     """
 
     __slots__ = ("monos", "coeffs", "ring", "occ", "tracked")
@@ -196,39 +198,31 @@ class PolyArena:
         """Tracked variable -> number of monomials containing it (cached;
         the returned dict is the live cache — callers must not mutate
         it)."""
-        occ = self.occ
-        if occ is None:
-            occ = {}
-            get = occ.get
-            tracked = self.tracked
-            for mono in self.monos:
-                mono &= tracked
-                while mono:
-                    low = mono & -mono
-                    var = low.bit_length() - 1
-                    occ[var] = get(var, 0) + 1
-                    mono ^= low
-            self.occ = occ
-        return occ
+        if self.occ is None:
+            self.occ = self.count_vars(self.tracked)
+        return self.occ
 
-    def inherit_occurrences(self, previous):
-        """Resolve this arena's occurrence column from ``previous``'s.
+    def count_vars(self, mask):
+        """Variable -> number of monomials containing it, for the
+        variables of ``mask`` only (not cached).
 
-        ``previous`` is the arena this one was produced from by a
-        substitution chain.  Only the monomials that appeared or
-        disappeared are decoded — two C-level set differences plus
-        O(|delta| * degree) — instead of re-scanning every monomial.
-        The end-to-end diff is what makes this cheap: churn from
-        intermediate steps of a multi-variable substitution cancels out
-        before anything is decoded.  No-op when this arena already
-        carries a column.
+        A monomial below ``2**v`` for the lowest ``v`` of ``mask``
+        contains none of them, so only the tail from there is decoded,
+        and only its ``mask`` bits.
         """
-        if self.occ is not None or previous is self:
-            return
-        old = set(previous.monos)
-        new = set(self.monos)
-        self.occ = _occ_delta(previous.occurrence_index(), old - new, (),
-                              new - old, self.tracked)
+        counts = {}
+        if not mask:
+            return counts
+        get = counts.get
+        monos = self.monos
+        for mono in monos[bisect_left(monos, mask & -mask):]:
+            mono &= mask
+            while mono:
+                low = mono & -mono
+                var = low.bit_length() - 1
+                counts[var] = get(var, 0) + 1
+                mono ^= low
+        return counts
 
     # ------------------------------------------------------------------
     # Partition kernels
@@ -343,9 +337,8 @@ class PolyArena:
         this arena carries an occurrence column and the total churn is
         small next to the result, the column is carried forward by
         decoding only the delta; above the threshold (or with no
-        ``removed`` information) the result carries no column and the
-        engine resolves the index per commit instead (see the module
-        docstring for why both regimes exist).
+        ``removed`` information) the result carries no column (see the
+        module docstring for why both regimes exist).
 
         When ``fresh`` rivals the untouched columns in size the per-key
         bisect merge has no segment-copy advantage left, so the columns

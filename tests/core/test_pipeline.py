@@ -4,6 +4,7 @@ architecture report a traced run builds for ``stage_map``."""
 
 import math
 import pickle
+import re
 import sys
 
 import pytest
@@ -350,6 +351,34 @@ class TestThresholdFallback:
         paper, _ = self.run(monomial_budget=self.BUDGET,
                             initial_threshold=PAPER_THRESHOLD)
         assert fallback.stats == paper.stats
+
+    def test_counters_and_trace_count_only_the_kept_run(self):
+        """The recorder's counters, the folded trace and the report
+        describe the run the verdict comes from, as the stats do."""
+        from repro.obs.report import render_report
+        from repro.obs.view import fold_events
+
+        recorder = Recorder()
+        result = verify_multiplier(generate_multiplier("BP-AR-RC", 4),
+                                   recorder=recorder, record_trace=True,
+                                   monomial_budget=self.BUDGET)
+        stats = result.stats
+        counters = recorder.summary()["counters"]
+        assert counters["rewrite.commits"] == stats["steps"]
+        assert counters["rewrite.attempts"] == stats["attempts"]
+        assert counters["rewrite.backtracks"] == stats["backtracks"]
+        assert counters["rewrite.threshold_doublings"] \
+            == stats["threshold_doublings"]
+        sizes = recorder.summary()["histograms"]["rewrite.sp_size"]
+        assert sizes["max"] == stats["max_poly_size"] == 3_790
+        view = fold_events(recorder.events)
+        assert view.sizes == result.sizes()
+        assert view.attempts == stats["attempts"]
+        assert (view.rewrite_runs, view.retries) == (1, 1)
+        report = render_report(view)
+        assert re.search(rf"committed steps +{stats['steps']}\n", report)
+        assert "escalation" not in report
+        assert "abandoned runs (threshold fallback)" in report
 
     def test_paper_threshold_runs_once(self):
         result, runs = self.run(monomial_budget=self.BUDGET,

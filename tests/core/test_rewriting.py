@@ -102,6 +102,34 @@ class TestDynamicOrder:
                          for v in comp.output_vars if mono >> v & 1)
             assert total == direct
 
+    @pytest.mark.parametrize("arch, width", [
+        ("SP-DT-LF", 8),    # low churn: the index is carried for 26 steps
+        ("BP-AR-RC", 4),    # high churn: dropped after 4
+    ])
+    def test_occurrence_counts_match_recount_at_every_step(self, arch, width):
+        """Algorithm 2's candidate sort reads the carried occurrence
+        index or, once a high-churn kernel dropped it, counts the
+        candidate outputs on demand; either way each count equals a
+        brute-force recount over ``SP_i``, and both runs read both."""
+        engine = make_engine(arch, width)
+        counts_of = engine.occurrence_counts
+        seen = set()
+
+        def checked():
+            counts = counts_of()
+            seen.add(engine.sp.occ is not None)
+            monos = engine.sp.monos
+            assert counts == {
+                idx: sum(1 for mono in monos
+                         for var in engine.components[idx].output_vars
+                         if mono >> var & 1)
+                for idx in engine.candidates()}
+            return counts
+
+        engine.occurrence_counts = checked
+        assert dynamic_backward_rewriting(engine).is_zero()
+        assert seen == {True, False}
+
 
 class TestCompactSubstitution:
     def test_compact_preserves_remainder(self):

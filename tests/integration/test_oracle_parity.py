@@ -19,14 +19,16 @@ from repro.opt.scripts import optimize
 from tests.poly.frozenset_oracle import OracleRuleSet, fs_to_mask, mask_to_fs
 
 
-def oracle_reduce_products_into(self, out, base, rep_items, coeff_base,
-                                masks=None):
+def oracle_reduce_expansion_into(self, out, items, rep_items, masks=None,
+                                 strip=0, start=0, limit=None, tick=None):
     """Drop-in replacement computing every normal form via frozensets.
 
     Mirrors the kernel's bookkeeping exactly: untriggered products keep
     zero entries (they count toward the attempt-size cap), reduced terms
-    pop on cancellation.  The kernel's scan-skipping ``masks`` are
-    ignored: the oracle scans every product.
+    pop on cancellation, and the walk over ``items`` ticks, stops past
+    ``limit`` and returns the resume index as the kernel does.  The
+    kernel's scan-skipping ``masks`` are ignored: the oracle scans every
+    product.  Returns ``(index, products)`` to :func:`counting_oracle`.
     """
     oracle = getattr(self, "_oracle", None)
     if oracle is None or getattr(self, "_oracle_count", -1) != self._count:
@@ -34,21 +36,47 @@ def oracle_reduce_products_into(self, out, base, rep_items, coeff_base,
         self._oracle = oracle
         self._oracle_count = self._count
     trigger = self._trigger_mask
-    for rep_mono, rep_coeff in rep_items:
-        mono = base | rep_mono
-        coeff = coeff_base * rep_coeff
-        if not (mono & trigger):
-            out[mono] = out.get(mono, 0) + coeff
-            continue
-        local = {}
-        oracle.reduce(mask_to_fs(mono), 1, local)
-        for mono_fs, factor in local.items():
-            mask = fs_to_mask(mono_fs)
-            value = out.get(mask, 0) + coeff * factor
-            if value:
-                out[mask] = value
-            else:
-                out.pop(mask, None)
+    products = 0
+    for k in range(start, len(items)):
+        if tick is not None and not k & 63:
+            tick()
+        base, coeff_base = items[k]
+        base ^= strip
+        for rep_mono, rep_coeff in rep_items:
+            products += 1
+            mono = base | rep_mono
+            coeff = coeff_base * rep_coeff
+            if not (mono & trigger):
+                out[mono] = out.get(mono, 0) + coeff
+                continue
+            local = {}
+            oracle.reduce(mask_to_fs(mono), 1, local)
+            for mono_fs, factor in local.items():
+                mask = fs_to_mask(mono_fs)
+                value = out.get(mask, 0) + coeff * factor
+                if value:
+                    out[mask] = value
+                else:
+                    out.pop(mask, None)
+        if limit is not None and len(out) > limit:
+            return k + 1, products
+    return len(items), products
+
+
+def counting_oracle(counts):
+    """:func:`oracle_reduce_expansion_into` as the reducer's entry
+    point, counting in ``counts`` the products it normalizes and those
+    of calls that strip a substituted variable (the engine's per-output
+    substitutions)."""
+    def reduce_expansion_into(self, out, items, rep_items, masks=None,
+                              strip=0, *args, **kwargs):
+        index, products = oracle_reduce_expansion_into(
+            self, out, items, rep_items, masks, strip, *args, **kwargs)
+        counts["products"] += products
+        if strip:
+            counts["substituted"] += products
+        return index
+    return reduce_expansion_into
 
 
 def fingerprint(aig, method):
@@ -61,11 +89,16 @@ def fingerprint(aig, method):
 
 
 def fingerprints_with_and_without_oracle(aig, method):
+    """Fingerprints of a kernel run and an oracle run; fails unless the
+    oracle run really normalized its products through the oracle."""
     reference = fingerprint(aig, method)
+    counts = {"products": 0, "substituted": 0}
     with pytest.MonkeyPatch.context() as patcher:
-        patcher.setattr(VanishingRuleSet, "reduce_products_into",
-                        oracle_reduce_products_into)
+        patcher.setattr(VanishingRuleSet, "reduce_expansion_into",
+                        counting_oracle(counts))
         with_oracle = fingerprint(aig, method)
+    assert counts["substituted"] > 0, \
+        f"no substitution was normalized by the oracle: {counts}"
     return reference, with_oracle
 
 

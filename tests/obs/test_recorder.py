@@ -114,6 +114,33 @@ class TestRecorderPrimitives:
         assert [e["ev"] for e in events] == ["submitted", "span",
                                             "task_begin"]
 
+    def test_rewrite_retry_restores_the_aggregates_of_its_run_start(self):
+        rec = Recorder()
+        rec.count("rewrite.commits", 3)
+        rec.observe("rewrite.sp_size", 7)
+        rec.event("rewrite_begin", size=2)
+        with rec.span("rewrite"):
+            rec.count("rewrite.commits", 5)
+            rec.count("rewrite.backtracks")
+            rec.observe("rewrite.sp_size", 900)
+            rec.observe("rewrite.attempt_size", 4)
+        before = rec.summary()
+        rec.event("rewrite_retry", budget_kind="monomials", threshold=0.1)
+        after = rec.summary()
+        assert after["counters"] == {"rewrite.commits": 3}
+        assert set(after["histograms"]) == {"rewrite.sp_size"}
+        assert after["histograms"]["rewrite.sp_size"]["max"] == 7
+        # wall time really spent stays
+        assert after["phases"] == before["phases"]
+        # the re-run counts from there, and its own retry point is its
+        # own rewrite_begin
+        rec.event("rewrite_begin", size=2)
+        rec.count("rewrite.commits")
+        rec.observe("rewrite.sp_size", 8)
+        summary = rec.summary()
+        assert summary["counters"] == {"rewrite.commits": 4}
+        assert summary["histograms"]["rewrite.sp_size"]["count"] == 2
+
 
 class TestJsonlRoundTrip:
     def test_events_round_trip_through_file(self, tmp_path):

@@ -97,6 +97,34 @@ class TestCommits:
         assert view.commits[2]["growth"] == 3  # anchored at run 2's SP_0
         assert view.sp0 == 10
 
+    def test_rewrite_retry_drops_the_abandoned_run(self):
+        """The threshold fallback's abandoned run leaves only its phase
+        time: the kept run's commits, dynamics and window remain."""
+        events = [{"ev": "backtrack", "t": 0.5},
+                  {"ev": "threshold", "t": 0.6, "value": 0.2}]
+        events += _rewrite_run(steps=((1.1, 3, "FA", 14),
+                                      (1.3, 2, "FA", 4000)))
+        events += [
+            {"ev": "attempt", "t": 1.2, "comp": 2, "kind": "FA"},
+            {"ev": "backtrack", "t": 1.25},
+            {"ev": "threshold", "t": 1.26, "value": 1.0},
+            {"ev": "span", "t": 1.0, "name": "rewrite", "path": "rewrite",
+             "dur": 0.5},
+            {"ev": "rewrite_retry", "t": 1.5, "budget_kind": "monomials",
+             "threshold": 0.1}]
+        events += _rewrite_run(t0=2.0, steps=((2.1, 3, "FA", 12),))
+        events.append({"ev": "span", "t": 2.0, "name": "rewrite",
+                       "path": "rewrite", "dur": 0.25})
+        view = fold_events(events)
+        assert view.retries == 1
+        assert view.sizes == [12]
+        assert [c["run"] for c in view.commits] == [1]
+        assert view.commits[0]["growth"] == 2
+        assert (view.attempts, view.backtracks) == (0, 1)
+        assert view.thresholds == [0.2] and view.threshold_doublings == 1
+        assert view.rewrite_windows == [(2.0, 2.25)]
+        assert view.phases == {"rewrite": 0.75}
+
     def test_detector_resets_per_rewrite_run(self):
         sizes = (100, 100, 100, 1000)
         steps = tuple((1.0 + 0.1 * i, i, "FA", size)

@@ -3,7 +3,7 @@
 The rewriting engine keeps ``SP_i`` as a :class:`~repro.poly.arena.PolyArena`
 (sorted parallel columns).  Its kernels — ``partition_var``,
 ``partition_pair``, ``rebuild``, ``merge_sorted_columns`` and the
-commit-time occurrence resolution ``inherit_occurrences`` — are replayed
+on-demand occurrence count ``count_vars`` — are replayed
 over hundreds of random polynomials and checked term for term against
 the independent naive reimplementation in
 :mod:`tests.poly.frozenset_oracle`, in the exact ring and in a small
@@ -203,21 +203,33 @@ def test_partition_pair(pairs, ring):
             assert part_b == {m ^ bit_b: c for m, c in items if m & bit_b}
 
 
+def oracle_occurrences(oracle, ring, mask):
+    """Variable -> number of monomials containing it, for the variables
+    of ``mask``, counted over the oracle's frozenset monomials."""
+    counts = {}
+    for mono in oracle_terms(oracle, ring):
+        for var in mask_to_fs(mono):
+            if mask >> var & 1:
+                counts[var] = counts.get(var, 0) + 1
+    return counts
+
+
 @pytest.mark.parametrize("ring", RINGS)
-def test_inherit_occurrences(pairs, ring):
-    """Commit-time resolution: the column derived from the previous
-    arena's by the end-to-end key-set diff equals a fresh decode."""
-    items = _ring_pairs(pairs, ring)
-    for (previous, _oa), (current, _ob) in zip(items, items[1:]):
-        previous.occurrence_index()
-        fresh = PolyArena(current.monos, current.coeffs, ring=ring)
-        fresh.inherit_occurrences(previous)
-        assert fresh.occ == decoded_occurrences(fresh.monos)
-        # a carried column is kept; inheriting from itself is a no-op
-        carried = fresh.occ
-        fresh.inherit_occurrences(previous)
-        fresh.inherit_occurrences(fresh)
-        assert fresh.occ is carried
+def test_count_vars(pairs, ring):
+    """The engine's count of candidate outputs on an arena with no
+    occurrence column: only the ``mask`` variables, each counted over
+    the whole polynomial though only the tail above the lowest one is
+    decoded.  Nothing is cached."""
+    rng = random.Random(47)
+    for arena, oracle in _ring_pairs(pairs, ring):
+        masks = [0, -1, 1 << rng.randrange(N_VARS), 1 << (N_VARS - 1)]
+        masks += [sum(1 << var for var in rng.sample(range(N_VARS), k))
+                  for k in (2, 5)]
+        fresh = PolyArena(arena.monos, arena.coeffs, ring=ring)
+        for mask in masks:
+            assert fresh.count_vars(mask) == oracle_occurrences(
+                oracle, ring, mask & ((1 << N_VARS) - 1)), f"mask {mask:b}"
+        assert fresh.occ is None
 
 
 @pytest.mark.parametrize("ring", RINGS)
@@ -248,10 +260,7 @@ def test_tracked_occurrences(pairs, ring):
         assert result.tracked == tracked
         if result.occ is not None:
             assert result.occ == counted(result.monos)
-        fresh = PolyArena(result.monos, result.coeffs, ring=ring,
-                          tracked=tracked)
-        fresh.inherit_occurrences(base)
-        assert fresh.occ == counted(fresh.monos)
+        assert result.count_vars(tracked) == counted(result.monos)
 
 
 @pytest.mark.parametrize("ring", RINGS)

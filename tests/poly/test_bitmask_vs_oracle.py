@@ -148,7 +148,7 @@ def test_vanishing_reduce_matches_oracle():
 
 
 def test_vanishing_reduce_into_matches_oracle_products():
-    """The engine's bulk entry point (base | rep products) against a
+    """The reducer's entry point (base | rep products) against a
     per-product oracle reduction, including zero-coefficient pruning."""
     rng = random.Random(29)
     for _ in range(220):
@@ -162,8 +162,8 @@ def test_vanishing_reduce_into_matches_oracle_products():
         coeff = rng.choice([-2, -1, 1, 2, 3])
 
         out = {}
-        rules.reduce_products_into(out, base, kernel_rep._terms.items(),
-                                   coeff)
+        rules.reduce_expansion_into(out, [(base, coeff)],
+                                    kernel_rep._terms.items())
         got = {m: c for m, c in out.items() if c}
 
         want = {}
@@ -236,7 +236,7 @@ def oracle_products_into(oracle_rules, trigger, out, base, rep_items,
 
 @pytest.mark.parametrize("modulus", [None, 10007])
 def test_vanishing_masked_products_match_unmasked_and_oracle(modulus):
-    """The engine's masked entry point (rule-normalized bases plus
+    """The masked entry point (rule-normalized bases plus
     ``product_masks``) leaves ``out`` — zero entries included — and the
     rule counters exactly as the unmasked call and the oracle do, call
     after call into one accumulator."""
@@ -269,9 +269,10 @@ def test_vanishing_masked_products_match_unmasked_and_oracle(modulus):
                         mask_to_fs(product)) is None):
                     clean_with_trigger += 1
             start = (rules.removed, rules.rewritten)
-            rules.reduce_products_into(masked, base, rep_items, coeff, masks)
+            rules.reduce_expansion_into(masked, [(base, coeff)], rep_items,
+                                        masks)
             middle = (rules.removed, rules.rewritten)
-            rules.reduce_products_into(unmasked, base, rep_items, coeff)
+            rules.reduce_expansion_into(unmasked, [(base, coeff)], rep_items)
             end = (rules.removed, rules.rewritten)
             oracle_start = (oracle_rules.removed, oracle_rules.rewritten)
             oracle_products_into(oracle_rules, trigger, want, base,
@@ -285,3 +286,62 @@ def test_vanishing_masked_products_match_unmasked_and_oracle(modulus):
     # the filter's interesting case: a clean product that carries a
     # trigger bit (the unmasked call scans it, the masked one does not)
     assert clean_with_trigger > 100
+
+
+@pytest.mark.parametrize("modulus", [None, 10007])
+def test_vanishing_expansion_stops_and_resumes_per_item(modulus):
+    """One call over a whole substitution (touched monomials with the
+    substituted bit stripped) equals one call per item, also when it is
+    stopped at a size limit and resumed from the index it returns: it
+    returns right after the first item that takes ``len(out)`` past the
+    limit, ticks before every 64th item, and counts the same rule
+    firings."""
+    ring = EXACT if modulus is None else ModularRing(modulus)
+    rng = random.Random(20261019)
+    n_vars = 12
+    stops = 0
+    for _ in range(120):
+        rules = layered_rules(rng, n_vars)
+        rules.set_ring(ring)
+        oracle_rules = OracleRuleSet(rules)
+        _kernel, oracle_poly = random_poly(rng, max_terms=8, max_degree=6,
+                                           n_vars=n_vars)
+        strip = 1 << rng.randrange(n_vars)
+        items = [(fs_to_mask(mono) | strip, rng.choice([-2, -1, 1, 2, 3]))
+                 for mono in oracle_rules.apply(oracle_poly).terms
+                 if oracle_rules.violated(mono) is None]
+        items = (items * (1 + 130 // max(len(items), 1)))[:130]
+        kernel_rep, _oracle_rep = random_poly(rng, max_terms=5,
+                                              max_degree=4, n_vars=n_vars)
+        rep_items = [(mono, coeff if modulus is None else coeff % modulus)
+                     for mono, coeff in kernel_rep.terms()]
+        masks = rules.product_masks(rep_items)
+
+        want, sizes = {}, []
+        start = (rules.removed, rules.rewritten)
+        for base, coeff in items:
+            rules.reduce_expansion_into(want, [(base ^ strip, coeff)],
+                                        rep_items, masks)
+            sizes.append(len(want))
+        counted = (rules.removed - start[0], rules.rewritten - start[1])
+
+        limit = rng.randrange(1, 12)
+        got, ticks, k = {}, [], 0
+        start = (rules.removed, rules.rewritten)
+        while k < len(items):
+            before = k
+            k = rules.reduce_expansion_into(
+                got, items, rep_items, masks, strip=strip, start=k,
+                limit=limit, tick=lambda: ticks.append(len(got)))
+            # stopped right after the first item past the limit
+            past = [j for j in range(before, len(items))
+                    if sizes[j] > limit]
+            assert k == (past[0] + 1 if past else len(items))
+            assert len(got) == sizes[k - 1]
+            stops += k < len(items)
+        assert got == want
+        assert (rules.removed - start[0],
+                rules.rewritten - start[1]) == counted
+        assert ticks == [sizes[j - 1] if j else 0
+                         for j in range(0, len(items), 64)]
+    assert stops > 100
