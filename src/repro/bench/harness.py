@@ -102,7 +102,7 @@ def _static(aig, **kw):
 
 
 def _dyposub_modular(aig, **kw):
-    # multimodular fast path: mod-p rewriting with CRT/exact escalation
+    # one rewrite run mod a prime above the design's CRT bound
     return verify_multiplier(aig, method="dyposub", ring="modular", **kw)
 
 

@@ -140,13 +140,9 @@ def build_parser():
                           "of repro.core.dynamic)")
     ver.add_argument("--ring", default="exact", metavar="RING",
                      help="coefficient ring of the rewrite stage: "
-                          "'exact' (default), 'modular' (multimodular "
-                          "fast path, 61-bit primes), or 'modular:P' "
-                          "for an explicit odd prime P")
-    ver.add_argument("--primes", type=int, default=4, metavar="N",
-                     help="--ring modular: try at most N primes before "
-                          "escalating a zero remainder to the exact "
-                          "ring (default 4)")
+                          "'exact' (default) or 'modular' (one run "
+                          "modulo a prime above the design's "
+                          "coefficient bound)")
     ver.add_argument("--trace-out", default=None, metavar="PATH",
                      help="stream a JSONL event trace to PATH "
                           "(replay it with `repro report PATH`)")
@@ -1104,7 +1100,12 @@ def _obs_subcommand(args):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:
+        # one line, like a bad option value, not a usage dump
+        print(f"{args.command}: unrecognized arguments: "
+              f"{' '.join(unknown)}", file=sys.stderr)
+        return 2
     configure_logging(args.verbose, args.quiet)
     try:
         code = _run_command(args)

@@ -13,30 +13,23 @@ arguments through one 200-line function.  This module splits it into
   with per-stage artifacts (:class:`Artifacts`), each timed as an obs
   span under the same names the monolith used.
 
-The stage split is what makes the **multimodular fast path** a policy
-rather than a fork of the verifier: the expensive artifacts (spec
-polynomial, atomic blocks, vanishing rules, component DAG) are built
-once, and the rewrite stage can be re-run under different coefficient
-rings.  Soundness of the escalation strategy (see DESIGN.md):
+The rewrite stage runs in one coefficient ring: the exact integers, or
+``Z/pZ`` for one prime ``p`` above the design's CRT coefficient bound
+(see DESIGN.md).  The modular run is sound in both directions:
 
 * backward rewriting applies integer polynomial identities, so the
   run's final remainder in ``Z/pZ`` equals the exact remainder reduced
   mod ``p`` (the multilinear normal form is unique over any ring);
-* a **non-zero** remainder mod ``p`` therefore proves the design buggy
-  outright — and cheaply, because mod-``p`` coefficients never grow;
-* a **zero** remainder mod ``p`` only proves the exact remainder
-  divisible by ``p``; the pipeline *escalates* — more primes until the
-  CRT coefficient bound is cleared, or a final exact-ring run — before
-  it reports "correct".
+* a **non-zero** remainder mod ``p`` therefore proves the design buggy;
+* a **zero** remainder mod ``p > 2*B`` proves every exact coefficient
+  zero, since each lies in ``(-B, B)``.
 
 The CRT bound: after full substitution the remainder is multilinear in
 the ``n = wa + wb`` primary inputs.  On Boolean points its value is a
 difference of two ``max(W, wa+wb)``-bit words, so ``|R(x)| <
 2**(max(W, wa+wb) + 1)``; by Moebius inversion each coefficient is a
 ``±1`` sum of at most ``2**n`` point values, giving ``|coeff| < B`` with
-``B = 2**(n + max(W, wa+wb) + 1)``.  Once the product of the primes with
-zero remainders exceeds ``2*B`` (coefficients live in ``(-B, B)``),
-every coefficient must be exactly zero.
+``B = 2**(n + max(W, wa+wb) + 1)``.
 """
 
 from __future__ import annotations
@@ -60,12 +53,16 @@ from repro.core.vanishing import VanishingRuleSet, rules_from_blocks
 from repro.errors import (BudgetExceeded, ConfigError, DesignLintError,
                           VerificationError)
 from repro.obs.recorder import NULL
-from repro.poly.ring import (EXACT, PRIMES, ModularRing, get_ring,
-                             next_prime_above)
+from repro.poly.ring import EXACT, ModularRing, next_prime_above
 
 DEFAULT_MONOMIAL_BUDGET = 5_000_000
 
 _METHODS = ("dyposub", "static")
+_RINGS = ("exact", "modular")
+
+#: The least modulus of a modular run, the Mersenne prime ``2**61 - 1``;
+#: it covers the CRT bound of every multiplier up to 14x14.
+_WORD_PRIME = 2**61 - 1
 
 log = logging.getLogger("repro.core.pipeline")
 
@@ -76,7 +73,7 @@ class VerifyConfig:
 
     Everything here is plain data; runtime objects like the recorder are
     passed to :meth:`Pipeline.run` instead.  Validation happens in
-    ``__post_init__`` so a bad ``method``/``ring``/``primes`` raises
+    ``__post_init__`` so a bad ``method``/``ring``/``spec`` raises
     :class:`~repro.errors.ConfigError` *before* any pipeline work.
 
     ``method`` is ``"dyposub"`` (dynamic backward rewriting) or
@@ -93,12 +90,9 @@ class VerifyConfig:
     number (:data:`~repro.core.dynamic.INITIAL_THRESHOLD` by default).
 
     ``ring`` selects the coefficient ring of the rewrite stage:
-    ``"exact"`` (default, today's semantics), ``"modular"`` (multimodular
-    fast path over the built-in 61-bit prime schedule) or ``"modular:P"``
-    for an explicit first prime.  ``primes`` caps how many primes the
-    escalation may try before falling back to one exact-ring run;
-    ``prime_schedule`` overrides the built-in schedule entirely (a test
-    hook — small primes make escalation reachable on small designs).
+    ``"exact"`` (default, big-integer coefficients) or ``"modular"``
+    (one run modulo a prime above the design's CRT bound, chosen by
+    :meth:`Pipeline.coefficient_ring`).
 
     ``spec`` names the claimed function (:data:`~repro.core.spec.
     SPECIFICATIONS`): ``"multiplier"`` (the paper's use case) or
@@ -124,9 +118,7 @@ class VerifyConfig:
     record_certificate: bool = False
     preflight: bool = True
     check_invariants: bool = False
-    ring: object = "exact"
-    primes: int = 4
-    prime_schedule: tuple = ()
+    ring: str = "exact"
     spec: str = "multiplier"
 
     def __post_init__(self):
@@ -134,22 +126,20 @@ class VerifyConfig:
             raise ConfigError(
                 f"unknown method {self.method!r} (know 'dyposub', "
                 f"'static')", method=repr(self.method))
-        ring = get_ring(self.ring)  # raises ConfigError on an unknown ring
+        if self.ring not in _RINGS:
+            raise ConfigError(
+                f"unknown coefficient ring {self.ring!r} (know 'exact', "
+                f"'modular')", ring=repr(self.ring))
         if self.spec not in SPECIFICATIONS:
             raise ConfigError(
                 f"unknown spec {self.spec!r} (know "
                 f"{', '.join(map(repr, SPECIFICATIONS))})",
                 spec=repr(self.spec))
-        if SPECIFICATIONS[self.spec].wraps and ring.modulus is not None:
+        if SPECIFICATIONS[self.spec].wraps and self.ring != "exact":
             # a remainder non-zero mod p may still be a multiple of 2**W
             raise ConfigError(
                 f"spec {self.spec!r} needs the exact ring, got "
                 f"{self.ring!r}", spec=self.spec, ring=repr(self.ring))
-        if not isinstance(self.primes, int) or isinstance(self.primes, bool) \
-                or self.primes < 1:
-            raise ConfigError(
-                f"primes must be a positive integer, got {self.primes!r}",
-                primes=repr(self.primes))
         threshold = self.initial_threshold
         if (not isinstance(threshold, numbers.Real)
                 or isinstance(threshold, bool)
@@ -157,9 +147,6 @@ class VerifyConfig:
             raise ConfigError(
                 f"initial_threshold must be a finite positive number, "
                 f"got {threshold!r}", initial_threshold=repr(threshold))
-        object.__setattr__(self, "prime_schedule", tuple(self.prime_schedule))
-        for prime in self.prime_schedule:
-            ModularRing(prime)  # raises ConfigError on a bad prime
 
     @classmethod
     def from_args(cls, args):
@@ -173,7 +160,6 @@ class VerifyConfig:
             "check_invariants": args.check_invariants,
             "preflight": not args.no_preflight,
             "ring": getattr(args, "ring", "exact"),
-            "primes": getattr(args, "primes", 4),
         }
         if args.budget is not None:
             kwargs["monomial_budget"] = args.budget
@@ -187,11 +173,11 @@ class Artifacts:
     """Per-stage outputs shared by every rewrite run of one pipeline.
 
     Everything except the vanishing counters is immutable once built, so
-    escalation re-runs the rewrite stage on the same artifacts instead
-    of re-deriving them: the spec stays exact (each engine converts it
-    into its ring), components carry exact replacement polynomials
-    (reduction mod ``p`` is a homomorphism, so modular engines consume
-    them as-is).  ``arch`` is the run's
+    the threshold fallback re-runs the rewrite stage on the same
+    artifacts instead of re-deriving them: the spec stays exact (each
+    engine converts it into its ring), components carry exact
+    replacement polynomials (reduction mod ``p`` is a homomorphism, so
+    a modular engine consumes them as-is).  ``arch`` is the run's
     :class:`~repro.analysis.structure.ArchitectureReport`; it is built
     only for a traced run, whose ``stage_map`` event renders it, and is
     None otherwise.
@@ -345,9 +331,8 @@ class Pipeline:
         return monitor
 
     def _fresh_monitor(self, art, ring, rec):
-        """Commit monitor for an escalation re-run: the substitution-order
-        bookkeeping starts over and the expected ``SP_i`` signatures move
-        into the new run's ring."""
+        """Commit monitor for a threshold-fallback re-run: the
+        substitution-order bookkeeping starts over."""
         from repro.analysis.invariants import InvariantMonitor
 
         return InvariantMonitor(art.aig, art.spec, art.components,
@@ -360,8 +345,8 @@ class Pipeline:
 
         Returns ``(engine, remainder)``; raises
         :class:`~repro.errors.BudgetExceeded` on budget exhaustion.  The
-        deadline is shared across escalation runs: each engine gets only
-        the wall-clock time still remaining.
+        deadline is shared with a threshold-fallback re-run: each engine
+        gets only the wall-clock time still remaining.
         """
         config = self.config
         if threshold is None:
@@ -434,49 +419,25 @@ class Pipeline:
         return engine, remainder, monitor
 
     # ------------------------------------------------------------------
-    # Ring schedule
+    # Coefficient ring
     # ------------------------------------------------------------------
 
-    def ring_schedule(self, bound_target=None):
-        """The rewrite-stage rings, in escalation order.
+    def coefficient_ring(self, aig):
+        """The rewrite stage's ring for the prepared ``aig``.
 
-        Exact config: one exact run.  Modular config: up to ``primes``
-        modular runs; :meth:`run` stops early on a non-zero remainder or
-        once the CRT bound is cleared, and appends a final exact run only
-        when the schedule is exhausted below the bound.
-
-        When the ring spec is plain ``"modular"`` (no explicit modulus
-        or schedule) and ``bound_target`` (``2*B``) is known, the first
-        prime is chosen *bound-aware*: if the built-in word-size primes
-        cannot clear ``2*B`` alone, a single prime just above the bound
-        is used instead, so one modular run decides the design — zero
-        remainder mod ``p > 2*B`` certifies correctness outright, and a
-        non-zero remainder proves it buggy, either way without
-        escalation re-runs.
+        A modular config gets one prime ``p > 2*B`` (:meth:`crt_bound`),
+        and never less than the word-size prime ``2**61 - 1``: a
+        non-zero remainder mod ``p`` proves the design buggy, a zero one
+        proves it correct, so one run decides every design.
         """
-        config = self.config
-        base = get_ring(config.ring)
-        if base.modulus is None:
-            return [EXACT]
-        if config.prime_schedule:
-            primes = config.prime_schedule[:config.primes]
-        elif (config.ring == "modular" and bound_target is not None
-                and PRIMES[0] <= bound_target):
-            primes = [next_prime_above(bound_target)]
-        else:
-            primes = [base.modulus]
-            for prime in PRIMES:
-                if len(primes) >= config.primes:
-                    break
-                if prime != base.modulus:
-                    primes.append(prime)
-        return [ModularRing(p) for p in primes]
+        if self.config.ring == "exact":
+            return EXACT
+        return ModularRing(next_prime_above(
+            max(2 * self.crt_bound(aig), _WORD_PRIME - 1)))
 
     @staticmethod
     def crt_bound(aig):
-        """``B`` with every remainder coefficient in ``(-B, B)`` — the
-        escalation may stop (and report "correct") once the product of
-        zero-remainder primes exceeds ``2*B``."""
+        """``B`` with every remainder coefficient in ``(-B, B)``."""
         n = aig.num_inputs
         out_bits = max(len(aig.outputs), n)
         return 1 << (n + out_bits + 1)
@@ -536,11 +497,10 @@ class Pipeline:
         art = self.stage_prepare(aig, width_a, width_b, rec)
         if rec.enabled:
             self._emit_stage_map(art, rec)
-        rings = self.ring_schedule(2 * self.crt_bound(art.aig))
-        modular = rings[0].modulus is not None
+        ring = self.coefficient_ring(art.aig)
         monitor = None
         if config.check_invariants:
-            monitor = self.stage_invariants(art, rings[0], rec)
+            monitor = self.stage_invariants(art, ring, rec)
         log.debug("%s: %d nodes, %d blocks, %d components, %d rules",
                   config.method, art.aig.num_ands, len(art.blocks),
                   len(art.components), len(art.vanishing))
@@ -553,66 +513,15 @@ class Pipeline:
 
         deadline = (start + config.time_budget
                     if config.time_budget is not None else None)
-        bound_target = 2 * self.crt_bound(art.aig) if modular else None
-        product = 1
-        primes_tried = 0
-        escalations = 0
-        engine = None
-        remainder = None
-        ring = rings[0]
-        for run_index, ring in enumerate(rings):
-            if run_index > 0 and config.check_invariants:
-                monitor = self._fresh_monitor(art, ring, rec)
-            if rec.enabled:
-                rec.event("ring", name=ring.name, modulus=ring.modulus,
-                          run=run_index + 1)
-            try:
-                engine, remainder, monitor = self._rewrite(
-                    art, ring, rec, monitor, deadline)
-            except BudgetExceeded as exc:
-                return self._timeout_result(art, exc, rec, start, ring,
-                                            primes_tried, escalations,
-                                            modular)
-            if not modular:
-                break
-            primes_tried += 1
-            if not remainder.is_zero():
-                break  # non-zero mod p: the exact remainder is non-zero
-            product *= ring.modulus
-            if product > bound_target:
-                break  # CRT bound cleared: exact remainder is zero
-            escalations += 1
-            last = run_index == len(rings) - 1
-            if rec.enabled:
-                rec.event("escalation", reason="zero-remainder",
-                          prime=ring.modulus, primes_tried=primes_tried,
-                          proven_bits=product.bit_length(),
-                          needed_bits=bound_target.bit_length(),
-                          to="exact" if last else "prime")
-            log.info("ring %s: zero remainder below the CRT bound "
-                     "(%d/%d bits) — escalating to %s", ring.name,
-                     product.bit_length(), bound_target.bit_length(),
-                     "the exact ring" if last else "the next prime")
-        else:
-            # every scheduled prime vanished below the bound: confirm in
-            # the exact ring before "correct" may be reported
-            if config.check_invariants:
-                monitor = self._fresh_monitor(art, EXACT, rec)
-            ring = EXACT
-            if rec.enabled:
-                rec.event("ring", name=ring.name, modulus=None,
-                          run=len(rings) + 1)
-            try:
-                engine, remainder, monitor = self._rewrite(
-                    art, ring, rec, monitor, deadline)
-            except BudgetExceeded as exc:
-                return self._timeout_result(art, exc, rec, start, ring,
-                                            primes_tried, escalations,
-                                            modular)
-
+        if rec.enabled:
+            rec.event("ring", name=ring.name, modulus=ring.modulus, run=1)
+        try:
+            engine, remainder, monitor = self._rewrite(
+                art, ring, rec, monitor, deadline)
+        except BudgetExceeded as exc:
+            return self._timeout_result(art, exc, rec, start, ring)
         result = self.stage_decide(art, engine, remainder, ring, rec, start,
-                                   monitor=monitor, primes_tried=primes_tried,
-                                   escalations=escalations, modular=modular)
+                                   monitor=monitor)
         if fingerprint is not None:
             result.stats["fingerprint"] = fingerprint
             result.stats["cache_hit"] = False
@@ -674,14 +583,7 @@ class Pipeline:
     # Decide
     # ------------------------------------------------------------------
 
-    def _ring_stats(self, stats, ring, primes_tried, escalations, modular):
-        stats["ring"] = ring.name
-        if modular:
-            stats["primes_tried"] = primes_tried
-            stats["escalations"] = escalations
-
-    def _timeout_result(self, art, exc, rec, start, ring, primes_tried,
-                        escalations, modular):
+    def _timeout_result(self, art, exc, rec, start, ring):
         config = self.config
         seconds = time.monotonic() - start
         stats = dict(art.stats)
@@ -694,15 +596,15 @@ class Pipeline:
             steps = engine.steps
             max_size = engine.max_size
         else:
-            # the shared deadline expired between escalation runs; no
-            # engine ever started, so only the exception's fields exist
+            # the deadline expired before a rewrite run started its
+            # engine, so only the exception's fields exist
             stats.update({"steps": exc.steps_done,
                           "max_poly_size": exc.max_size})
             trace = Trace()
             steps = exc.steps_done
             max_size = exc.max_size
         stats["budget_kind"] = exc.kind
-        self._ring_stats(stats, ring, primes_tried, escalations, modular)
+        stats["ring"] = ring.name
         if rec.enabled:
             rec.event("run_end", status="timeout",
                       seconds=round(seconds, 6), budget_kind=exc.kind,
@@ -713,8 +615,7 @@ class Pipeline:
                                   seconds=seconds, stats=stats, trace=trace)
 
     def stage_decide(self, art, engine, remainder, ring, rec, start,
-                     monitor=None, primes_tried=0, escalations=0,
-                     modular=False):
+                     monitor=None):
         """Map the final remainder to a verdict + result record.
 
         The design is correct iff the remainder vanishes — modulo
@@ -724,7 +625,7 @@ class Pipeline:
         seconds = time.monotonic() - start
         stats = dict(art.stats)
         stats.update(engine_stats(engine))
-        self._ring_stats(stats, ring, primes_tried, escalations, modular)
+        stats["ring"] = ring.name
         if config.record_certificate:
             from repro.core.certificate import Certificate
 

@@ -9,9 +9,9 @@ behaviour — stage spans, events, stats, timeout semantics — lives in
 :mod:`repro.core.pipeline`; baselines, the bench harness and the batch
 CLI keep calling this function unchanged.
 
-``ring``/``primes``/``prime_schedule`` select the coefficient ring of
-the rewrite stage (the multimodular fast path); see the pipeline module
-for the escalation strategy and its soundness argument.
+``ring`` selects the coefficient ring of the rewrite stage, ``"exact"``
+or ``"modular"``; see the pipeline module for the modular run's
+soundness argument.
 """
 
 from __future__ import annotations

@@ -117,9 +117,9 @@ def _coverage(by_stage, by_rule, wall, growth):
 def attribute_view(view):
     """Attribute one folded run (:func:`repro.obs.view.fold_events`).
 
-    Spans every rewrite run of a modular escalation: each
-    ``rewrite_begin`` opened its own wall window.  Returns a JSON-ready
-    dict; see :func:`render_attribution` for the human rendering.
+    Spans every rewrite run the fold kept: each ``rewrite_begin``
+    opened its own wall window.  Returns a JSON-ready dict; see
+    :func:`render_attribution` for the human rendering.
     """
     stage_map = view.stage_map
     comp_stages = {int(idx): stage for idx, stage in
@@ -291,7 +291,8 @@ class CommitAnomalyDetector:
         self._baseline_fired = False
 
     def reset(self):
-        """New rewrite run (escalation re-run): run-local state over."""
+        """New rewrite run (threshold-fallback re-run): run-local state
+        over."""
         self._ewma = None
         self._seen = 0
         self._baseline_fired = False

@@ -75,7 +75,7 @@ def render_report(view, plot_width=72, plot_height=14, hotspots=False):
         dynamics.append(["commit anomalies flagged",
                          view.anomalies_recorded])
     if view.rewrite_runs > 1:
-        dynamics.append(["rewrite runs (escalation)", view.rewrite_runs])
+        dynamics.append(["rewrite runs", view.rewrite_runs])
     if view.retries:
         dynamics.append(["abandoned runs (threshold fallback)",
                          view.retries])

@@ -14,9 +14,8 @@ The fold keeps one rule per fact:
 
 * ``stage_map``, ``profile`` and ``resources_summary`` bodies, like
   ``run_begin`` meta, drop the envelope keys ``ev``/``t``;
-* a phase measured twice (the threshold fallback or a modular
-  escalation reruns ``rewrite``) merges max-for-peaks and
-  sum-for-deltas, as
+* a phase measured twice (the threshold fallback reruns ``rewrite``)
+  merges max-for-peaks and sum-for-deltas, as
   :attr:`repro.obs.resources.ResourceTracker.phase_resources` does;
 * a ``rewrite_retry`` event drops the rewrite run it abandons — its
   commits, attempts, backtracks, thresholds and wall window — as the

@@ -17,11 +17,9 @@ from repro.poly.polynomial import Polynomial
 from repro.poly.parse import VariablePool, parse_polynomial
 from repro.poly.ring import (
     EXACT,
-    PRIMES,
     CoefficientRing,
     ExactIntRing,
     ModularRing,
-    get_ring,
 )
 
 __all__ = [
@@ -30,6 +28,5 @@ __all__ = [
     "monomial", "monomial_from_iterable", "monomial_mul", "monomial_degree",
     "monomial_contains", "monomial_divide_by_var", "monomial_key",
     "monomial_vars", "format_monomial",
-    "CoefficientRing", "ExactIntRing", "ModularRing", "EXACT", "PRIMES",
-    "get_ring",
+    "CoefficientRing", "ExactIntRing", "ModularRing", "EXACT",
 ]

@@ -8,7 +8,7 @@ monomials (Section II-B).  The default ring is the exact integers
 (Python's arbitrary precision makes the large coefficients of wide
 specification polynomials — ``2**255`` for a 128x128 multiplier —
 exact); :class:`~repro.poly.ring.ModularRing` swaps in ``Z/pZ``
-arithmetic for the multimodular fast path.
+arithmetic for a modular run.
 
 Terms are stored in one dict: packed bitmask monomial -> non-zero
 canonical coefficient (see :mod:`repro.poly.monomial`).  Monomial
@@ -466,8 +466,7 @@ class Polynomial:
         integers would silently disagree with the ``x**2 = x`` reduction,
         so they are rejected.  The result is canonical in the ring —
         under a modular ring a value of 0 only proves the exact value
-        divisible by ``p``, which is exactly the one-sided soundness the
-        escalation pipeline relies on.
+        divisible by ``p``.
         """
         total = 0
         for mono, coeff in self._terms.items():

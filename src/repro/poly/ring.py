@@ -1,4 +1,4 @@
-"""Pluggable coefficient rings for the polynomial kernel.
+"""Coefficient rings for the polynomial kernel.
 
 Backward rewriting is ring-agnostic: every identity it applies — node
 tail substitution, the compact word-level relation ``G(outs) = F(ins)``,
@@ -12,20 +12,19 @@ object:
 * :class:`ModularRing` — arithmetic in ``Z/pZ`` for an odd prime ``p``,
   with coefficients kept canonical in ``[0, p)``.
 
-The modular ring is the multimodular fast path of "Avoiding Big
-Integers: Parallel Multimodular Algebraic Verification of Arithmetic
-Circuits": wide specification polynomials carry coefficients up to
-``2**255``, and reducing them mod a machine-word prime caps every
-coefficient at a few int digits.  Soundness is one-directional by
-design — a remainder that is *non-zero* mod ``p`` proves the exact
+The modular ring comes from "Avoiding Big Integers: Parallel
+Multimodular Algebraic Verification of Arithmetic Circuits", run here
+with one prime rather than a multimodular schedule.  Soundness is
+one-directional by design — a remainder that is *non-zero* mod ``p`` proves the exact
 remainder non-zero (the mod-``p`` reduction is a ring homomorphism and
 the multilinear normal form is unique over any ring), while a *zero*
-remainder mod ``p`` only proves divisibility by ``p`` and must be
-escalated (more primes up to the CRT coefficient bound, or the exact
-ring) before "correct" may be reported.  The escalation policy lives in
-:mod:`repro.core.pipeline`; this module only provides the arithmetic.
+remainder mod ``p`` only proves divisibility by ``p``.  So the pipeline
+picks one prime above the design's CRT coefficient bound
+(:meth:`repro.core.pipeline.Pipeline.coefficient_ring`), where
+divisibility by ``p`` forces every coefficient to zero; this module only
+provides the arithmetic.
 
-Hot loops do not call ring methods per coefficient: they hoist
+Hot loops do not call the ring per coefficient: they hoist
 ``ring.modulus`` into a local and branch on ``mod is not None``, so the
 exact path pays one pointer test per accumulation and nothing else.
 """
@@ -67,9 +66,7 @@ class CoefficientRing:
     """Coefficient domain of a :class:`~repro.poly.polynomial.Polynomial`.
 
     ``modulus`` is ``None`` for the exact integers and an odd prime for
-    ``Z/pZ``; hot loops branch on it directly instead of calling the
-    method API, which exists for the cold paths (ring division, config
-    plumbing, tests).
+    ``Z/pZ``; hot loops branch on it directly.
     """
 
     __slots__ = ()
@@ -85,28 +82,6 @@ class CoefficientRing:
         """``poly`` with every coefficient converted into this ring."""
         return poly.to_ring(self)
 
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def sub(self, a, b):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def divide(self, a, b):
-        """Ring division: ``(quotient, exact)`` with ``a == b * quotient``
-        when ``exact``.  Over the integers this is ``divmod`` exactness;
-        over ``Z/pZ`` it multiplies by the inverse and is exact whenever
-        ``b`` is a unit."""
-        raise NotImplementedError
-
-    def is_zero(self, a):
-        return a == 0
-
 
 class ExactIntRing(CoefficientRing):
     """Arbitrary-precision integer coefficients (the default)."""
@@ -118,24 +93,6 @@ class ExactIntRing(CoefficientRing):
 
     def convert_poly(self, poly):
         return poly
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def divide(self, a, b):
-        if b == 0:
-            return 0, a == 0
-        quotient, rest = divmod(a, b)
-        return quotient, rest == 0
 
     def __repr__(self):
         return "ExactIntRing()"
@@ -152,8 +109,7 @@ class ModularRing(CoefficientRing):
 
     ``p`` must be an odd prime: the specification polynomial and the
     compact word-level relations divide by 2, so 2 must be a unit, and
-    primality makes every non-zero coefficient invertible (ring division
-    in :meth:`divide` is total on units).
+    primality makes every non-zero coefficient invertible.
     """
 
     __slots__ = ("modulus", "name")
@@ -177,25 +133,6 @@ class ModularRing(CoefficientRing):
     def convert(self, value):
         return value % self.modulus
 
-    def add(self, a, b):
-        return (a + b) % self.modulus
-
-    def sub(self, a, b):
-        return (a - b) % self.modulus
-
-    def mul(self, a, b):
-        return a * b % self.modulus
-
-    def neg(self, a):
-        return -a % self.modulus
-
-    def divide(self, a, b):
-        p = self.modulus
-        b %= p
-        if b == 0:
-            return 0, a % p == 0
-        return a * pow(b, -1, p) % p, True
-
     def __repr__(self):
         return f"ModularRing({self.modulus})"
 
@@ -210,11 +147,9 @@ class ModularRing(CoefficientRing):
 def next_prime_above(n):
     """Smallest odd (probable) prime strictly greater than ``n``.
 
-    The pipeline uses this to pick a *bound-covering* prime: when a
-    design's CRT coefficient bound exceeds the built-in word-size
-    schedule, a single prime just above ``2*B`` certifies correctness in
-    one modular run instead of escalating through several primes.  The
-    prime gap near ``n`` is ~``ln(n)``, so the scan is a handful of
+    The pipeline uses this to pick a *bound-covering* prime: one prime
+    above a design's ``2*B`` decides it in one modular run.  The prime
+    gap near ``n`` is ~``ln(n)``, so the scan is a handful of
     Miller-Rabin tests even for thousand-bit bounds.
     """
     candidate = max(3, n + 1) | 1
@@ -225,49 +160,3 @@ def next_prime_above(n):
 
 #: The shared exact ring; identity-compared on hot paths.
 EXACT = ExactIntRing()
-
-#: Default escalation schedule: sixteen 61/62-bit primes (the first is
-#: the Mersenne prime ``2**61 - 1``).  Their product exceeds ``2**976``,
-#: which covers the CRT coefficient bound of every multiplier with up to
-#: ~320 total operand bits; wider designs escalate to the exact ring.
-PRIMES = (
-    2305843009213693951, 2305843009213693967, 2305843009213693973,
-    2305843009213694009, 2305843009213694017, 2305843009213694087,
-    2305843009213694149, 2305843009213694173, 2305843009213694207,
-    2305843009213694257, 2305843009213694317, 2305843009213694323,
-    2305843009213694381, 2305843009213694411, 2305843009213694429,
-    2305843009213694443,
-)
-
-
-def get_ring(spec, default_prime=None):
-    """Resolve a ring specification to a :class:`CoefficientRing`.
-
-    Accepts a ring instance (returned as-is), ``"exact"``, ``"modular"``
-    (first prime of :data:`PRIMES`, or ``default_prime``) or
-    ``"modular:P"`` for an explicit odd-prime modulus.  Raises
-    :class:`~repro.errors.ConfigError` for anything else — this is the
-    *early* config validation the pipeline runs before any work.
-    """
-    if isinstance(spec, CoefficientRing):
-        return spec
-    if not isinstance(spec, str):
-        raise ConfigError(f"unknown coefficient ring {spec!r} "
-                          f"(know 'exact', 'modular', 'modular:P')",
-                          ring=repr(spec))
-    if spec == "exact":
-        return EXACT
-    if spec == "modular":
-        return ModularRing(default_prime if default_prime is not None
-                           else PRIMES[0])
-    if spec.startswith("modular:"):
-        body = spec[len("modular:"):]
-        try:
-            modulus = int(body)
-        except ValueError:
-            raise ConfigError(
-                f"bad modular ring modulus {body!r} (need an integer)",
-                ring=spec) from None
-        return ModularRing(modulus)
-    raise ConfigError(f"unknown coefficient ring {spec!r} "
-                      f"(know 'exact', 'modular', 'modular:P')", ring=spec)

@@ -38,7 +38,7 @@ log = logging.getLogger("repro.service.core")
 #: VerifyConfig fields a submission may override, with the budgets
 #: capped per job by the service defaults.
 JOB_OPTION_FIELDS = ("width_a", "width_b", "signed", "method",
-                     "monomial_budget", "time_budget", "ring", "primes",
+                     "monomial_budget", "time_budget", "ring",
                      "initial_threshold")
 
 

@@ -1,5 +1,5 @@
 """The staged pipeline: VerifyConfig validation, exact/modular verdict
-agreement, the multimodular escalation strategy, and the one
+agreement, the one bound-covering prime of a modular run, and the one
 architecture report a traced run builds for ``stage_map``."""
 
 import math
@@ -10,19 +10,24 @@ import sys
 import pytest
 
 from repro.aig.aig import Aig
+from repro.aig.ops import cleanup
+from repro.aig.simulate import outputs_as_int, simulate_words
 from repro.core import Pipeline, VerifyConfig, verify_multiplier
 from repro.core.dynamic import INITIAL_THRESHOLD, PAPER_THRESHOLD
 from repro.errors import ConfigError
 from repro.genmul import generate_multiplier
 from repro.genmul.faults import FAULT_KINDS, inject_visible_fault
 from repro.obs.recorder import Recorder
+from repro.poly.ring import is_probable_prime
+
+WORD_PRIME = 2**61 - 1
 
 
 def sextuple_output_multiplier():
     """A 1x1 "multiplier" whose circuit word is 7*a*b instead of a*b.
 
-    The remainder is ``6*a*b`` — zero mod 3 but non-zero exactly — which
-    forces the escalation path when the first scheduled prime is 3.
+    The remainder is ``6*a*b``: zero modulo 2 and 3 but non-zero
+    exactly.
     """
     aig = Aig()
     a = aig.add_input("a0")
@@ -41,11 +46,7 @@ class TestVerifyConfig:
         with pytest.raises(ConfigError):
             verify_multiplier(None, ring="float64")
         with pytest.raises(ConfigError):
-            verify_multiplier(None, ring="modular:91")
-        with pytest.raises(ConfigError):
-            verify_multiplier(None, primes=-1)
-        with pytest.raises(ConfigError):
-            verify_multiplier(None, prime_schedule=(4,))
+            verify_multiplier(None, ring="modular:97")
         # a remainder non-zero mod p may still be divisible by 2**W
         with pytest.raises(ConfigError):
             verify_multiplier(None, spec="adder", ring="modular")
@@ -53,7 +54,7 @@ class TestVerifyConfig:
             verify_multiplier(None, spec="subtractor")
 
     def test_frozen_and_picklable(self):
-        config = VerifyConfig(ring="modular", primes=2)
+        config = VerifyConfig(ring="modular")
         with pytest.raises(Exception):
             config.method = "static"
         clone = pickle.loads(pickle.dumps(config))
@@ -64,12 +65,11 @@ class TestVerifyConfig:
 
         args = build_parser().parse_args(
             ["verify", "x.aag", "--method", "static", "--budget", "123",
-             "--ring", "modular", "--primes", "2", "--threshold", "0.3"])
+             "--ring", "modular", "--threshold", "0.3"])
         config = VerifyConfig.from_args(args)
         assert config.method == "static"
         assert config.monomial_budget == 123
         assert config.ring == "modular"
-        assert config.primes == 2
         assert config.initial_threshold == 0.3
         assert config.preflight
 
@@ -106,9 +106,7 @@ class TestRingAgreement:
         modular = verify_multiplier(mult_4x4_dadda, method=method,
                                     ring="modular")
         assert exact.status == modular.status == "correct"
-        assert modular.stats["ring"].startswith("modular:")
-        assert modular.stats["primes_tried"] == 1
-        assert modular.stats["escalations"] == 0
+        assert modular.stats["ring"] == f"modular:{WORD_PRIME}"
 
     @pytest.mark.parametrize("kind", FAULT_KINDS)
     def test_faults_agree(self, mult_4x4_dadda, kind):
@@ -131,110 +129,58 @@ class TestRingAgreement:
         assert result.remainder.evaluate(dict(result.counterexample)) != 0
 
 
-class TestEscalation:
-    def test_zero_remainder_mod_first_prime_escalates(self):
-        aig = sextuple_output_multiplier()
-        recorder = Recorder()
-        result = verify_multiplier(aig, preflight=False, ring="modular",
-                                   prime_schedule=(3, 5),
-                                   recorder=recorder)
-        recorder.close()
-        assert result.status == "buggy"
-        assert result.stats["ring"] == "modular:5"
-        assert result.stats["primes_tried"] == 2
-        assert result.stats["escalations"] == 1
-        escalations = [e for e in recorder.events
-                       if e["ev"] == "escalation"]
-        assert len(escalations) == 1
-        assert escalations[0]["prime"] == 3
-        assert escalations[0]["reason"] == "zero-remainder"
-        rings = [e["name"] for e in recorder.events if e["ev"] == "ring"]
-        assert rings == ["modular:3", "modular:5"]
+class TestOneModulus:
+    """A modular run uses one prime above the CRT bound ``2*B``, never
+    less than ``2**61 - 1``, so one run decides every design."""
 
-    def test_buggy_never_verifies_correct_under_any_schedule(self):
-        aig = sextuple_output_multiplier()
-        schedules = [(3,), (3, 3), (3, 5), (5, 3), (7,), (3, 5, 7, 11)]
-        for schedule in schedules:
-            result = verify_multiplier(aig, preflight=False,
-                                       ring="modular",
-                                       prime_schedule=schedule,
-                                       primes=len(schedule))
-            assert result.status == "buggy", schedule
-
-    def test_all_primes_vanish_falls_back_to_exact(self):
-        # remainder 6ab vanishes mod 3 AND... use schedule (3,) so the
-        # single prime vanishes, the CRT bound is far away, and the
-        # exact confirmation run must deliver the buggy verdict
-        aig = sextuple_output_multiplier()
-        recorder = Recorder()
-        result = verify_multiplier(aig, preflight=False, ring="modular",
-                                   prime_schedule=(3,), primes=1,
-                                   recorder=recorder)
-        recorder.close()
-        assert result.status == "buggy"
-        assert result.stats["ring"] == "exact"
-        rings = [e["name"] for e in recorder.events if e["ev"] == "ring"]
-        assert rings == ["modular:3", "exact"]
-
-    def test_correct_design_below_bound_escalates_to_exact(self,
-                                                           mult_4x4_array):
-        # tiny primes can never clear the 4x4 CRT bound (2**18), so a
-        # correct design must be confirmed by the exact ring
-        result = verify_multiplier(mult_4x4_array, ring="modular",
-                                   prime_schedule=(3, 5), primes=2)
-        assert result.status == "correct"
-        assert result.stats["ring"] == "exact"
-        assert result.stats["primes_tried"] == 2
-        assert result.stats["escalations"] == 2
-
-    def test_crt_bound_certifies_without_exact_run(self, mult_4x4_array):
-        # one 61-bit prime comfortably exceeds 2*B = 2**18 for 4x4
-        result = verify_multiplier(mult_4x4_array, ring="modular")
-        assert result.status == "correct"
-        assert result.stats["ring"].startswith("modular:")
-        assert result.stats["primes_tried"] == 1
+    @staticmethod
+    def modulus(architecture, width):
+        aig = cleanup(generate_multiplier(architecture, width))
+        ring = Pipeline(VerifyConfig(ring="modular")).coefficient_ring(aig)
+        return ring.modulus, 2 * Pipeline.crt_bound(aig)
 
     def test_crt_bound_value(self, mult_4x4_array):
-        from repro.aig.ops import cleanup
-
         aig = cleanup(mult_4x4_array)
         bound = Pipeline.crt_bound(aig)
         assert bound == 1 << (aig.num_inputs
                               + max(len(aig.outputs), aig.num_inputs) + 1)
 
-    def test_bound_aware_prime_selection(self):
-        from repro.poly import PRIMES
+    @pytest.mark.parametrize("width", [4, 14])
+    def test_word_prime_up_to_14x14(self, width):
+        modulus, bound = self.modulus("SP-AR-RC", width)
+        assert modulus == WORD_PRIME > bound
 
-        pipeline = Pipeline(VerifyConfig(ring="modular", primes=4))
-        # small bound: the word-size schedule already covers it
-        small = pipeline.ring_schedule(1 << 34)
-        assert [r.modulus for r in small] == list(PRIMES[:4])
-        # wide bound: a single bound-covering prime replaces escalation
-        wide = pipeline.ring_schedule(1 << 66)
-        assert len(wide) == 1
-        assert wide[0].modulus > 1 << 66
-        # explicit modulus and explicit schedules stay untouched
-        pinned = Pipeline(VerifyConfig(ring="modular:97", primes=2))
-        assert [r.modulus for r in pinned.ring_schedule(1 << 66)] == \
-            [97, PRIMES[0]]
-        sched = Pipeline(VerifyConfig(ring="modular", prime_schedule=(3, 5),
-                                      primes=2))
-        assert [r.modulus for r in sched.ring_schedule(1 << 66)] == [3, 5]
+    def test_wide_design_gets_a_prime_above_the_bound(self):
+        modulus, bound = self.modulus("SP-DT-LF", 16)
+        assert modulus > bound > WORD_PRIME
+        assert is_probable_prime(modulus)
 
-    def test_wide_bound_single_run(self, mult_4x4_dadda):
-        # force the bound-aware path by pretending the schedule cannot
-        # cover the design: config widths don't change crt_bound, so use
-        # ring_schedule directly plus an end-to-end run on a real design
-        pipeline = Pipeline(VerifyConfig(ring="modular"))
-        result = pipeline.run(mult_4x4_dadda)
+    def test_wide_design_verifies_in_one_run(self):
+        aig = generate_multiplier("SP-DT-LF", 16)
+        recorder = Recorder()
+        result = verify_multiplier(aig, ring="modular", recorder=recorder)
+        recorder.close()
+        modulus, _ = self.modulus("SP-DT-LF", 16)
         assert result.status == "correct"
-        assert result.stats["primes_tried"] == 1
-        assert result.stats["escalations"] == 0
+        assert result.stats["ring"] == f"modular:{modulus}"
+        rings = [e for e in recorder.events if e["ev"] == "ring"]
+        assert [e["modulus"] for e in rings] == [modulus]
+
+    def test_remainder_divisible_by_small_primes_is_buggy(self):
+        aig = sextuple_output_multiplier()
+        result = verify_multiplier(aig, preflight=False, ring="modular")
+        assert result.status == "buggy"
+        assert result.stats["ring"] == f"modular:{WORD_PRIME}"
+        a = result.stats["counterexample_a"]
+        b = result.stats["counterexample_b"]
+        word = outputs_as_int(simulate_words(
+            aig, [(a, [2 * aig.inputs[0]]), (b, [2 * aig.inputs[1]])]))
+        assert word != a * b
 
 
 class TestPipelineApi:
     def test_pipeline_direct(self, mult_4x4_dadda):
-        pipeline = Pipeline(VerifyConfig(ring="modular", primes=1))
+        pipeline = Pipeline(VerifyConfig(ring="modular"))
         result = pipeline.run(mult_4x4_dadda)
         assert result.status == "correct"
         # the same Pipeline object is reusable across designs
@@ -253,13 +199,6 @@ class TestPipelineApi:
                                    check_invariants=True)
         assert result.status == "correct"
         assert result.stats["invariants"]["checked_commits"] > 0
-
-    def test_invariants_across_escalation(self, mult_4x4_array):
-        # each escalation run gets a fresh monitor: no false RP003
-        result = verify_multiplier(mult_4x4_array, ring="modular",
-                                   prime_schedule=(3, 5), primes=2,
-                                   check_invariants=True)
-        assert result.status == "correct"
 
     def test_static_method_modular(self, mult_4x4_array):
         result = verify_multiplier(mult_4x4_array, method="static",
@@ -377,7 +316,7 @@ class TestThresholdFallback:
         assert (view.rewrite_runs, view.retries) == (1, 1)
         report = render_report(view)
         assert re.search(rf"committed steps +{stats['steps']}\n", report)
-        assert "escalation" not in report
+        assert "rewrite runs" not in report
         assert "abandoned runs (threshold fallback)" in report
 
     def test_paper_threshold_runs_once(self):
@@ -405,16 +344,20 @@ class TestCliRing:
         path = tmp_path / "m.aag"
         assert main(["generate", "SP-AR-RC", "4", "-o", str(path)]) == 0
         assert main(["verify", str(path), "--ring", "modular"]) == 0
-        assert main(["verify", str(path), "--ring", "modular:97",
-                     "--primes", "2"]) == 0
 
-    def test_verify_bad_ring_exits_2(self, tmp_path):
+    def test_verify_bad_ring_exits_2(self, tmp_path, capsys):
         from repro.cli import main
 
         path = tmp_path / "m.aag"
         main(["generate", "SP-AR-RC", "4", "-o", str(path)])
-        assert main(["verify", str(path), "--ring", "nope"]) == 2
-        assert main(["verify", str(path), "--ring", "modular:6"]) == 2
+        for argv in (["--ring", "modular:97"], ["--ring", "nope"],
+                     ["--primes", "2"]):
+            capsys.readouterr()
+            assert main(["verify", str(path), *argv]) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == "", argv
+            assert captured.err.startswith("verify: "), argv
+            assert captured.err.count("\n") == 1, argv
 
     def test_batch_ring_modular(self, tmp_path):
         from repro.cli import main

@@ -115,8 +115,6 @@ class TestBudgetsAndOptions:
             verify_multiplier(mult_4x4_array, ring="float")
         with pytest.raises(ConfigError):
             verify_multiplier(mult_4x4_array, ring="modular:4")
-        with pytest.raises(ConfigError):
-            verify_multiplier(mult_4x4_array, primes=0)
 
     def test_odd_inputs_need_explicit_widths(self):
         aig = generate_multiplier("SP-AR-RC", 3, 2)

@@ -791,7 +791,7 @@ class TestTraceInputs:
     @pytest.mark.parametrize("argv", [
         ["report", "single.jsonl", "--hotspots"],
         ["explain", "single.jsonl"],
-        ["obs", "diff", "single.jsonl", "escalated.jsonl"],
+        ["obs", "diff", "single.jsonl", "single.jsonl"],
     ])
     def test_closed_stdout_ends_quietly(self, argv):
         import os

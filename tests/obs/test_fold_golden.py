@@ -1,9 +1,9 @@
 """Golden snapshot of every consumer of a recorded event stream.
 
-Two committed traces under ``fixtures/`` feed ``repro report`` (with
-and without hotspots), ``repro explain --json`` (from the trace and
-from the store), ``repro obs diff`` and the run-history store rows
-written by ``RunStore.ingest_trace_file``.  Their outputs are recorded
+A committed trace under ``fixtures/`` feeds ``repro report`` (with and
+without hotspots), ``repro explain --json`` (from the trace and from
+the store) and the run-history store rows written by
+``RunStore.ingest_trace_file``.  Their outputs are recorded
 in ``fixtures/fold_golden.json``; any change to how the stream is
 folded shows up here as a byte difference.
 
@@ -12,13 +12,9 @@ folded shows up here as a byte difference.
   on a generated 4x4 Dadda multiplier.  ``--profile-interval`` and
   ``--explain`` have since been removed; the trace keeps the
   ``attribution`` event ``--explain`` wrote, which no reader folds, so
-  an event kind the fold does not know is skipped;
-* ``escalated.jsonl`` — a :class:`~repro.obs.resources.ResourceTracker`
-  over ``verify_multiplier(sextuple_output_multiplier(),
-  ring="modular", prime_schedule=(3, 5))`` (the design from
-  ``tests/core/test_pipeline.py``): the escalation reruns ``rewrite``.
+  an event kind the fold does not know is skipped.
 
-Both start with the trace-format header a ``JsonlSink`` writes.
+It starts with the trace-format header a ``JsonlSink`` writes.
 
 Regenerate (only after an intended behaviour change) with::
 
@@ -33,7 +29,7 @@ from pathlib import Path
 
 FIXTURES = Path(__file__).with_name("fixtures")
 GOLDEN = FIXTURES / "fold_golden.json"
-TRACES = ("single", "escalated")
+TRACES = ("single",)
 
 
 def _cli(*argv):
@@ -79,8 +75,6 @@ def snapshot(tmp_dir):
             golden["explain"][name] = _cli("explain", trace, "--json", "-")
             golden["explain_store"][name] = _cli(
                 "explain", f"run:{run_ids[0]}", "--db", db, "--json", "-")
-        golden["diff"] = _cli("obs", "diff", "single.jsonl",
-                              "escalated.jsonl")
     return golden
 
 

@@ -295,8 +295,8 @@ class TestSchemaV2:
             assert "rewrite" in store.run(run_id)["resources"]
 
     def test_rerun_phase_keeps_merged_resources(self):
-        """Two ``phase_resources`` events of one phase (a modular
-        escalation reruns ``rewrite``) merge max-for-peaks and
+        """Two ``phase_resources`` events of one phase (the threshold
+        fallback reruns ``rewrite``) merge max-for-peaks and
         sum-for-deltas instead of keeping the last one."""
         events = [{"ev": "run_begin", "t": 0.0, "method": "dyposub"}]
         for peak, delta in ((900.0, 1.5), (500.0, 2.0)):
@@ -312,23 +312,25 @@ class TestSchemaV2:
                                   "tracemalloc_peak_kb": 900.0,
                                   "gc_collections": 2}
 
-    def test_escalated_run_persists_the_tracker_resources(self):
+    def test_fallback_run_persists_the_tracker_resources(self):
+        """BP-AR-RC 4x4 trips a 4,000-monomial budget from threshold 0.5
+        but not from the paper's 10%, so ``rewrite`` runs twice."""
         from repro.obs.resources import ResourceTracker
-        from tests.core.test_pipeline import sextuple_output_multiplier
 
         tracker = ResourceTracker(Recorder(), interval=None)
-        result = verify_multiplier(sextuple_output_multiplier(),
-                                   ring="modular", prime_schedule=(3, 5),
-                                   recorder=tracker)
+        result = verify_multiplier(generate_multiplier("BP-AR-RC", 4),
+                                   initial_threshold=0.5,
+                                   monomial_budget=4_000, recorder=tracker)
         tracker.close()
-        assert result.stats["escalations"] == 1
+        assert result.status == "correct"
+        assert [e["ev"] for e in tracker.events].count("rewrite_retry") == 1
         rewrites = [e for e in tracker.events
                     if e["ev"] == "phase_resources"
                     and e["phase"] == "rewrite"]
         assert len(rewrites) == 2
         with RunStore() as store:
             stored = store.resources(store.ingest_events(tracker.events,
-                                                         "sextuple"))
+                                                         "BP-AR-RC-4"))
         for phase, merged in tracker.phase_resources.items():
             for key in ("rss_peak_kb", "tracemalloc_kb",
                         "tracemalloc_peak_kb", "gc_collections"):

@@ -194,6 +194,20 @@ def test_error_statuses(served, aag_text, server_errors):
     assert server_errors == []
 
 
+@pytest.mark.parametrize("options", [{"primes": 2}, {"ring": "modular:97"}],
+                         ids=["primes", "pinned-modulus"])
+def test_unknown_ring_options_are_400(served, aag_text, server_errors,
+                                      options):
+    """A ring is ``exact`` or ``modular``; there is no prime count and
+    no pinned modulus to ask for."""
+    client, _ = served
+    with pytest.raises(ServiceError) as exc:
+        client.request("POST", "/jobs", {"aag": aag_text,
+                                         "options": options})
+    assert exc.value.status == 400
+    assert server_errors == []
+
+
 @pytest.mark.parametrize("threshold", ["NaN", "Infinity", '"x"', "true"])
 def test_bad_threshold_is_400(served, aag_text, server_errors, threshold):
     """``json.loads`` accepts the bare ``NaN``/``Infinity`` literals, so a
