@@ -130,11 +130,13 @@ def mffc(aig, root, fanouts=None, po_refs=None):
     """Maximum fanout-free cone of ``root``: AND vars whose every path to
     an output passes through ``root``.
 
-    Computed by simulated reference-count dereferencing.
+    Computed by simulated reference-count dereferencing.  A fan-in's
+    count is taken from ``fanouts``/``po_refs`` the first time the walk
+    reaches it, so with the maps given a call costs O(cone), not O(N).
     """
     if fanouts is None or po_refs is None:
         fanouts, po_refs = fanout_map(aig)
-    refs = {v: len(fanouts[v]) + po_refs[v] for v in range(aig.num_vars)}
+    refs = {}
     cone = set()
     stack = [root]
     while stack:
@@ -144,8 +146,12 @@ def mffc(aig, root, fanouts=None, po_refs=None):
         cone.add(v)
         for f in aig.fanins(v):
             w = lit_var(f)
-            refs[w] -= 1
-            if refs[w] == 0:
+            count = refs.get(w)
+            if count is None:
+                count = len(fanouts[w]) + po_refs[w]
+            count -= 1
+            refs[w] = count
+            if count == 0:
                 stack.append(w)
     return cone
 

@@ -10,8 +10,7 @@ from __future__ import annotations
 from repro.errors import AigError
 
 
-def var_pattern(position, num_vars):
-    """Truth table of input variable ``position`` among ``num_vars``."""
+def _computed_pattern(position, num_vars):
     width = 1 << num_vars
     block = 1 << position
     pattern = 0
@@ -23,12 +22,33 @@ def var_pattern(position, num_vars):
     return pattern
 
 
+# Up to the largest cut any pass uses (``refactor`` with k=8), patterns
+# and masks are table lookups: the cofactor helpers below ask for them
+# hundreds of thousands of times per optimization script.
+_MAX_TABLE_VARS = 8
+_PATTERNS = [tuple(_computed_pattern(pos, k) for pos in range(k))
+             for k in range(_MAX_TABLE_VARS + 1)]
+_MASKS = [(1 << (1 << k)) - 1 for k in range(_MAX_TABLE_VARS + 1)]
+
+
+def var_pattern(position, num_vars):
+    """Truth table of input variable ``position`` among ``num_vars``."""
+    if 0 <= position < num_vars <= _MAX_TABLE_VARS:
+        return _PATTERNS[num_vars][position]
+    return _computed_pattern(position, num_vars)
+
+
+def var_patterns(num_vars):
+    """``var_pattern(pos, num_vars)`` for every position, as a tuple."""
+    if 0 <= num_vars <= _MAX_TABLE_VARS:
+        return _PATTERNS[num_vars]
+    return tuple(_computed_pattern(pos, num_vars) for pos in range(num_vars))
+
+
 def tt_mask(num_vars):
+    if 0 <= num_vars <= _MAX_TABLE_VARS:
+        return _MASKS[num_vars]
     return (1 << (1 << num_vars)) - 1
-
-
-# var_pattern(pos, k) for the cut sizes the matchers use, precomputed.
-_PATTERNS = [[var_pattern(pos, k) for pos in range(k)] for k in range(7)]
 
 
 def cone_truth_table(aig, root_var, leaves):
@@ -43,11 +63,7 @@ def cone_truth_table(aig, root_var, leaves):
     k = len(leaves)
     mask = tt_mask(k)
     values = {0: 0}
-    if k < len(_PATTERNS):
-        values.update(zip(leaves, _PATTERNS[k]))
-    else:
-        for pos, leaf in enumerate(leaves):
-            values[leaf] = var_pattern(pos, k)
+    values.update(zip(leaves, var_patterns(k)))
     root = root_var
     cached = values.get(root)
     if cached is not None:
@@ -142,3 +158,17 @@ def _cofactor(tt, pos, num_vars, value):
 def cofactor(tt, pos, num_vars, value):
     """Public wrapper of the cofactor computation."""
     return _cofactor(tt, pos, num_vars, value)
+
+
+def cofactors(tt, num_vars):
+    """``[(negative, positive), ...]``: both cofactors of ``tt`` on
+    every position, as :func:`cofactor` gives them one at a time."""
+    mask = tt_mask(num_vars)
+    pairs = []
+    for pos, pattern in enumerate(var_patterns(num_vars)):
+        block = 1 << pos
+        kept = tt & pattern
+        positive = (kept | (kept >> block)) & mask
+        kept = tt & (pattern ^ mask)
+        pairs.append(((kept | (kept << block)) & mask, positive))
+    return pairs

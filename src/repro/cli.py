@@ -39,6 +39,10 @@ trace, including one without this build's trace-format header;
 ingest``.  Every ``obs`` subcommand and ``serve`` exit 2 on a store
 file that is not a run store of this build's schema.
 A closed stdout (``| head``) ends any command quietly with exit 0.
+An unrecognized argument, a bad ``generate`` architecture or width,
+and an output file (``-o``, ``--json``, ``--sarif``, ``--trace-out``)
+in a directory that does not exist end any command in one
+``<command>: <message>`` line with exit 2, before it does any work.
 
 The run-history database path defaults to ``$REPRO_OBS_DB`` (or
 ``runs.db``); batch ``verify`` auto-ingests its records whenever a
@@ -57,7 +61,7 @@ import os
 import sys
 
 from repro.aig.aiger import read_aag, write_aag
-from repro.errors import ReproError
+from repro.errors import GeneratorError, ReproError
 
 log = logging.getLogger("repro.cli")
 
@@ -1099,12 +1103,35 @@ def _obs_subcommand(args):
     raise AssertionError("unreachable")
 
 
+# Files each command writes, checked before it does any work: a verdict
+# must not be lost to (or, with exit 1, mistaken for) a failed write.
+_OUTPUT_PATHS = {
+    "generate": ("output",), "optimize": ("output",),
+    "inject": ("output",), "verify": ("json", "trace_out"),
+    "lint": ("json", "sarif"), "analyze": ("json", "sarif"),
+    "explain": ("json",), "obs": ("json",), "submit": ("json",),
+}
+
+
+def _missing_output_dir(args):
+    """The message for the first output path whose directory does not
+    exist, or None."""
+    for name in _OUTPUT_PATHS.get(args.command, ()):
+        path = getattr(args, name, None)   # only `obs diff` has --json
+        if path:
+            directory = os.path.dirname(path) or "."
+            if not os.path.isdir(directory):
+                return f"cannot write {path}: no directory {directory}"
+    return None
+
+
 def main(argv=None):
     args, unknown = build_parser().parse_known_args(argv)
-    if unknown:
-        # one line, like a bad option value, not a usage dump
-        print(f"{args.command}: unrecognized arguments: "
-              f"{' '.join(unknown)}", file=sys.stderr)
+    # one line, like a bad option value, not a usage dump
+    problem = (f"unrecognized arguments: {' '.join(unknown)}" if unknown
+               else _missing_output_dir(args))
+    if problem:
+        print(f"{args.command}: {problem}", file=sys.stderr)
         return 2
     configure_logging(args.verbose, args.quiet)
     try:
@@ -1123,8 +1150,12 @@ def _run_command(args):
     if args.command == "generate":
         from repro.genmul.multiplier import generate_multiplier
 
-        aig = generate_multiplier(args.architecture, args.width,
-                                  args.width_b)
+        try:
+            aig = generate_multiplier(args.architecture, args.width,
+                                      args.width_b)
+        except GeneratorError as exc:
+            print(f"generate: {exc}", file=sys.stderr)
+            return 2
         _emit(aig, args.output)
         log.info("%s: %d AND nodes", aig.name, aig.num_ands)
         return 0

@@ -129,12 +129,13 @@ class Netlist:
 
         aig = Aig(self.name)
         net2lit = {0: 0}
+        plans = {}
         for net, name in zip(self.input_nets, self.input_names):
             net2lit[net] = aig.add_input(name)
         for cell in self.cells:
             _n, tt = cell_truth_table(cell.cell)
             leaves = [net2lit[net] for net in cell.inputs]
-            net2lit[cell.output] = synthesize_best(aig, tt, leaves)
+            net2lit[cell.output] = synthesize_best(aig, tt, leaves, plans)
         for (net, inverted), name in zip(self.outputs, self.output_names):
             literal = net2lit[net] ^ (1 if inverted else 0)
             aig.add_output(literal, name)

@@ -17,7 +17,7 @@ ISOP cover cost before materializing the cheaper one.
 
 from __future__ import annotations
 
-from repro.aig.truth import cofactor, tt_mask, var_pattern
+from repro.aig.truth import cofactors, tt_mask, var_patterns
 from repro.opt.isop import _cover_cost, build_sop, isop
 
 # Expression-tree node kinds.
@@ -33,66 +33,71 @@ _COSTS = {AND: 1, OR: 1, XOR: 3, MUX: 3}
 
 def decompose(tt, num_vars):
     """Decompose ``tt`` into an expression tree (memoized per call)."""
-    memo = {}
-    return _decompose(tt & tt_mask(num_vars), num_vars, memo)
+    tree, _cost = _decompose(tt & tt_mask(num_vars), num_vars, {})
+    return tree
 
 
 def _decompose(tt, num_vars, memo):
-    if tt in memo:
-        return memo[tt]
+    """``(tree, tree_cost(tree))`` of ``tt``.  ``memo`` maps each
+    sub-function to the same pair, so the Shannon fallback compares
+    cofactor costs without re-walking their trees."""
+    cached = memo.get(tt)
+    if cached is not None:
+        return cached
     mask = tt_mask(num_vars)
     result = None
     if tt == 0:
-        result = (CONST, 0)
+        result = ((CONST, 0), 0)
     elif tt == mask:
-        result = (CONST, 1)
+        result = ((CONST, 1), 0)
     if result is None:
-        for pos in range(num_vars):
-            pattern = var_pattern(pos, num_vars)
+        for pos, pattern in enumerate(var_patterns(num_vars)):
             if tt == pattern:
-                result = (LEAF, pos, 1)
+                result = ((LEAF, pos, 1), 0)
                 break
             if tt == pattern ^ mask:
-                result = (LEAF, pos, 0)
+                result = ((LEAF, pos, 0), 0)
                 break
     if result is None:
-        for pos in range(num_vars):
-            f0 = cofactor(tt, pos, num_vars, 0)
-            f1 = cofactor(tt, pos, num_vars, 1)
+        pairs = cofactors(tt, num_vars)
+        for pos, (f0, f1) in enumerate(pairs):
             if f0 == f1:
                 continue
             if f0 == 0:
-                result = (AND, (LEAF, pos, 1), _decompose(f1, num_vars, memo))
+                result = _peel(AND, (LEAF, pos, 1), f1, num_vars, memo)
                 break
             if f1 == 0:
-                result = (AND, (LEAF, pos, 0), _decompose(f0, num_vars, memo))
+                result = _peel(AND, (LEAF, pos, 0), f0, num_vars, memo)
                 break
             if f1 == mask:
-                result = (OR, (LEAF, pos, 1), _decompose(f0, num_vars, memo))
+                result = _peel(OR, (LEAF, pos, 1), f0, num_vars, memo)
                 break
             if f0 == mask:
-                result = (OR, (LEAF, pos, 0), _decompose(f1, num_vars, memo))
+                result = _peel(OR, (LEAF, pos, 0), f1, num_vars, memo)
                 break
             if f0 == f1 ^ mask:
-                result = (XOR, (LEAF, pos, 1), _decompose(f0, num_vars, memo))
+                result = _peel(XOR, (LEAF, pos, 1), f0, num_vars, memo)
                 break
     if result is None:
         # Shannon fallback on the variable whose cofactors are cheapest.
         best = None
-        for pos in range(num_vars):
-            f0 = cofactor(tt, pos, num_vars, 0)
-            f1 = cofactor(tt, pos, num_vars, 1)
+        for pos, (f0, f1) in enumerate(pairs):
             if f0 == f1:
                 continue
-            then_tree = _decompose(f1, num_vars, memo)
-            else_tree = _decompose(f0, num_vars, memo)
-            total = tree_cost(then_tree) + tree_cost(else_tree)
+            then_tree, then_cost = _decompose(f1, num_vars, memo)
+            else_tree, else_cost = _decompose(f0, num_vars, memo)
+            total = then_cost + else_cost
             if best is None or total < best[0]:
                 best = (total, pos, then_tree, else_tree)
-        _, pos, then_tree, else_tree = best
-        result = (MUX, pos, then_tree, else_tree)
+        total, pos, then_tree, else_tree = best
+        result = ((MUX, pos, then_tree, else_tree), _COSTS[MUX] + total)
     memo[tt] = result
     return result
+
+
+def _peel(kind, leaf, rest_tt, num_vars, memo):
+    rest, rest_cost = _decompose(rest_tt, num_vars, memo)
+    return (kind, leaf, rest), _COSTS[kind] + rest_cost
 
 
 def tree_cost(tree):
@@ -129,22 +134,42 @@ def build_tree(aig, tree, leaf_literals):
                    build_tree(aig, else_tree, leaf_literals))
 
 
-def synthesize_best(aig, tt, leaf_literals):
+def synthesize_best(aig, tt, leaf_literals, plans=None):
     """Build ``tt`` over the leaves using the cheaper of the ISOP covers
-    and the recursive decomposition."""
+    and the recursive decomposition.
+
+    The choice depends only on ``(tt, len(leaf_literals))``; a caller
+    that synthesizes many cuts passes one ``plans`` dict for all of them
+    so each function is planned once.  The dict lives as long as the
+    caller keeps it: nothing is cached across calls otherwise.
+    """
     num_vars = len(leaf_literals)
-    mask = tt_mask(num_vars)
-    tt &= mask
-    tree = decompose(tt, num_vars)
-    options = [(tree_cost(tree), "tree", tree)]
-    cubes_pos = isop(tt, num_vars)
-    options.append((_cover_cost(cubes_pos), "sop", cubes_pos))
-    cubes_neg = isop(tt ^ mask, num_vars)
-    options.append((_cover_cost(cubes_neg) , "nsop", cubes_neg))
-    options.sort(key=lambda item: item[0])
-    _, kind, payload = options[0]
+    tt &= tt_mask(num_vars)
+    key = (tt, num_vars)
+    plan = plans.get(key) if plans is not None else None
+    if plan is None:
+        plan = _plan(tt, num_vars)
+        if plans is not None:
+            plans[key] = plan
+    kind, payload = plan
     if kind == "tree":
         return build_tree(aig, payload, leaf_literals)
     if kind == "sop":
         return build_sop(aig, payload, leaf_literals)
     return aig.not_(build_sop(aig, payload, leaf_literals))
+
+
+def _plan(tt, num_vars):
+    """``(kind, payload)`` of the cheapest of the decomposition tree,
+    the ISOP cover and the complemented ISOP cover; ties go in that
+    order."""
+    mask = tt_mask(num_vars)
+    tree, cost = _decompose(tt, num_vars, {})
+    options = [(cost, "tree", tree)]
+    cubes_pos = isop(tt, num_vars)
+    options.append((_cover_cost(cubes_pos), "sop", cubes_pos))
+    cubes_neg = isop(tt ^ mask, num_vars)
+    options.append((_cover_cost(cubes_neg), "nsop", cubes_neg))
+    options.sort(key=lambda item: item[0])
+    _, kind, payload = options[0]
+    return kind, payload

@@ -12,7 +12,7 @@ means the positive literal.  The empty cube is the tautology.
 
 from __future__ import annotations
 
-from repro.aig.truth import cofactor, tt_mask, var_pattern
+from repro.aig.truth import cofactor, tt_mask, var_pattern, var_patterns
 from repro.errors import ReproError
 
 
@@ -40,11 +40,15 @@ def _isop(lower, upper, num_vars, var_count):
         return [], 0
     if upper == mask:
         return [()], mask
-    # Split on the highest variable in the support of (lower, upper).
+    # Split on the highest variable in the support of (lower, upper):
+    # a function depends on ``pos`` when some minterm with that bit clear
+    # differs from its partner ``block`` bits up.
+    patterns = var_patterns(num_vars)
     var = None
     for pos in range(var_count - 1, -1, -1):
-        if (cofactor(lower, pos, num_vars, 0) != cofactor(lower, pos, num_vars, 1)
-                or cofactor(upper, pos, num_vars, 0) != cofactor(upper, pos, num_vars, 1)):
+        block = 1 << pos
+        if (((lower ^ (lower >> block)) | (upper ^ (upper >> block)))
+                & (patterns[pos] ^ mask)):
             var = pos
             break
     if var is None:
@@ -61,7 +65,7 @@ def _isop(lower, upper, num_vars, var_count):
     l_rest = (l0 & ~cover0 & mask) | (l1 & ~cover1 & mask)
     cubes_star, cover_star = _isop(l_rest, u0 & u1, num_vars, var)
 
-    pattern = var_pattern(var, num_vars)
+    pattern = patterns[var]
     cover = ((cover0 & ~pattern) | (cover1 & pattern)
              | cover_star) & mask
     result = ([cube + ((var, 0),) for cube in cubes0]

@@ -84,6 +84,7 @@ def _grow_cut(aig, root, k):
 
 def _resynthesis_pass(aig, cut_provider, zero_cost, min_cone):
     fanouts, po_refs = fanout_map(aig)
+    plans = {}
     new = Aig(aig.name)
     old2new = {0: 0}
     for var, name in zip(aig.inputs, aig.input_names):
@@ -107,7 +108,7 @@ def _resynthesis_pass(aig, cut_provider, zero_cost, min_cone):
             tt = cone_truth_table(aig, v, tuple(cut))
             leaf_images = [old2new[leaf] for leaf in cut]
             before = new.num_vars
-            out = synthesize_best(new, tt, leaf_images)
+            out = synthesize_best(new, tt, leaf_images, plans)
             added = new.num_vars - before
             accept = added < saved or (zero_cost and added == saved)
             if accept:

@@ -1,5 +1,7 @@
 """Tests for cut enumeration and cone truth tables."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,13 +13,27 @@ from repro.aig.truth import (
     XOR2,
     XOR3,
     cofactor,
+    cofactors,
     cone_truth_table,
     negate_tt,
     tt_mask,
     tt_support,
     var_pattern,
+    var_patterns,
 )
 from repro.errors import AigError
+
+
+def loop_var_pattern(position, num_vars):
+    """Reference: the pattern built bit block by bit block."""
+    width = 1 << num_vars
+    block = 1 << position
+    pattern = 0
+    bit = block
+    while bit < width:
+        pattern |= ((1 << block) - 1) << bit
+        bit += 2 * block
+    return pattern
 
 
 class TestTruthPrimitives:
@@ -42,6 +58,30 @@ class TestTruthPrimitives:
         assert tt_support(AND2, 2) == [0, 1]
         assert tt_support(0b1010, 2) == [0]   # f = x0
         assert tt_support(0b1111, 2) == []
+
+
+class TestPatternTables:
+    """The tabled patterns (up to 8 inputs) and the computed fallback
+    (above) agree with the loop they replace."""
+
+    @pytest.mark.parametrize("num_vars", range(13))
+    def test_patterns_and_masks_match_the_loop(self, num_vars):
+        expected = tuple(loop_var_pattern(pos, num_vars)
+                         for pos in range(num_vars))
+        assert var_patterns(num_vars) == expected
+        assert tuple(var_pattern(pos, num_vars)
+                     for pos in range(num_vars)) == expected
+        assert tt_mask(num_vars) == (1 << (1 << num_vars)) - 1
+
+    @pytest.mark.parametrize("num_vars", range(11))
+    def test_cofactor_pairs_match_single_cofactors(self, num_vars):
+        rng = random.Random(num_vars)
+        for _ in range(20):
+            tt = rng.getrandbits(1 << num_vars)
+            assert cofactors(tt, num_vars) == [
+                (cofactor(tt, pos, num_vars, 0),
+                 cofactor(tt, pos, num_vars, 1))
+                for pos in range(num_vars)]
 
 
 class TestConeTruthTable:

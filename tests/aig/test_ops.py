@@ -15,6 +15,26 @@ from repro.aig.ops import (
     transitive_fanin_support,
 )
 from repro.aig.simulate import exhaustive_equal
+from repro.genmul import generate_multiplier
+from repro.opt.scripts import optimize
+
+
+def full_refcount_mffc(aig, root, fanouts, po_refs):
+    """Reference: dereferencing from a count of every variable."""
+    refs = {v: len(fanouts[v]) + po_refs[v] for v in range(aig.num_vars)}
+    cone = set()
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        if not aig.is_and(v) or v in cone:
+            continue
+        cone.add(v)
+        for f in aig.fanins(v):
+            w = lit_var(f)
+            refs[w] -= 1
+            if refs[w] == 0:
+                stack.append(w)
+    return cone
 
 
 @pytest.fixture()
@@ -111,6 +131,18 @@ class TestFanoutAndMffc:
         aig.add_output(abc)
         cone = mffc(aig, lit_var(abc))
         assert cone == {lit_var(ab), lit_var(abc)}
+
+
+    @pytest.mark.parametrize("design", [("SP-AR-RC", 4, "none"),
+                                        ("BP-WT-CL", 4, "none"),
+                                        ("SP-DT-LF", 6, "dc2")])
+    def test_mffc_matches_full_refcount(self, design):
+        architecture, width, script = design
+        aig = optimize(generate_multiplier(architecture, width), script)
+        fanouts, po_refs = fanout_map(aig)
+        for v in aig.and_vars():
+            assert mffc(aig, v, fanouts, po_refs) == full_refcount_mffc(
+                aig, v, fanouts, po_refs), v
 
 
 class TestInvariants:

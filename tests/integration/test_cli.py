@@ -85,6 +85,49 @@ class TestCli:
         assert "invalid float value" in capsys.readouterr().err
 
 
+class TestBoundaryErrors:
+    """Bad generator parameters and output paths in a missing directory
+    end in one ``<command>: <message>`` line with exit 2, before any
+    work is done (for ``verify``, ``lint`` and ``analyze``, exit 1
+    would read as a finding)."""
+
+    @pytest.mark.parametrize("argv", [["NOPE", "4"], ["SP-AR-RC", "0"]])
+    def test_generate_rejects_bad_parameters(self, argv, capsys):
+        assert main(["generate", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("generate: ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", [
+        ["generate", "SP-AR-RC", "4", "-o", "{missing}"],
+        ["optimize", "{design}", "--script", "dc2", "-o", "{missing}"],
+        ["inject", "{design}", "-o", "{missing}"],
+        ["verify", "{design}", "--json", "{missing}"],
+        ["verify", "{design}", "--trace-out", "{missing}"],
+        ["lint", "{design}", "--sarif", "{missing}"],
+        ["analyze", "{design}", "--json", "{missing}"],
+        ["explain", "run.jsonl", "--json", "{missing}"],
+        ["obs", "diff", "a.jsonl", "b.jsonl", "--json", "{missing}"],
+        ["submit", "{design}", "--json", "{missing}"],
+    ], ids=["generate", "optimize", "inject", "verify-json",
+            "verify-trace-out", "lint", "analyze", "explain", "obs-diff",
+            "submit"])
+    def test_output_in_a_missing_directory(self, command, tmp_path, capsys):
+        design = tmp_path / "m.aag"
+        main(["generate", "SP-AR-RC", "4", "-o", str(design)])
+        capsys.readouterr()
+        missing = tmp_path / "nowhere" / "out"
+        argv = [arg.format(design=design, missing=missing)
+                for arg in command]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"{command[0]}: cannot write {missing}: "
+                                f"no directory {missing.parent}\n")
+        assert not missing.parent.exists()
+
+
 class TestObservabilityCli:
     def test_trace_out_writes_valid_jsonl(self, tmp_path, capsys):
         src = tmp_path / "m.aag"
