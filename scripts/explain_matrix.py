@@ -5,9 +5,8 @@ Runs a traced verification of the same 19 generator architectures the
 ``arch_matrix`` recognizer gate uses (widths trimmed to keep every
 verification in CI budget — parallel-prefix and Booth designs grow
 steeply, which is the point of the paper), then pushes each trace
-through the actual CLI (``repro explain --json``) and a shared
-run-history store, and asserts the calibrated facts the attribution
-layer exists to report:
+through the actual CLI (``repro explain --json``) and asserts the facts
+the attribution layer exists to report:
 
 * **coverage** — every design attributes >= 95% of measured rewrite
   wall-time *and* SP_i growth to commit+rule+stage (``repro explain``
@@ -18,11 +17,7 @@ layer exists to report:
   a material share (>= 10%) of its SP_i growth to the PPG region,
   while clean simple-PPG designs attribute *zero* growth to PPG;
 * **quiet baselines** — clean array designs (SP-AR-*) fire no
-  commit-level anomalies under the default detector;
-* **calibration** — the static risk score ranks the observed peak
-  SP_i across the zoo at the bar PR 8 established (Spearman >= 0.8
-  with top/bottom-3 rank agreement), now computed entirely from
-  stored runs via :func:`repro.obs.attribution.calibration_from_store`.
+  commit-level anomalies under the default detector.
 
 Exit code 0 when every gate holds, 1 otherwise.
 
@@ -63,15 +58,11 @@ EXPLAIN_ZOO = [
 COVERAGE = 0.95
 BOOTH_WALL_MAJORITY = 0.50   # ppg+fsa wall share (measured: >= 0.64)
 BOOTH_PPG_GROWTH = 0.10      # ppg growth share (measured: >= 0.16)
-SPEARMAN_FLOOR = 0.8         # PR 8's calibration bar
-TOP_AGREEMENT = 2            # of 3 (measured: 2; bottom is exact)
 
 
 def run_design(cli, tmp, architecture, width):
     """Traced verify + ``repro explain --json`` for one design; returns
-    (explain exit code, attribution report dict, trace events)."""
-    from repro.obs import read_events
-
+    (explain exit code, attribution report dict)."""
     aig = generate_multiplier(architecture, width)
     path = tmp / f"{architecture}_{width}.aag"
     write_aag(aig, str(path))
@@ -87,7 +78,7 @@ def run_design(cli, tmp, architecture, width):
         explain_code = cli.main(["explain", str(trace),
                                  "--json", str(out)])
     payload = json.loads(out.read_text())
-    return explain_code, payload["attribution"], read_events(str(trace))
+    return explain_code, payload["attribution"]
 
 
 def check_design(architecture, width, explain_code, report):
@@ -131,54 +122,20 @@ def check_design(architecture, width, explain_code, report):
     return failures
 
 
-def check_calibration(store):
-    """The stored-runs calibration gate (PR 8's Spearman bar)."""
-    from repro.obs.attribution import calibration_from_store
-
-    failures = []
-    calibration = calibration_from_store(store)
-    risk = calibration["risk_vs_peak"]
-    if calibration["samples"] != len(EXPLAIN_ZOO):
-        failures.append(
-            f"calibration: {calibration['samples']} stored series carry "
-            f"a risk score, expected {len(EXPLAIN_ZOO)}")
-        return failures, calibration
-    if risk["spearman"] < SPEARMAN_FLOOR:
-        failures.append(f"calibration: Spearman {risk['spearman']:.3f} "
-                        f"< {SPEARMAN_FLOOR}")
-    agreement = risk["agreement"]
-    if agreement["top"] < TOP_AGREEMENT:
-        failures.append(
-            f"calibration: top-{agreement['count']} agreement "
-            f"{agreement['top']} < {TOP_AGREEMENT}")
-    if agreement["bottom"] < agreement["count"]:
-        failures.append(
-            f"calibration: bottom-{agreement['count']} agreement "
-            f"{agreement['bottom']} < {agreement['count']}")
-    return failures, calibration
-
-
 def main():
     from repro import cli
-    from repro.obs import RunStore
 
     failures = []
     with tempfile.TemporaryDirectory() as tmpdir:
         tmp = pathlib.Path(tmpdir)
-        with RunStore(tmp / "runs.db") as store:
-            for architecture, width in EXPLAIN_ZOO:
-                code, report, events = run_design(cli, tmp, architecture,
-                                                  width)
-                failures += check_design(architecture, width, code, report)
-                store.ingest_events(events, f"{architecture}-{width}",
-                                    source="explain_matrix")
-                print(f"{architecture} w{width}: wall "
-                      f"{report['wall']['attributed_fraction']:.1%}, "
-                      f"growth "
-                      f"{report['growth']['attributed_fraction']:.1%}, "
-                      f"{len(report.get('anomalies') or ())} anomaly(ies)")
-            calibration_failures, calibration = check_calibration(store)
-            failures += calibration_failures
+        for architecture, width in EXPLAIN_ZOO:
+            code, report = run_design(cli, tmp, architecture, width)
+            failures += check_design(architecture, width, code, report)
+            print(f"{architecture} w{width}: wall "
+                  f"{report['wall']['attributed_fraction']:.1%}, "
+                  f"growth "
+                  f"{report['growth']['attributed_fraction']:.1%}, "
+                  f"{len(report.get('anomalies') or ())} anomaly(ies)")
 
     if failures:
         print(f"explain matrix: {len(failures)} FAILURE(S) over "
@@ -186,13 +143,9 @@ def main():
         for failure in failures:
             print(f"  - {failure}")
         return 1
-    risk = calibration["risk_vs_peak"]
     print(f"explain matrix: all {len(EXPLAIN_ZOO)} designs >= "
-          f"{COVERAGE:.0%} attributed; calibration Spearman "
-          f"{risk['spearman']:+.3f}, agreement top "
-          f"{risk['agreement']['top']}/{risk['agreement']['count']} "
-          f"bottom {risk['agreement']['bottom']}/"
-          f"{risk['agreement']['count']}")
+          f"{COVERAGE:.0%} attributed, Booth forensics and quiet "
+          f"baselines hold")
     return 0
 
 

@@ -35,6 +35,5 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
                                   "check_component_coverage",
                                   "check_vanishing_rules"),
     "repro.analysis.structure": ("ArchitectureReport", "StageGuess",
-                                 "analyze_aig", "risk_calibration",
-                                 "spearman"),
+                                 "analyze_aig"),
 })

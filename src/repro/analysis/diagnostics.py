@@ -17,9 +17,9 @@ Code ranges:
 * ``RP00x`` — pipeline invariants (``--check-invariants``),
 * ``RP01x`` — budgets and runtime watchdogs (stalls, commit-level
   anomalies), ``RP02x`` — polynomial engine,
-* ``RS0xx`` — architecture recognition and static cost prediction
-  (``repro analyze``): ``RS00x`` recognition outcomes, ``RS01x``
-  structural hazards, ``RS02x`` blow-up risk.
+* ``RS0xx`` — architecture recognition (``repro analyze``): ``RS00x``
+  recognition outcomes, ``RS01x`` structural hazards.  The ``RS02x``
+  range (a retired static blow-up predictor) is not reused.
 
 Codes are append-only: a released code never changes meaning.
 """
@@ -101,8 +101,6 @@ CODES = {
     "RS012": (Severity.INFO, "low-confidence stage classification"),
     "RS013": (Severity.WARNING, "partial products bypass the "
                                 "accumulator"),
-    # RS02x — static cost prediction
-    "RS020": (Severity.WARNING, "high static blow-up risk"),
 }
 
 

@@ -1,4 +1,4 @@
-"""Static architecture recognition and blow-up prediction.
+"""Static architecture recognition.
 
 The paper frames every multiplier as ``PPG o PPA o FSA`` — partial
 products, accumulation, final-stage adder — and shows that verification
@@ -6,8 +6,9 @@ cost is governed by *which* family sits in each stage and whether
 optimization smeared the stage boundaries.  This module answers both
 questions **statically** (no rewriting, no simulation): it segments an
 ingested AIG into the three stage regions, classifies each stage
-against the known families, and folds the structural evidence into a
-blow-up risk score the pipeline can act on before any polynomial work.
+against the known families, and reports structural hazards (smeared
+boundaries, low block coverage) as diagnostics.  It predicts no cost:
+where ``SP_i`` blows up is only known once a run has watched it grow.
 
 Recognition signals, all derived from cut-based atomic blocks
 (:func:`repro.core.atomic.detect_atomic_blocks`) plus operand-support
@@ -47,14 +48,6 @@ from repro.core.atomic import block_coverage
 PPG_LABELS = ("simple", "booth", "unknown")
 PPA_LABELS = ("array", "tree", "unknown")
 FSA_LABELS = ("ripple", "lookahead", "unknown")
-
-#: Risk-score component weights (see DESIGN.md §8 for the derivation
-#: against observed peak ``SP_i`` values in the run-history store).
-RISK_UNCOVERED_WEIGHT = 3.0
-RISK_BOOTH_WEIGHT = 25.0
-RISK_SMEAR_WEIGHT = 15.0
-#: ``score / num_ands`` above this factor flags RS020.
-RISK_HIGH_FACTOR = 3.0
 
 #: Boundary-smearing (RS010) fires when more than this many gates are
 #: shared between the PPA and FSA cones (or 2.5% of the AND count,
@@ -104,7 +97,6 @@ class ArchitectureReport:
     fsa: StageGuess
     regions: dict
     boundary: dict
-    risk: dict
     coverage: dict
     report: DiagnosticReport
 
@@ -133,7 +125,6 @@ class ArchitectureReport:
             "regions": {name: len(vars_) for name, vars_ in
                         self.regions.items()},
             "boundary": dict(self.boundary),
-            "risk": dict(self.risk),
             "coverage": dict(self.coverage),
             "diagnostics": self.report.as_dict(),
         }
@@ -151,9 +142,7 @@ class ArchitectureReport:
     def render(self):
         """Multi-line human-readable summary."""
         head = f"{self.subject}: " if self.subject else ""
-        lines = [f"{head}architecture {self.architecture} "
-                 f"(risk {self.risk['score']:.0f}, "
-                 f"factor {self.risk['factor']:.2f})"]
+        lines = [f"{head}architecture {self.architecture}"]
         for name, guess in self.stages.items():
             lines.append(f"  {name}: {guess.label} "
                          f"(confidence {guess.confidence:.2f})")
@@ -469,109 +458,6 @@ def boundary_metrics(aig, regions, fanouts, po_refs):
 
 
 # ----------------------------------------------------------------------
-# Risk
-# ----------------------------------------------------------------------
-
-def risk_score(aig, coverage, ppg_guess, boundary):
-    """Static blow-up risk: size inflated by structural hazard factors.
-
-    ``score = ands * (1 + Wu*uncovered) * (1 + Wb*booth_density)
-                   * (1 + Ws*smear_density)``
-
-    ``uncovered`` is the non-atomic-block gate fraction (gates the
-    compact word-level substitution cannot absorb), ``booth_density``
-    the recoder-node fraction (Booth rows blow up the intermediate
-    ``SP_i``), ``smear_density`` the fraction of gates shared between
-    the PPA and FSA cones (smearing defeats the vanishing rules).  The
-    factor (score / ands) is the size-independent hazard multiplier.
-    """
-    ands = max(1, aig.num_ands)
-    uncovered = 1.0 - coverage.get("fraction", 0.0)
-    booth_density = ppg_guess.features.get("recoders", 0) / ands
-    smear = boundary.get("shared", 0) / ands
-    factor = ((1.0 + RISK_UNCOVERED_WEIGHT * uncovered)
-              * (1.0 + RISK_BOOTH_WEIGHT * booth_density)
-              * (1.0 + RISK_SMEAR_WEIGHT * smear))
-    return {"score": round(ands * factor, 2),
-            "factor": round(factor, 3),
-            "uncovered": round(uncovered, 4),
-            "booth_density": round(booth_density, 4),
-            "smear_density": round(smear, 4),
-            "ands": ands}
-
-
-def spearman(xs, ys):
-    """Spearman rank correlation with average ranks for ties."""
-    if len(xs) != len(ys) or len(xs) < 2:
-        raise ValueError("need two equal-length samples")
-
-    def ranks(values):
-        order = sorted(range(len(values)), key=lambda i: values[i])
-        rank = [0.0] * len(values)
-        i = 0
-        while i < len(order):
-            j = i
-            while j + 1 < len(order) \
-                    and values[order[j + 1]] == values[order[i]]:
-                j += 1
-            avg = (i + j) / 2.0 + 1.0
-            for k in range(i, j + 1):
-                rank[order[k]] = avg
-            i = j + 1
-        return rank
-
-    rx = ranks(xs)
-    ry = ranks(ys)
-    n = len(xs)
-    mean = (n + 1) / 2.0
-    num = sum((a - mean) * (b - mean) for a, b in zip(rx, ry))
-    den_x = sum((a - mean) ** 2 for a in rx) ** 0.5
-    den_y = sum((b - mean) ** 2 for b in ry) ** 0.5
-    if den_x == 0 or den_y == 0:
-        return 0.0
-    return num / (den_x * den_y)
-
-
-def risk_calibration(store, entries, method="dyposub"):
-    """Compare static risk scores with observed peak ``SP_i`` values.
-
-    ``entries`` is ``[(design, optimization, risk_score), ...]``; peaks
-    come from the run-history store's ``max_poly_size`` column (the
-    newest run of each series).  Returns the correlation plus the
-    top/bottom-3 agreement the CI gate asserts on.
-    """
-    risks = []
-    peaks = []
-    labels = []
-    for design, optimization, score in entries:
-        history = store.history(design, optimization, method,
-                                "max_poly_size")
-        if not history:
-            continue
-        risks.append(score)
-        peaks.append(history[-1][1])
-        labels.append(f"{design}/{optimization}")
-    if len(risks) < 2:
-        return {"samples": len(risks), "spearman": None, "labels": labels}
-
-    def top(values, count, reverse):
-        order = sorted(range(len(values)), key=lambda i: values[i],
-                       reverse=reverse)
-        return set(order[:count])
-
-    count = min(3, len(risks) // 2)
-    agreement = {
-        "top": len(top(risks, count, True) & top(peaks, count, True)),
-        "bottom": len(top(risks, count, False) & top(peaks, count, False)),
-        "count": count,
-    }
-    return {"samples": len(risks),
-            "spearman": round(spearman(risks, peaks), 4),
-            "agreement": agreement,
-            "risks": risks, "peaks": peaks, "labels": labels}
-
-
-# ----------------------------------------------------------------------
 # Region lookup
 # ----------------------------------------------------------------------
 
@@ -636,14 +522,11 @@ def analyze_aig(aig, blocks, width_a=None, subject=""):
                 "smear_ratio": 0.0}
         coverage = {"blocks": 0, "covered": 0, "ands": aig.num_ands,
                     "fraction": 0.0}
-        risk = {"score": float(aig.num_ands), "factor": 1.0,
-                "uncovered": 1.0, "booth_density": 0.0,
-                "smear_density": 0.0, "ands": aig.num_ands}
         return ArchitectureReport(
             subject=subject or aig.name, width_a=wa, width_b=wb,
             ppg=unknown, ppa=dataclasses.replace(unknown, stage="ppa"),
             fsa=dataclasses.replace(unknown, stage="fsa"),
-            regions=empty, boundary=zero, risk=risk, coverage=coverage,
+            regions=empty, boundary=zero, coverage=coverage,
             report=report)
 
     sup_a, sup_b = operand_supports(aig, wa, wb)
@@ -669,18 +552,15 @@ def analyze_aig(aig, blocks, width_a=None, subject=""):
                              rows_estimate)
     regions = stage_regions(aig, blocks, fsa_chain, ppg_region, po_refs)
     boundary = boundary_metrics(aig, regions, fanouts, po_refs)
-    risk = risk_score(aig, coverage, ppg_guess, boundary)
 
     arch = ArchitectureReport(
         subject=subject or aig.name, width_a=wa, width_b=wb,
         ppg=ppg_guess, ppa=ppa_guess, fsa=fsa_guess, regions=regions,
-        boundary=boundary, risk=risk, coverage=coverage, report=report)
+        boundary=boundary, coverage=coverage, report=report)
 
     report.add("RS001",
-               f"architecture recognized as {arch.architecture} "
-               f"(risk factor {risk['factor']:.2f})",
+               f"architecture recognized as {arch.architecture}",
                architecture=arch.architecture,
-               risk_factor=risk["factor"],
                widths=[wa, wb], from_names=from_names)
     smear_limit = max(SMEAR_GATE_FLOOR, int(0.025 * aig.num_ands))
     if boundary["shared"] > smear_limit:
@@ -711,12 +591,4 @@ def analyze_aig(aig, blocks, width_a=None, subject=""):
                    f"final-stage adder directly, skipping the "
                    f"accumulator",
                    edges=boundary["ppg_to_fsa"])
-    if risk["factor"] >= RISK_HIGH_FACTOR:
-        report.add("RS020",
-                   f"high static blow-up risk (factor "
-                   f"{risk['factor']:.2f}): expect large intermediate "
-                   f"SP_i; consider a modular ring and a deeper prime "
-                   f"schedule",
-                   factor=risk["factor"], score=risk["score"])
     return arch
-

@@ -15,7 +15,7 @@ observability layer::
     python -m repro analyze mult.aag --json arch.json
     python -m repro report run.jsonl
     python -m repro explain run.jsonl
-    python -m repro explain run:12 --db runs.db --calibration
+    python -m repro explain run:12 --db runs.db
     python -m repro obs ingest --db runs.db run.jsonl bench.json
     python -m repro obs diff static.jsonl dynamic.jsonl
     python -m repro serve --port 8642 --jobs 2 --db runs.db
@@ -233,26 +233,18 @@ def build_parser():
 
     exp = sub.add_parser("explain",
                          help="commit/rule/stage cost attribution of a "
-                              "recorded run, calibrated against the "
-                              "static blow-up predictor",
+                              "recorded run: where its rewrite time and "
+                              "SP_i growth landed",
                          parents=[verbosity])
-    exp.add_argument("target", nargs="?", default=None,
-                     help="JSONL trace path or run:ID (store reference); "
-                          "optional with --calibration")
+    exp.add_argument("target",
+                     help="JSONL trace path or run:ID (store reference)")
     exp.add_argument("--db", default=os.environ.get("REPRO_OBS_DB",
                                                     "runs.db"),
                      metavar="PATH",
-                     help="run-history store for run:ID references and "
-                          "--calibration")
+                     help="run-history store for run:ID references")
     exp.add_argument("--json", default=None, metavar="PATH",
                      help="write the report as JSON ('-' for stdout "
                           "instead of the text rendering)")
-    exp.add_argument("--calibration", action="store_true",
-                     help="append the store-wide predicted-risk vs "
-                          "observed-cost calibration report")
-    exp.add_argument("--method", default="dyposub",
-                     help="--calibration: series method filter "
-                          "(default dyposub)")
 
     obs = sub.add_parser("obs",
                          help="cross-run observability: run-history "
@@ -900,61 +892,37 @@ def _cmd_analyze(args):
 
 
 def _cmd_explain(args):
-    """Cost attribution of one recorded run (and/or the store-wide
-    calibration report); see the module docstring for exit codes."""
+    """Cost attribution of one recorded run; see the module docstring
+    for exit codes."""
     import json
 
     from repro.obs.attribution import (COVERAGE_TARGET, attribute_store_run,
-                                       attribute_view,
-                                       calibration_from_store,
-                                       render_attribution,
-                                       render_calibration)
+                                       attribute_view, render_attribution)
 
-    report = None
-    if args.target is not None:
-        if args.target.startswith("run:"):
-            from repro.obs.store import RunStore
-
-            try:
-                with RunStore(args.db) as store:
-                    report = attribute_store_run(
-                        store, int(args.target[len("run:"):]))
-            except (OSError, ValueError) as exc:
-                print(f"explain: {exc}", file=sys.stderr)
-                return 2
-        else:
-            view = _load_trace("explain", args.target,
-                               per_run="repro explain run:ID --db DB")
-            if view is None:
-                return 2
-            if not view.rewrite_runs:
-                print(f"explain: {args.target}: no rewriting "
-                      "instrumentation in the trace (record it with "
-                      "`verify --trace-out`)", file=sys.stderr)
-                return 2
-            report = attribute_view(view)
-    calibration = None
-    if args.calibration:
+    if args.target.startswith("run:"):
         from repro.obs.store import RunStore
 
         try:
             with RunStore(args.db) as store:
-                calibration = calibration_from_store(store,
-                                                     method=args.method)
+                report = attribute_store_run(
+                    store, int(args.target[len("run:"):]))
         except (OSError, ValueError) as exc:
             print(f"explain: {exc}", file=sys.stderr)
             return 2
-    if report is None and calibration is None:
-        print("explain: give a trace path / run:ID and/or --calibration",
-              file=sys.stderr)
-        return 2
+    else:
+        view = _load_trace("explain", args.target,
+                           per_run="repro explain run:ID --db DB")
+        if view is None:
+            return 2
+        if view.rewrite_window is None:
+            print(f"explain: {args.target}: no rewriting "
+                  "instrumentation in the trace (record it with "
+                  "`verify --trace-out`)", file=sys.stderr)
+            return 2
+        report = attribute_view(view)
     if args.json:
-        payload = {"command": "explain"}
-        if report is not None:
-            payload["attribution"] = report
-        if calibration is not None:
-            payload["calibration"] = calibration
-        text = json.dumps(payload, indent=2)
+        text = json.dumps({"command": "explain", "attribution": report},
+                          indent=2)
         if args.json == "-":
             print(text)
         else:
@@ -962,20 +930,14 @@ def _cmd_explain(args):
                 handle.write(text)
             log.info("wrote %s", args.json)
     if args.json != "-":
-        if report is not None:
-            print(render_attribution(report))
-        if calibration is not None:
-            if report is not None:
-                print()
-            print(render_calibration(calibration))
-    if report is not None:
-        wall_frac = report["wall"]["attributed_fraction"]
-        growth_frac = report["growth"]["attributed_fraction"]
-        if min(wall_frac, growth_frac) < COVERAGE_TARGET:
-            print(f"explain: attribution coverage below "
-                  f"{COVERAGE_TARGET:.0%} (wall {wall_frac:.1%}, "
-                  f"growth {growth_frac:.1%})", file=sys.stderr)
-            return 1
+        print(render_attribution(report))
+    wall_frac = report["wall"]["attributed_fraction"]
+    growth_frac = report["growth"]["attributed_fraction"]
+    if min(wall_frac, growth_frac) < COVERAGE_TARGET:
+        print(f"explain: attribution coverage below "
+              f"{COVERAGE_TARGET:.0%} (wall {wall_frac:.1%}, "
+              f"growth {growth_frac:.1%})", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -290,7 +290,7 @@ class Pipeline:
         One ``stage_map`` event rendering the run's architecture report
         (``art.arch``, built by :meth:`stage_prepare` from the prepared
         AIG and its atomic blocks): the static architecture label, the
-        blow-up risk prediction, and every component's stage region —
+        region sizes, and every component's stage region —
         so a recorded trace is self-contained: ``repro explain`` maps
         each ``step`` event's component onto PPG/PPA/FSA without
         re-reading the AIG.  Traced runs only — the NULL recorder never
@@ -304,8 +304,6 @@ class Pipeline:
         rec.event(
             "stage_map",
             architecture=arch.architecture,
-            risk_factor=arch.risk["factor"],
-            risk_score=arch.risk["score"],
             regions={name: len(vars_)
                      for name, vars_ in sorted(arch.regions.items())},
             components={str(index): stage

@@ -31,7 +31,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.obs.store": ("RunStore", "current_git_rev", "split_worker_runs"),
     "repro.obs.attribution": ("AnomalyConfig", "CommitAnomalyDetector",
                               "attribute_store_run", "attribute_view",
-                              "calibration_from_store", "design_baseline",
-                              "render_attribution", "render_calibration",
+                              "design_baseline", "render_attribution",
                               "stage_cost_metrics"),
 })

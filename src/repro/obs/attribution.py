@@ -1,10 +1,10 @@
 """Dynamic cost attribution: commit / rule / stage-level forensics.
 
-PR 8's static analyzer predicts *where* a design should blow up; this
-module measures where a run's cost actually landed and closes the loop.
-It reads the commit-level facts :func:`repro.obs.view.fold_events`
-collects from one traced verification — ``rewrite_begin`` windows,
-per-commit records, the pipeline's ``stage_map`` provenance, sampling-
+No static measure of a multiplier says where ``SP_i`` will blow up;
+this module measures where a run's cost actually landed.  It reads only
+the commit-level facts :func:`repro.obs.view.fold_events` collects from
+one traced verification — the ``rewrite_begin`` window, per-commit
+records, the pipeline's ``stage_map`` provenance, sampling-
 profiler ``by_commit`` buckets, and ``resource_sample`` telemetry — and
 attributes three costs:
 
@@ -31,11 +31,10 @@ On top of attribution:
   (:func:`design_baseline`); fires RP012/RP013 diagnostics
   through :class:`~repro.obs.live.LiveMonitor` and replays over every
   folded trace;
-* a calibration layer — :func:`stage_cost_metrics` writes observed
-  per-stage cost back into the store (``attr:*`` metrics + the
-  ``attribution`` table) and :func:`calibration_from_store` reports
-  predicted-risk vs observed-cost agreement over the stored runs, so
-  the PR 8 Spearman check is continuously measured.
+* store integration — :func:`stage_cost_metrics` writes observed
+  per-stage cost into the store (``attr:*`` metrics + the
+  ``attribution`` table) and :func:`attribute_store_run` rebuilds a
+  report from those rows.
 
 Entry point: ``repro explain <trace-or-run:ID>`` (see :mod:`repro.cli`).
 """
@@ -115,39 +114,35 @@ def _coverage(by_stage, by_rule, wall, growth):
 
 
 def attribute_view(view):
-    """Attribute one folded run (:func:`repro.obs.view.fold_events`).
-
-    Spans every rewrite run the fold kept: each ``rewrite_begin``
-    opened its own wall window.  Returns a JSON-ready dict; see
+    """Attribute one folded run (:func:`repro.obs.view.fold_events`)
+    over its rewrite window.  Returns a JSON-ready dict; see
     :func:`render_attribution` for the human rendering.
     """
     stage_map = view.stage_map
     comp_stages = {int(idx): stage for idx, stage in
                    ((stage_map or {}).get("components") or {}).items()}
-    commits = [{"run": c["run"], "step": c["step"], "comp": c["component"],
+    # only commits inside the window carry a rule, seconds and growth
+    commits = [{"step": c["step"], "comp": c["component"],
                 "kind": c["kind"], "rule": c["rule"],
                 "stage": comp_stages.get(c["component"]) or UNKNOWN,
                 "seconds": c["seconds"], "growth": c["growth"],
                 "size": c["size"], "samples": 0}
-               for c in view.commits if c["run"]]
-    windows = view.rewrite_windows
-    total_wall = sum(end - start for start, end in windows)
+               for c in view.commits if "rule" in c]
+    window = view.rewrite_window
+    total_wall = window[1] - window[0] if window else 0.0
     attributed_wall = sum(record["seconds"] for record in commits)
     tail = max(total_wall - attributed_wall, 0.0)
 
-    # profiler samples: by_commit buckets are keyed by the upcoming
-    # step; attach them to the final rewrite run (the decisive one)
+    # profiler samples: by_commit buckets are keyed by the upcoming step
     samples_unassigned = 0
     if view.profile is not None:
-        buckets = {int(step): count for step, count in
-                   (view.profile.get("commits") or {}).items()}
-        final = {record["step"]: record for record in commits
-                 if record["run"] == view.rewrite_runs}
-        for step, count in buckets.items():
-            if step in final:
-                final[step]["samples"] += count
-            else:
+        by_step = {record["step"]: record for record in commits}
+        for step, count in (view.profile.get("commits") or {}).items():
+            record = by_step.get(int(step))
+            if record is None:
                 samples_unassigned += count
+            else:
+                record["samples"] += count
 
     by_stage, by_rule, cells = _rollup(commits)
     known_wall = sum(record["seconds"] for record in commits
@@ -164,11 +159,7 @@ def attribute_view(view):
         "status": view.status,
         "seconds": view.seconds,
         "architecture": (stage_map or {}).get("architecture"),
-        "risk": ({"factor": stage_map.get("risk_factor"),
-                  "score": stage_map.get("risk_score")}
-                 if stage_map else None),
         "regions": (stage_map or {}).get("regions"),
-        "rewrite_runs": view.rewrite_runs,
         "sp0": view.sp0,
         "commits": commits,
         "by_stage": by_stage,
@@ -179,12 +170,12 @@ def attribute_view(view):
         "growth": growth,
         "samples_unassigned": samples_unassigned,
         "anomalies_recorded": view.anomalies_recorded,
-        "rss": _attribute_rss(view.resource_samples, commits, windows),
+        "rss": _attribute_rss(view.resource_samples, commits, window),
         "anomalies": [diag.as_dict() for diag in view.anomalies],
     }
 
 
-def _attribute_rss(samples, commits, windows):
+def _attribute_rss(samples, commits, window):
     """Peak-RSS deltas binned into commit windows, rolled up by stage.
 
     Returns None when the run carried no ``resource_sample`` telemetry
@@ -193,11 +184,10 @@ def _attribute_rss(samples, commits, windows):
     stamped = [(event.get("t"), event.get("rss_kb")) for event in samples
                if event.get("t") is not None
                and event.get("rss_kb") is not None]
-    if not stamped or not windows:
+    if not stamped or window is None:
         return None
     stamped.sort()
-    start = min(w[0] for w in windows)
-    end = max(w[1] for w in windows)
+    start, end = window
     inside = [(t, rss) for t, rss in stamped if start <= t <= end]
     before = [rss for t, rss in stamped if t < start]
     baseline = before[-1] if before else (inside[0][1] if inside
@@ -207,20 +197,14 @@ def _attribute_rss(samples, commits, windows):
                 "delta_kb": 0.0, "by_stage": {}}
     peak = max(rss for _, rss in inside)
     # commit wall windows reconstructed from the per-commit seconds
-    # within each rewrite window; a sample belongs to the commit whose
+    # within the rewrite window; a sample belongs to the commit whose
     # window contains its timestamp (the commit being constructed)
     by_stage = {}
-    per_run = {}
-    for record in sorted(commits, key=lambda r: (r["run"], r["step"])):
-        per_run.setdefault(record["run"], []).append(record)
     spans = []
-    for run_index, run_commits in per_run.items():
-        t = windows[run_index - 1][0]
-        for record in run_commits:
-            end_t = t + record["seconds"]
-            spans.append((t, end_t, record["stage"]))
-            t = end_t
-    spans.sort()
+    t = start
+    for record in commits:
+        spans.append((t, t + record["seconds"], record["stage"]))
+        t += record["seconds"]
     for t, rss in inside:
         stage = None
         for s, e, st in spans:
@@ -367,17 +351,15 @@ def design_baseline(store, design, optimization="none", method="dyposub",
 
 
 # ----------------------------------------------------------------------
-# Store integration: persisted attribution + calibration
+# Store integration: persisted attribution
 # ----------------------------------------------------------------------
 
 def stage_cost_metrics(report):
     """Flatten one attribution report into store metrics rows.
 
-    These are the ``attr:*`` metrics the calibration layer and the
-    trend gate read back: per-stage/per-rule observed cost, the
-    unattributed remainder, the SP_0 anchor, and the static risk
-    prediction carried along so predicted-vs-observed agreement can be
-    computed from the store alone.
+    These are the ``attr:*`` metrics :func:`attribute_store_run` reads
+    back: per-stage/per-rule observed cost and the unattributed
+    remainder.
     """
     metrics = {}
     for stage, agg in report["by_stage"].items():
@@ -390,11 +372,6 @@ def stage_cost_metrics(report):
     metrics["attr:unattributed:seconds"] = (
         report["wall"]["unattributed_seconds"])
     metrics["attr:unattributed:growth"] = report["growth"]["unattributed"]
-    if report.get("risk"):
-        if report["risk"].get("factor") is not None:
-            metrics["attr:risk:factor"] = report["risk"]["factor"]
-        if report["risk"].get("score") is not None:
-            metrics["attr:risk:score"] = report["risk"]["score"]
     return metrics
 
 
@@ -432,7 +409,7 @@ def attribute_store_run(store, run_id):
     commit_rows = []
     prev = sp0
     for row in commits:
-        commit_rows.append({"run": 1, "step": row["step"],
+        commit_rows.append({"step": row["step"],
                             "comp": row["component"], "kind": row["kind"],
                             "rule": UNKNOWN, "stage": UNKNOWN,
                             "seconds": 0.0,
@@ -441,10 +418,6 @@ def attribute_store_run(store, run_id):
                             "size": row["size"], "samples": 0})
         prev = row["size"]
 
-    risk = None
-    if "attr:risk:factor" in metrics or "attr:risk:score" in metrics:
-        risk = {"factor": metrics.get("attr:risk:factor"),
-                "score": metrics.get("attr:risk:score")}
     meta = record.get("meta") or {}
     return {
         "source": "store",
@@ -456,9 +429,7 @@ def attribute_store_run(store, run_id):
         "status": record.get("status"),
         "seconds": record.get("seconds"),
         "architecture": meta.get("architecture"),
-        "risk": risk,
         "regions": None,
-        "rewrite_runs": 1 if commits else 0,
         "commits": commit_rows,
         "by_stage": by_stage,
         "by_rule": by_rule,
@@ -470,53 +441,6 @@ def attribute_store_run(store, run_id):
         "anomalies": [],
         "rss": None,
     }
-
-
-def calibration_from_store(store, method="dyposub", optimization=None):
-    """Predicted-risk vs observed-cost agreement over stored runs.
-
-    The continuously-measured version of PR 8's one-off Spearman check:
-    every series that ingested an ``attr:risk:score`` prediction is
-    compared against its observed ``max_poly_size`` history (via
-    :func:`repro.analysis.structure.risk_calibration`, same agreement
-    shape), and the observed per-stage cost distribution rides along so
-    the report can say which region actually dominated each design.
-    """
-    from repro.analysis.structure import risk_calibration
-
-    entries = []
-    for design, opt, meth in store.series():
-        if meth != method:
-            continue
-        if optimization is not None and opt != optimization:
-            continue
-        history = store.history(design, opt, meth, "metric:attr:risk:score")
-        if not history:
-            continue
-        entries.append((design, opt, history[-1][1]))
-
-    calibration = risk_calibration(store, entries, method=method)
-    stage_costs = {}
-    for design, opt, _score in entries:
-        latest = store.latest(design, opt, method)
-        if latest is None:
-            continue
-        growth = {}
-        for name, value in latest.get("metrics", {}).items():
-            if name.startswith("attr:stage:") and name.endswith(":growth"):
-                stage = name[len("attr:stage:"):-len(":growth")]
-                growth[stage] = value
-        total = sum(growth.values())
-        stage_costs[f"{design}/{opt}"] = {
-            "growth": growth,
-            "shares": {stage: round(value / total, 4)
-                       for stage, value in sorted(growth.items())}
-            if total else {},
-            "peak": latest.get("max_poly_size"),
-            "risk_score": latest.get("metrics", {}).get("attr:risk:score"),
-        }
-    return {"method": method, "samples": len(entries),
-            "risk_vs_peak": calibration, "stage_costs": stage_costs}
 
 
 # ----------------------------------------------------------------------
@@ -539,8 +463,6 @@ def render_attribution(report, top=10):
         head.append(str(design))
     if report.get("architecture"):
         head.append(f"architecture {report['architecture']}")
-    if report.get("risk") and report["risk"].get("factor") is not None:
-        head.append(f"risk factor {report['risk']['factor']:.2f}")
     if report.get("status"):
         head.append(f"outcome {report['status']}")
     if head:
@@ -624,38 +546,3 @@ def render_attribution(report, top=10):
         lines.append(f"({report['anomalies_recorded']} anomaly event(s) "
                      "recorded in the trace)")
     return "\n".join(lines)
-
-
-def render_calibration(calibration):
-    """Human rendering of :func:`calibration_from_store`'s report."""
-    from repro.bench.render import render_table
-
-    lines = []
-    risk = calibration["risk_vs_peak"]
-    if risk.get("spearman") is None:
-        lines.append(f"calibration: {risk['samples']} sample(s) — need at "
-                     "least 2 series with stored risk + peak history")
-        return "\n".join(lines)
-    agreement = risk["agreement"]
-    lines.append(
-        f"calibration over {risk['samples']} stored series: Spearman "
-        f"{risk['spearman']:+.3f}, top-{agreement['count']} agreement "
-        f"{agreement['top']}/{agreement['count']}, bottom "
-        f"{agreement['bottom']}/{agreement['count']}")
-    rows = []
-    for label, risk_score, peak in sorted(
-            zip(risk["labels"], risk["risks"], risk["peaks"]),
-            key=lambda item: -item[1]):
-        cost = calibration["stage_costs"].get(label, {})
-        shares = cost.get("shares") or {}
-        dominant = (max(shares.items(), key=lambda kv: kv[1])
-                    if shares else None)
-        rows.append([label, f"{risk_score:.0f}", peak,
-                     (f"{dominant[0]} {dominant[1]:.0%}"
-                      if dominant else "-")])
-    lines.append("")
-    lines.append(render_table(
-        ["series", "risk score", "observed peak", "dominant stage"],
-        rows, title="Predicted risk vs observed cost"))
-    return "\n".join(lines)
-

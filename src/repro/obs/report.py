@@ -74,8 +74,6 @@ def render_report(view, plot_width=72, plot_height=14, hotspots=False):
     if view.anomalies_recorded:
         dynamics.append(["commit anomalies flagged",
                          view.anomalies_recorded])
-    if view.rewrite_runs > 1:
-        dynamics.append(["rewrite runs", view.rewrite_runs])
     if view.retries:
         dynamics.append(["abandoned runs (threshold fallback)",
                          view.retries])
@@ -104,8 +102,7 @@ def render_report(view, plot_width=72, plot_height=14, hotspots=False):
         lines.append("")
         lines.append(
             f"Stage map: {stage_map.get('architecture', '?')} "
-            f"(risk factor {stage_map.get('risk_factor', '?')}; "
-            f"AND vars per region: {region_text}) — run `repro explain` "
+            f"(AND vars per region: {region_text}) — run `repro explain` "
             "on this trace for the full cost attribution")
     if view.phase_resources or view.resources_summary:
         from repro.obs.resources import render_resource_table

@@ -17,8 +17,8 @@ tables:
   runs: peak RSS, tracemalloc deltas, GC counts;
 * ``attribution`` — the cost-attribution cells of
   :mod:`repro.obs.attribution`: observed wall-time / SP_i growth /
-  profiler samples per (stage region, substitution rule), the data the
-  ``repro explain`` calibration layer reads back;
+  profiler samples per (stage region, substitution rule), the data
+  ``repro explain run:ID`` reads back;
 * ``certificates`` — the content-addressed verdict cache of
   :mod:`repro.service`: one row per canonical design fingerprint with
   the full JSON verdict record, so a resubmitted or isomorphic design
@@ -53,7 +53,7 @@ Everything the telemetry layer already writes can be ingested:
 
 and :meth:`ingest_file` sniffs the shape and dispatches.  On top of the
 store, :mod:`repro.obs.diff` compares runs,
-:mod:`repro.obs.attribution` explains and calibrates them, and
+:mod:`repro.obs.attribution` explains them, and
 :mod:`repro.obs.prometheus` renders the Prometheus exposition of
 ``GET /metrics``.
 """
@@ -433,7 +433,7 @@ class RunStore:
         """Persist one folded run (:func:`repro.obs.view.fold_events`).
 
         When the run carries commit-level ``step`` events, the
-        cost-attribution cells and their ``attr:*`` calibration metrics
+        cost-attribution cells and their ``attr:*`` metrics
         (see :mod:`repro.obs.attribution`) are stored alongside the raw
         trajectory.
         """
@@ -442,7 +442,7 @@ class RunStore:
         metrics = {f"counter:{name}": value
                    for name, value in view.counters.items()}
         attribution = None
-        if view.rewrite_runs and view.commits:
+        if view.rewrite_window is not None and view.commits:
             from repro.obs.attribution import (attribute_view,
                                                stage_cost_metrics)
 

@@ -21,6 +21,9 @@ The fold keeps one rule per fact:
   commits, attempts, backtracks, thresholds and wall window — as the
   recorder drops its counters, so the view describes the run the
   verdict comes from; only its phase time stays;
+* a run keeps one rewrite window: a second ``rewrite_begin`` that no
+  ``rewrite_retry`` (or batch ``task_begin``) preceded is malformed,
+  and the fold raises :class:`~repro.errors.ObsDataError` naming it;
 * a field the fold computes with or stores in a run column must have
   its type (:data:`_FIELD_TYPES`) when present and not None, or the
   fold raises :class:`~repro.errors.ObsDataError` naming the event.
@@ -71,12 +74,12 @@ class RunView:
 
     ``commits`` holds one dict per committed rewriting step with the
     store's columns (``step``, ``component``, ``kind``, ``size``,
-    ``threshold``); folded traces add the rewrite-run index ``run``
-    (0 before any ``rewrite_begin``) and, inside a rewrite run, the
+    ``threshold``); folded traces add, after the ``rewrite_begin``, the
     substitution ``rule`` and the wall ``seconds`` and ``SP_i``
-    ``growth`` since the previous commit.  ``rewrite_windows`` is one
-    ``(start, end)`` pair per ``rewrite_begin``, closed by its
-    ``rewrite`` span or, in a truncated trace, by its last commit.
+    ``growth`` since the previous commit.  ``rewrite_window`` is the
+    kept run's ``(start, end)``, opened by its ``rewrite_begin`` and
+    closed by its ``rewrite`` span or, in a truncated trace, by its
+    last commit (None without a ``rewrite_begin``).
     ``candidates``/``remaining`` are the engine's candidate pool and
     components left at the last commit.  ``anomalies`` are the
     diagnostics of the fold's detector over the commits;
@@ -101,7 +104,7 @@ class RunView:
     thresholds: list = field(default_factory=list)
     stalls: int = 0
     sp0: int | None = None
-    rewrite_windows: list = field(default_factory=list)
+    rewrite_window: tuple | None = None
     stage_map: dict | None = None
     profile: dict | None = None
     resource_samples: list = field(default_factory=list)
@@ -119,10 +122,6 @@ class RunView:
     def sizes(self):
         """The ``SP_i`` size after every commit (the Fig. 5 curve)."""
         return [commit["size"] for commit in self.commits]
-
-    @property
-    def rewrite_runs(self):
-        return len(self.rewrite_windows)
 
 
 def _check_types(event, index):
@@ -162,7 +161,7 @@ def _merge_phase_resources(slot, event):
 class RunFold:
     """The fold, one event at a time: :meth:`feed` folds an event into
     :attr:`view` (the run so far) and returns the anomalies it newly
-    fired; :meth:`finish` closes the rewrite windows and returns the
+    fired; :meth:`finish` closes the rewrite window and returns the
     view.  ``detector`` (a :class:`CommitAnomalyDetector`, or None to
     screen nothing) screens every commit."""
 
@@ -171,8 +170,8 @@ class RunFold:
         self.detector = detector
         self._prev_t = self._prev_size = None
         self._last_attempt = {}  # comp -> (kind, compact) of its latest attempt
-        self._windows = []       # [rewrite_begin t, last commit t] per run
-        self._rewrite_spans = []
+        self._window = None      # [rewrite_begin t, last commit t]
+        self._rewrite_span = None
         self._run_mark = None    # the view's counts at the latest rewrite_begin
         self._fed = 0
 
@@ -192,16 +191,21 @@ class RunFold:
             path = event.get("path", event.get("name", "?"))
             view.phases[path] = (view.phases.get(path, 0.0)
                                  + event.get("dur", 0.0))
-            if path == "rewrite":
-                self._rewrite_spans.append(event)
+            if path == "rewrite" and self._window is not None:
+                self._rewrite_span = event
         elif kind == "rewrite_begin":
+            if self._window is not None:
+                raise ObsDataError(
+                    f"event {self._fed} (rewrite_begin): a second rewrite "
+                    f"run without a rewrite_retry before it",
+                    event=self._fed, field="ev")
             if self.detector is not None:
                 self.detector.reset()
             self._prev_t = event.get("t")
             self._prev_size = event.get("size", 0)
             if view.sp0 is None:
                 view.sp0 = self._prev_size
-            self._windows.append([self._prev_t, self._prev_t])
+            self._window = [self._prev_t, self._prev_t]
             self._last_attempt = {}
             self._run_mark = (
                 {name: getattr(view, name) for name in _RUN_FIELDS},
@@ -218,11 +222,10 @@ class RunFold:
                 view.anomalies.extend(fired)
             size = event.get("size", 0)
             comp = event.get("comp")
-            commit = {"run": len(self._windows),
-                      "step": event.get("i", len(view.commits) + 1),
+            commit = {"step": event.get("i", len(view.commits) + 1),
                       "component": comp, "kind": event.get("kind"),
                       "size": size, "threshold": event.get("threshold")}
-            if self._windows:
+            if self._window is not None:
                 t, prev_t = event.get("t"), self._prev_t
                 attempt = self._last_attempt.get(comp,
                                                  (event.get("kind"), None))
@@ -233,7 +236,7 @@ class RunFold:
                 commit["growth"] = max(size - (self._prev_size or 0), 0)
                 self._prev_t = t if t is not None else prev_t
                 self._prev_size = size
-                self._windows[-1][1] = self._prev_t
+                self._window[1] = self._prev_t
             view.commits.append(commit)
             view.candidates = event.get("candidates")
             view.remaining = event.get("remaining")
@@ -261,7 +264,9 @@ class RunFold:
         elif kind == "stage_map":
             view.stage_map = _body(event)
         elif kind == "task_begin":
+            # a batch task is a run of its own, with its own window
             view.tasks += 1
+            self._window = self._rewrite_span = self._run_mark = None
         elif kind == "summary":
             view.counters = event.get("counters", {})
             for path, total in event.get("phases", {}).items():
@@ -280,19 +285,17 @@ class RunFold:
             setattr(view, name, value)
         for name, length in lengths.items():
             del getattr(view, name)[length:]
-        if len(self._rewrite_spans) == len(self._windows):
-            self._rewrite_spans.pop()
-        self._windows.pop()
+        self._window = self._rewrite_span = None
         view.retries += 1
 
     def finish(self):
-        """Close one ``(start, end)`` window per rewrite run; returns
-        the view."""
-        for index, (start, end) in enumerate(self._windows):
-            if index < len(self._rewrite_spans):
-                span = self._rewrite_spans[index]
+        """Close the rewrite window; returns the view."""
+        if self._window is not None:
+            start, end = self._window
+            span = self._rewrite_span
+            if span is not None:
                 end = max(span.get("t", start) + span.get("dur", 0.0), end)
-            self.view.rewrite_windows.append((start, end))
+            self.view.rewrite_window = (start, end)
         return self.view
 
 

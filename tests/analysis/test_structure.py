@@ -1,20 +1,13 @@
-"""Tests for the static architecture recognizer and blow-up predictor."""
+"""Tests for the static architecture recognizer."""
 
 import json
 
 import pytest
 
-from repro.analysis.structure import (
-    RISK_HIGH_FACTOR,
-    analyze_aig,
-    risk_calibration,
-    spearman,
-)
+from repro.analysis.structure import analyze_aig
 from repro.aig.aig import Aig
 from repro.core.atomic import detect_atomic_blocks
-from repro.core.pipeline import Pipeline, VerifyConfig
 from repro.genmul.multiplier import generate_multiplier
-from repro.obs.store import RunStore
 from repro.opt.scripts import optimize
 
 #: Spot checks spanning every family the recognizer claims; the full
@@ -84,11 +77,6 @@ class TestDiagnostics:
             arch = analyze(architecture, 6)
             assert arch.report.warnings == [], architecture
 
-    def test_booth_flags_high_risk(self):
-        arch = analyze("BP-WT-RC", 6)
-        assert arch.risk["factor"] >= RISK_HIGH_FACTOR
-        assert "RS020" in [d.code for d in arch.report.warnings]
-
     def test_empty_design_is_inconclusive(self):
         aig = Aig()
         a, b = aig.add_inputs(2)
@@ -106,8 +94,8 @@ class TestDiagnostics:
         rule_ids = {r["id"]
                     for r in sarif["runs"][0]["tool"]["driver"]["rules"]}
         assert rule_ids <= {"RS001", "RS002", "RS010", "RS011",
-                            "RS012", "RS013", "RS020"}
-        assert any(res["ruleId"] == "RS020"
+                            "RS012", "RS013"}
+        assert any(res["ruleId"] == "RS001"
                    for res in sarif["runs"][0]["results"])
 
     def test_json_roundtrip(self, tmp_path):
@@ -117,62 +105,3 @@ class TestDiagnostics:
         payload = json.loads(path.read_text())
         assert payload["architecture"] == "simple-tree-lookahead"
         assert set(payload["stages"]) == {"ppg", "ppa", "fsa"}
-        assert payload["risk"]["factor"] == arch.risk["factor"]
-
-
-class TestSpearman:
-    def test_perfect_correlation(self):
-        assert spearman([1, 2, 3], [10, 20, 30]) == pytest.approx(1.0)
-
-    def test_perfect_anticorrelation(self):
-        assert spearman([1, 2, 3], [30, 20, 10]) == pytest.approx(-1.0)
-
-    def test_ties_use_average_ranks(self):
-        assert spearman([1, 1, 2], [5, 5, 9]) == pytest.approx(1.0)
-
-    def test_constant_series_is_zero(self):
-        assert spearman([1, 1, 1], [1, 2, 3]) == 0.0
-
-    def test_rejects_mismatched_lengths(self):
-        with pytest.raises(ValueError):
-            spearman([1, 2], [1, 2, 3])
-
-
-class TestRiskCalibration:
-    #: Fast designs with well-separated observed peaks: the static risk
-    #: score must rank them exactly as the measured peak SP_i does.
-    CALIBRATION_SET = [
-        ("SP-AR-RC", 4), ("SP-DT-LF", 4), ("SP-AR-RC", 6),
-        ("SP-WT-CL", 6), ("SP-DT-KS", 6), ("BP-AR-RC", 4),
-    ]
-
-    def test_risk_rank_orders_observed_peaks(self, tmp_path):
-        entries = []
-        with RunStore(tmp_path / "runs.db") as store:
-            for architecture, width in self.CALIBRATION_SET:
-                aig = generate_multiplier(architecture, width)
-                design = f"{architecture}-{width}"
-                arch = analyze_aig(aig, detect_atomic_blocks(aig),
-                                   width_a=width, subject=design)
-                result = Pipeline(VerifyConfig(width_a=width)).run(aig)
-                assert result.status == "correct"
-                store.add_run(design, "dyposub", optimization="none",
-                              status=result.status,
-                              steps=result.stats.get("steps"),
-                              max_poly_size=result.stats["max_poly_size"])
-                entries.append((design, "none", arch.risk["score"]))
-            calibration = risk_calibration(store, entries)
-        assert calibration["samples"] == len(self.CALIBRATION_SET)
-        assert calibration["spearman"] >= 0.8
-        agreement = calibration["agreement"]
-        assert agreement["top"] == agreement["count"]
-        assert agreement["bottom"] == agreement["count"]
-
-    def test_missing_history_is_skipped(self, tmp_path):
-        with RunStore(tmp_path / "runs.db") as store:
-            store.add_run("known", "dyposub", optimization="none",
-                          max_poly_size=10)
-            calibration = risk_calibration(
-                store, [("known", "none", 1.0), ("absent", "none", 2.0)])
-        assert calibration["samples"] == 1
-        assert calibration["spearman"] is None

@@ -393,6 +393,16 @@ class TestObsBoundaries:
             with RunStore(db) as store:
                 assert len(store) == 0
 
+    def test_explain_calibration_is_an_unrecognized_argument(self,
+                                                              tmp_path,
+                                                              capsys):
+        trace = tmp_path / "t.jsonl"
+        assert main(["explain", "--calibration", str(trace)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("explain: unrecognized arguments: "
+                                "--calibration\n")
+
     def test_wrong_typed_run_values_are_not_ingested(self, tmp_path,
                                                      capsys):
         trace = tmp_path / "bad.jsonl"
@@ -577,13 +587,22 @@ class TestAnalyzeCli:
         assert "simple-tree-lookahead" in out
         assert "RS001" in out
 
-    def test_booth_findings_exit_one(self, tmp_path, capsys):
+    def test_booth_design_exits_zero(self, tmp_path, capsys):
         src = tmp_path / "m.aag"
         main(["generate", "BP-WT-RC", "6", "-o", str(src)])
-        assert main(["analyze", str(src)]) == 1
+        assert main(["analyze", str(src)]) == 0
         out = capsys.readouterr().out
         assert "booth-tree-ripple" in out
-        assert "RS020" in out
+        assert "warning" not in out
+
+    def test_structural_findings_exit_one(self, tmp_path, capsys):
+        src = tmp_path / "m.aag"
+        opt = tmp_path / "opt.aag"
+        main(["generate", "SP-WT-CL", "6", "-o", str(src)])
+        main(["optimize", str(src), "--script", "map3", "-o", str(opt)])
+        capsys.readouterr()
+        assert main(["analyze", str(opt)]) == 1
+        assert "RS010 warning" in capsys.readouterr().out
 
     def test_unparseable_input_exits_three(self, tmp_path, capsys):
         bad = tmp_path / "bad.aag"

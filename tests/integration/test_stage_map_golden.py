@@ -1,7 +1,7 @@
 """Golden snapshot of the pipeline's architecture outputs.
 
-A traced run emits one ``stage_map`` event (architecture label, risk
-prediction, stage-region sizes and every component's region), rendered
+A traced run emits one ``stage_map`` event (architecture label,
+stage-region sizes and every component's region), rendered
 from :func:`repro.analysis.structure.analyze_aig`.  This test pins it
 for the 19-design ``scripts/arch_matrix.py`` zoo plus three wide
 designs, and pins the ``stage_map`` of a run that disables both atomic

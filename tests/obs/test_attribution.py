@@ -1,6 +1,6 @@
 """Tests for repro.obs.attribution: the cost-attribution engine over a
 folded run view, streaming anomaly detection, and the store-backed
-calibration layer."""
+attribution rows."""
 
 import pytest
 
@@ -12,11 +12,9 @@ from repro.obs.attribution import (
     CommitAnomalyDetector,
     attribute_store_run,
     attribute_view,
-    calibration_from_store,
     design_baseline,
     ewma,
     render_attribution,
-    render_calibration,
     stage_cost_metrics,
 )
 from repro.obs.view import fold_events
@@ -33,7 +31,6 @@ def _stream():
     return [
         {"ev": "run_begin", "t": 0.0, "design": "m4", "method": "dyposub"},
         {"ev": "stage_map", "t": 0.05, "architecture": "ripple",
-         "risk_factor": 1.2, "risk_score": 55.0,
          "regions": {"ppg": 2, "fsa": 2},
          "components": {"0": "ppg", "1": "ppg", "2": "fsa", "3": "fsa"}},
         {"ev": "rewrite_begin", "t": 1.0, "size": 10, "components": 4,
@@ -62,9 +59,7 @@ class TestAttributeEvents:
     def test_growth_lands_in_the_right_stage(self):
         report = _attribute(_stream())
         assert report["architecture"] == "ripple"
-        assert report["risk"] == {"factor": 1.2, "score": 55.0}
         assert report["sp0"] == 10
-        assert report["rewrite_runs"] == 1
         # all growth (4 + 6 monomials) came from the two fsa commits
         assert report["by_stage"]["fsa"]["growth"] == 10
         assert report["by_stage"]["fsa"]["commits"] == 2
@@ -110,24 +105,6 @@ class TestAttributeEvents:
         assert report["wall"]["attributed_fraction"] == 0.0
         assert report["growth"]["attributed_fraction"] == 0.0
 
-    def test_escalation_rerun_opens_a_second_window(self):
-        events = _stream()[:-1]  # keep the run open
-        events += [
-            {"ev": "rewrite_begin", "t": 3.0, "size": 6, "components": 4,
-             "ring": "mod"},
-            {"ev": "step", "t": 3.2, "i": 1, "comp": 3, "kind": "FA",
-             "size": 9},
-            {"ev": "span", "t": 3.0, "name": "rewrite", "path": "rewrite",
-             "dur": 0.25},
-            {"ev": "run_end", "t": 4.0, "status": "correct", "seconds": 4.0},
-        ]
-        report = _attribute(events)
-        assert report["rewrite_runs"] == 2
-        assert report["sp0"] == 10  # anchored at the first run
-        assert report["wall"]["rewrite_seconds"] == pytest.approx(0.75)
-        runs = {record["run"] for record in report["commits"]}
-        assert runs == {1, 2}
-
     def test_truncated_trace_closes_at_the_last_commit(self):
         # a crashed run has no rewrite span event: the window must
         # close at the last observed commit instead of being dropped
@@ -170,7 +147,6 @@ class TestAttributeEvents:
 
     def test_empty_stream(self):
         report = _attribute([])
-        assert report["rewrite_runs"] == 0
         assert report["commits"] == []
         assert report["wall"]["rewrite_seconds"] == 0.0
         assert report["wall"]["attributed_fraction"] == 1.0
@@ -274,7 +250,6 @@ class TestStoreIntegration:
         assert metrics["attr:rule:FA/expand:growth"] == 10
         assert metrics["attr:wall:rewrite:seconds"] == pytest.approx(0.5)
         assert metrics["attr:unattributed:seconds"] == pytest.approx(0.05)
-        assert metrics["attr:risk:score"] == 55.0
 
     def test_unknown_run_raises(self):
         with RunStore() as store:
@@ -312,35 +287,6 @@ class TestStoreIntegration:
             run_id = store.ingest_events(_stream(), "m4", source="test")
             stored = attribute_store_run(store, run_id)
             assert stored["by_stage"]["fsa"]["growth"] == 10
-            assert stored["risk"]["score"] == 55.0
-
-
-class TestCalibration:
-    def _seed(self, store, design, risk, peak, fsa_growth, ppg_growth):
-        store.add_run(design, "dyposub", max_poly_size=peak,
-                      metrics={"attr:risk:score": risk,
-                               "attr:stage:fsa:growth": fsa_growth,
-                               "attr:stage:ppg:growth": ppg_growth})
-
-    def test_agreement_over_stored_series(self):
-        with RunStore() as store:
-            self._seed(store, "hot", 90.0, 4000, 3600, 400)
-            self._seed(store, "warm", 50.0, 400, 200, 200)
-            self._seed(store, "cool", 10.0, 40, 0, 40)
-            calibration = calibration_from_store(store)
-        assert calibration["samples"] == 3
-        risk = calibration["risk_vs_peak"]
-        assert risk["spearman"] == pytest.approx(1.0)
-        assert risk["agreement"]["top"] == risk["agreement"]["count"]
-        shares = calibration["stage_costs"]["hot/none"]["shares"]
-        assert shares["fsa"] == pytest.approx(0.9)
-
-    def test_series_without_risk_scores_are_skipped(self):
-        with RunStore() as store:
-            store.add_run("plain", "dyposub", max_poly_size=10)
-            calibration = calibration_from_store(store)
-        assert calibration["samples"] == 0
-        assert calibration["risk_vs_peak"]["spearman"] is None
 
 
 class TestRendering:
@@ -356,18 +302,3 @@ class TestRendering:
     def test_top_commits_table_respects_the_limit(self):
         text = render_attribution(_attribute(_stream()), top=2)
         assert "Top 2 commits by SP_i growth" in text
-
-    def test_calibration_rendering(self):
-        with RunStore() as store:
-            store.add_run("hot", "dyposub", max_poly_size=4000,
-                          metrics={"attr:risk:score": 90.0})
-            store.add_run("cool", "dyposub", max_poly_size=40,
-                          metrics={"attr:risk:score": 10.0})
-            text = render_calibration(calibration_from_store(store))
-        assert "Spearman +1.000" in text
-        assert "Predicted risk vs observed cost" in text
-
-    def test_calibration_rendering_needs_two_series(self):
-        with RunStore() as store:
-            text = render_calibration(calibration_from_store(store))
-        assert "need at least 2 series" in text

@@ -201,7 +201,10 @@ class TestAnomalyDetection:
         monitor.event("rewrite_begin", size=10, components=3, ring="exact")
         for i, size in enumerate((10, 10, 10), start=1):
             monitor.event("step", i=i, comp=i, kind="FA", size=size)
-        # escalation re-run: sizes jump but the detector starts fresh
+        # threshold-fallback re-run: sizes jump but the detector starts
+        # fresh
+        monitor.event("rewrite_retry", budget_kind="monomials",
+                      threshold=0.1)
         monitor.event("rewrite_begin", size=100, components=3,
                       ring="exact")
         monitor.event("step", i=1, comp=1, kind="FA", size=100)

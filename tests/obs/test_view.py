@@ -4,8 +4,12 @@ The fold rules that the report, explain, diff and store consumers once
 applied differently are pinned here.
 """
 
+import json
+
 import pytest
 
+from repro.cli import main
+from repro.errors import ObsDataError
 from repro.obs.view import RunView, fold_events
 
 
@@ -66,7 +70,6 @@ class TestCommits:
                           "kind": "FA", "compact": False})
         view = fold_events(events)
         first, second = view.commits
-        assert first["run"] == second["run"] == 1
         assert first["rule"] == "FA/expand"
         assert second["rule"] == "FA"   # no attempt for comp 2
         assert first["seconds"] == pytest.approx(0.1)
@@ -78,24 +81,31 @@ class TestCommits:
 
     def test_steps_outside_a_rewrite_run_count_but_are_not_timed(self):
         view = fold_events([{"ev": "step", "t": 0.1, "size": 5}])
-        assert view.commits == [{"run": 0, "step": 1, "component": None,
+        assert view.commits == [{"step": 1, "component": None,
                                  "kind": None, "size": 5,
                                  "threshold": None}]
-        assert view.rewrite_runs == 0
+        assert view.rewrite_window is None
 
-    def test_each_rewrite_begin_opens_a_window(self):
-        events = _rewrite_run() + [
-            {"ev": "span", "t": 1.0, "name": "rewrite", "path": "rewrite",
-             "dur": 0.5}]
-        events += _rewrite_run(t0=3.0, size=6, steps=((3.2, 3, "FA", 9),))
-        view = fold_events(events)
-        # the first window closes at its span, the second (truncated,
-        # no span) at its last commit
-        assert view.rewrite_windows == [(1.0, 1.5), (3.0, 3.2)]
-        assert view.rewrite_runs == 2
-        assert [c["run"] for c in view.commits] == [1, 1, 2]
-        assert view.commits[2]["growth"] == 3  # anchored at run 2's SP_0
-        assert view.sp0 == 10
+    def test_second_unretried_rewrite_begin_is_malformed(self, tmp_path,
+                                                         capsys):
+        """A run keeps one rewrite window: a second ``rewrite_begin``
+        that no ``rewrite_retry`` preceded is refused by the fold, and
+        ``repro explain`` ends in one line with exit 2."""
+        events = _rewrite_run() + _rewrite_run(t0=3.0, size=6,
+                                               steps=((3.2, 3, "FA", 9),))
+        with pytest.raises(ObsDataError, match=r"^event 4 \(rewrite_begin\)"):
+            fold_events(events)
+        trace = tmp_path / "two.jsonl"
+        trace.write_text("".join(json.dumps(event) + "\n" for event in
+                                 [{"trace_format": 1}, *events]),
+                         encoding="utf-8")
+        assert main(["explain", str(trace)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"explain: {trace}: event 4 "
+                                   "(rewrite_begin): ")
 
     def test_rewrite_retry_drops_the_abandoned_run(self):
         """The threshold fallback's abandoned run leaves only its phase
@@ -118,11 +128,10 @@ class TestCommits:
         view = fold_events(events)
         assert view.retries == 1
         assert view.sizes == [12]
-        assert [c["run"] for c in view.commits] == [1]
         assert view.commits[0]["growth"] == 2
         assert (view.attempts, view.backtracks) == (0, 1)
         assert view.thresholds == [0.2] and view.threshold_doublings == 1
-        assert view.rewrite_windows == [(2.0, 2.25)]
+        assert view.rewrite_window == (2.0, 2.25)
         assert view.phases == {"rewrite": 0.75}
 
     def test_detector_resets_per_rewrite_run(self):
@@ -132,7 +141,9 @@ class TestCommits:
         view = fold_events(_rewrite_run(steps=steps))
         assert [d.code for d in view.anomalies] == ["RP012"]
         # a fresh rewrite run starts a fresh EWMA: 1000 is not an outlier
-        view = fold_events(_rewrite_run(steps=steps[:3])
+        retry = {"ev": "rewrite_retry", "t": 2.0,
+                 "budget_kind": "monomials", "threshold": 0.1}
+        view = fold_events(_rewrite_run(steps=steps[:3]) + [retry]
                            + _rewrite_run(t0=3.0, steps=steps[3:]))
         assert view.anomalies == []
 
