@@ -4,6 +4,7 @@ attribution rows."""
 
 import pytest
 
+from repro.errors import ObsDataError
 from repro.obs import RunStore
 from repro.obs.attribution import (
     COVERAGE_TARGET,
@@ -104,6 +105,30 @@ class TestAttributeEvents:
         # unknown-stage commits count against coverage
         assert report["wall"]["attributed_fraction"] == 0.0
         assert report["growth"]["attributed_fraction"] == 0.0
+
+    def test_escalation_rerun_needs_a_retry_before_it(self):
+        """A second rewrite run is attributed only after a
+        ``rewrite_retry`` abandoned the first; without one the stream
+        is refused instead of opening a second window."""
+        rerun = [
+            {"ev": "rewrite_begin", "t": 3.0, "size": 6, "components": 4,
+             "ring": "mod"},
+            {"ev": "step", "t": 3.2, "i": 1, "comp": 3, "kind": "FA",
+             "size": 9},
+            {"ev": "span", "t": 3.0, "name": "rewrite", "path": "rewrite",
+             "dur": 0.25},
+            {"ev": "run_end", "t": 4.0, "status": "correct", "seconds": 4.0},
+        ]
+        events = _stream()[:-1] + rerun  # the first run never retried
+        with pytest.raises(ObsDataError, match=r"^event 12 \(rewrite_begin\)"):
+            _attribute(events)
+        retry = {"ev": "rewrite_retry", "t": 2.5, "budget_kind": "monomials",
+                 "threshold": 0.1}
+        report = _attribute(_stream()[:-1] + [retry] + rerun)
+        assert report["sp0"] == 10  # anchored at the first run
+        assert report["wall"]["rewrite_seconds"] == pytest.approx(0.25)
+        assert [record["step"] for record in report["commits"]] == [1]
+        assert report["commits"][0]["growth"] == 3
 
     def test_truncated_trace_closes_at_the_last_commit(self):
         # a crashed run has no rewrite span event: the window must
